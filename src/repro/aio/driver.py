@@ -27,6 +27,7 @@ from repro.aio.reliability import ReliableChannel
 from repro.aio.transport import AioTransport
 from repro.core.base import ProtocolCore
 from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer, Trace
+from repro.core.messages import HeartbeatMsg
 from repro.errors import SimulationError
 from repro.lint.sanitizer import ClusterSanitizer
 
@@ -135,7 +136,7 @@ class AioNodeDriver:
                 return True
         # Runtime-internal traffic must never reach the core: cores raise
         # on unknown message types by design.
-        return type(msg).__name__ == "HeartbeatMsg"
+        return type(msg) is HeartbeatMsg
 
     def _on_timer(self, key: Hashable) -> None:
         self._timers.pop(key, None)

@@ -32,6 +32,7 @@ All accounting lands in a :class:`~repro.metrics.counters.ReliabilityCounters`.
 
 from __future__ import annotations
 
+import asyncio
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -128,8 +129,6 @@ class ReliableChannel:
         self._arm(pending)
 
     def _arm(self, pending: "_Pending") -> None:
-        import asyncio
-
         cfg = self.config
         base = cfg.resolved_rto(self.transport.delay)
         delay = min(base * (cfg.backoff ** pending.attempts), cfg.max_rto)

@@ -119,8 +119,9 @@ class FrameError(WireError):
 
 
 class CodecError(WireError):
-    """A frame body failed to decode: malformed JSON, an unregistered
-    message type tag, or field values the message class rejects.  Like
+    """A frame body failed to decode: a truncated or unknown value, an
+    unregistered message type, or field values the message class
+    rejects (or one that will not encode: an unregistered class).  Like
     :class:`FrameError` this is terminal for the connection."""
 
 

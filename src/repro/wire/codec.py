@@ -3,30 +3,53 @@
 Every message that crosses a TCP connection — protocol traffic between
 nodes, ARQ frames, lock-service requests and replies — is one *frame*:
 
-    +----------------+---------+------------------------------------+
-    | length (4B !I) | version | UTF-8 JSON body                    |
-    +----------------+---------+------------------------------------+
+    +----------------+-------------+-----+-----+-----------------------+
+    | length (4B !I) | version = 2 | src | dst | message               |
+    +----------------+-------------+-----+-----+-----------------------+
 
 ``length`` counts everything after the prefix (version byte included).
-The body is ``{"s": src, "d": dst, "m": <message>}`` where a message is
-``{"t": "<TypeName>", "f": {field: value, ...}}``.  Field values are the
-JSON image of the dataclass fields; tuples are serialized as JSON arrays
-and restored on decode (no message field is a ``list``, so the mapping is
-unambiguous), and a field that is itself a registered message — the ARQ
-:class:`~repro.aio.reliability.DataFrame` carrying a token payload — is
-encoded recursively under a ``{"!": ...}`` wrapper.
+``src``, ``dst`` and ``message`` are *values* in a tagged positional
+binary encoding — one leading byte says what follows:
 
-Deliberately JSON, deliberately not pickle: the decoder can only ever
-construct message classes that were explicitly registered, so a hostile
-peer cannot instantiate arbitrary objects.
+    0x00..0xEF   small int: the byte minus 16 (-16..223), nothing follows
+    0xF0         None
+    0xF1 / 0xF2  False / True
+    0xF3         int, 8 bytes ``!q``
+    0xF4         float, 8 bytes ``!d``
+    0xF5         str: length, then that many UTF-8 bytes
+    0xF6         tuple: length, then that many values
+    0xF7         message: one type-id byte, then the class's fields as
+                 values in dataclass order (no names, no count)
+    0xF8..0xFF   unassigned (a :class:`~repro.errors.CodecError`)
+
+A *length* is one byte below 255, or ``0xFF`` followed by 4 bytes ``!I``.
+Values nest (a token's ``served`` pairs, the ARQ
+:class:`~repro.aio.reliability.DataFrame` carrying a token payload) to at
+most :data:`MAX_DEPTH` levels.
+
+A **type id** is the class's position in registration order.  Importing
+this module registers the built-ins first and always in the same order —
+every dataclass in :mod:`repro.core.messages` in ``__all__`` order, then
+``DataFrame``, ``AckFrame``, then the lock-service messages of
+:mod:`repro.wire.service` in file order — so their ids are the same in
+every process; classes an application registers afterwards follow, and
+both peers must register them in the same order.  Adding, removing or
+reordering a built-in (or a field) is a wire protocol change: bump
+:data:`WIRE_VERSION`.
+
+Deliberately not pickle: the decoder can only ever construct message
+classes that were explicitly registered, and checks each field against
+the class's type hints, so a hostile peer cannot instantiate arbitrary
+objects or smuggle a string into an integer field.
 
 Failure taxonomy (all close the connection — a length-prefixed stream
 has no reliable resynchronization point):
 
 - :class:`~repro.errors.FrameError` — framing violation: a length prefix
   beyond ``max_frame``, a zero-length body, or an unsupported version;
-- :class:`~repro.errors.CodecError` — body violation: malformed UTF-8 or
-  JSON, a missing envelope key, an unregistered type tag, or field
+- :class:`~repro.errors.CodecError` — body violation: a truncated value,
+  an unassigned tag or type id, a length running past the body, nesting
+  beyond :data:`MAX_DEPTH`, malformed UTF-8, trailing bytes, or field
   values the message class rejects;
 - ``asyncio.IncompleteReadError`` — the peer closed mid-frame (surfaced
   by :func:`read_frame`; treated as a connection reset, not a protocol
@@ -37,15 +60,17 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import struct
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+import typing
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import CodecError, FrameError
 
 __all__ = [
     "WIRE_VERSION",
     "MAX_FRAME",
+    "MAX_DEPTH",
     "register_message",
     "registered_messages",
     "encode_frame",
@@ -53,39 +78,114 @@ __all__ = [
     "read_frame",
 ]
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Default ceiling on the post-prefix frame size.  Protocol messages are
 #: tens to hundreds of bytes; anything near this bound is an attack or a
 #: desynchronized stream.
 MAX_FRAME = 1 << 20
 
-_LEN = struct.Struct("!I")
+#: Deepest value nesting either side accepts.  Real frames reach 5 (a
+#: ``DataFrame`` whose token carries a membership view); the cap is what
+#: turns a nesting bomb into a typed error instead of a ``RecursionError``.
+MAX_DEPTH = 16
 
-_BY_NAME: Dict[str, Tuple[Type, Tuple[str, ...]]] = {}
-_BY_CLASS: Dict[Type, Tuple[str, Tuple[str, ...]]] = {}
+_LEN = struct.Struct("!I")
+_INT = struct.Struct("!q")
+_FLOAT = struct.Struct("!d")
+
+_SMALL_MIN = -16
+_SMALL_END = 0xF0 + _SMALL_MIN      # small ints are _SMALL_MIN.._SMALL_END-1
+_NONE, _FALSE, _TRUE, _INT64, _FLOAT64, _STR, _TUPLE, _MSG = range(0xF0, 0xF8)
+_LONG_LEN = 0xFF
+
+#: The exact Python types a decoded field may have, per annotation; an
+#: ``int`` is accepted where a ``float`` is declared (``timeout=0``).
+_FIELD_TYPES: Dict[Any, Tuple[type, ...]] = {
+    int: (int,), bool: (bool,), float: (float, int), str: (str,),
+    tuple: (tuple,), type(None): (type(None),),
+}
+
+
+class _Entry:
+    """What the codec knows about one registered class."""
+
+    __slots__ = ("cls", "type_id", "getter", "checks")
+
+    def __init__(self, cls: Type, type_id: int) -> None:
+        names = [f.name for f in dataclasses.fields(cls)]
+        self.cls = cls
+        self.type_id = type_id
+        #: Reads every field, in order, in one call.
+        self.getter: Callable[[Any], Tuple[Any, ...]] = (
+            attrgetter(*names) if len(names) > 1
+            else _single_field_getter(names))
+        #: Per field, the types a decoded value may have (None: anything).
+        self.checks: List[Optional[Tuple[type, ...]]] = _field_checks(cls, names)
+
+
+def _single_field_getter(names: List[str]) -> Callable[[Any], Tuple[Any, ...]]:
+    """``attrgetter`` with one name returns the bare value, not a tuple."""
+    if not names:
+        return lambda msg: ()
+    get = attrgetter(names[0])
+    return lambda msg: (get(msg),)
+
+
+def _field_checks(cls: Type,
+                  names: List[str]) -> List[Optional[Tuple[type, ...]]]:
+    try:
+        hints = typing.get_type_hints(cls)
+    except (NameError, TypeError):  # unresolvable annotation: unchecked
+        return [None] * len(names)
+    return [_allowed_types(hints.get(name)) for name in names]
+
+
+def _allowed_types(annotation: Any) -> Optional[Tuple[type, ...]]:
+    origin = typing.get_origin(annotation)
+    if origin is typing.Union:
+        allowed: Tuple[type, ...] = ()
+        for arm in typing.get_args(annotation):
+            arm_types = _allowed_types(arm)
+            if arm_types is None:
+                return None
+            allowed += arm_types
+        return allowed
+    return _FIELD_TYPES.get(origin if origin is not None else annotation)
+
+
+_BY_NAME: Dict[str, _Entry] = {}
+_BY_CLASS: Dict[Type, _Entry] = {}
+_BY_ID: List[_Entry] = []
 
 
 def register_message(cls: Type) -> Type:
     """Register a frozen dataclass for wire transport (idempotent).
 
-    The class name is the wire tag, so renaming a message class is a wire
-    protocol change.  Returns ``cls`` so it can be used as a decorator."""
+    The class takes the next free type id, and its fields travel in
+    dataclass order, so registration order, a renamed class and a changed
+    field list are all wire protocol changes.  Returns ``cls`` so it can
+    be used as a decorator."""
     if not dataclasses.is_dataclass(cls):
         raise CodecError(f"{cls!r} is not a dataclass; cannot register")
     name = cls.__name__
-    fields = tuple(f.name for f in dataclasses.fields(cls))
     known = _BY_NAME.get(name)
-    if known is not None and known[0] is not cls:
-        raise CodecError(f"message tag {name!r} already registered by {known[0]!r}")
-    _BY_NAME[name] = (cls, fields)
-    _BY_CLASS[cls] = (name, fields)
+    if known is not None:
+        if known.cls is not cls:
+            raise CodecError(
+                f"message tag {name!r} already registered by {known.cls!r}")
+        return cls
+    if len(_BY_ID) > 0xFF:
+        raise CodecError("type ids are one byte: 256 classes are registered")
+    entry = _Entry(cls, len(_BY_ID))
+    _BY_NAME[name] = _BY_CLASS[cls] = entry
+    _BY_ID.append(entry)
     return cls
 
 
 def registered_messages() -> Dict[str, Type]:
     """Tag -> class view of the registry (diagnostics, tests)."""
-    return {name: cls for name, (cls, _) in _BY_NAME.items()}
+    return {name: entry.cls for name, entry in _BY_NAME.items()}
 
 
 def _register_builtins() -> None:
@@ -98,68 +198,160 @@ def _register_builtins() -> None:
             register_message(cls)
     register_message(DataFrame)
     register_message(AckFrame)
+    # The service messages register themselves on import; importing them
+    # here pins their ids right behind the ones above in every process.
+    import repro.wire.service  # noqa: F401
 
 
-def _encode_value(value: Any) -> Any:
-    if type(value) in _BY_CLASS:
-        return {"!": _encode_message(value)}
-    if isinstance(value, tuple):
-        return [_encode_value(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise CodecError(
-        f"unencodable field value {value!r} ({type(value).__name__})")
+# -- values --------------------------------------------------------------------
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "!" not in value:
-            raise CodecError(f"unexpected object field {value!r}")
-        return _decode_message(value["!"])
-    if isinstance(value, list):
-        return tuple(_decode_value(item) for item in value)
-    return value
+def _encode_length(out: bytearray, tag: int, length: int) -> None:
+    out.append(tag)
+    if length < _LONG_LEN:
+        out.append(length)
+    else:
+        out.append(_LONG_LEN)
+        out += _LEN.pack(length)
 
 
-def _encode_message(msg: object) -> Dict[str, Any]:
+def _encode_value(out: bytearray, value: Any, depth: int) -> None:
+    kind = type(value)
+    if kind is int:
+        if _SMALL_MIN <= value < _SMALL_END:
+            out.append(value - _SMALL_MIN)
+            return
+        out.append(_INT64)
+        try:
+            out += _INT.pack(value)
+        except struct.error:
+            raise CodecError(f"int {value} does not fit 64 bits") from None
+    elif kind is tuple:
+        if depth >= MAX_DEPTH:
+            raise CodecError(f"value nests deeper than {MAX_DEPTH}")
+        _encode_length(out, _TUPLE, len(value))
+        for item in value:
+            _encode_value(out, item, depth + 1)
+    elif value is None:
+        out.append(_NONE)
+    elif kind is bool:
+        out.append(_TRUE if value else _FALSE)
+    elif kind is float:
+        out.append(_FLOAT64)
+        out += _FLOAT.pack(value)
+    elif kind is str:
+        raw = value.encode("utf-8")
+        _encode_length(out, _STR, len(raw))
+        out += raw
+    else:
+        _encode_message(out, value, depth)
+
+
+def _encode_message(out: bytearray, msg: object, depth: int) -> None:
     entry = _BY_CLASS.get(type(msg))
     if entry is None:
         raise CodecError(
             f"unregistered message type {type(msg).__name__!r}; "
             f"register_message() it before sending over the wire")
-    name, fields = entry
-    return {"t": name,
-            "f": {f: _encode_value(getattr(msg, f)) for f in fields}}
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"value nests deeper than {MAX_DEPTH}")
+    out.append(_MSG)
+    out.append(entry.type_id)
+    for value in entry.getter(msg):
+        _encode_value(out, value, depth + 1)
 
 
-def _decode_message(doc: Any) -> object:
-    if not isinstance(doc, dict):
-        raise CodecError(f"message document must be an object, got {doc!r}")
-    name = doc.get("t")
-    entry = _BY_NAME.get(name) if isinstance(name, str) else None
-    if entry is None:
-        raise CodecError(f"unknown message type tag {name!r}")
-    cls, fields = entry
-    raw = doc.get("f")
-    if not isinstance(raw, dict):
-        raise CodecError(f"message {name!r} has no field object")
+def _decode_length(buf: bytes, pos: int) -> Tuple[int, int]:
+    length = buf[pos]
+    if length < _LONG_LEN:
+        return length, pos + 1
+    return _LEN.unpack_from(buf, pos + 1)[0], pos + 5
+
+
+def _decode_value(buf: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """One value starting at ``buf[pos]``; returns it and the position
+    after it.  Running off the end raises ``IndexError``/``struct.error``,
+    which :func:`decode_body` reports as a truncated value."""
+    tag = buf[pos]
+    pos += 1
+    if tag < _NONE:
+        return tag + _SMALL_MIN, pos
+    if tag == _MSG:
+        return _decode_message(buf, pos, depth)
+    if tag == _INT64:
+        return _INT.unpack_from(buf, pos)[0], pos + 8
+    if tag == _NONE:
+        return None, pos
+    if tag == _TUPLE:
+        if depth >= MAX_DEPTH:
+            raise CodecError(f"value nests deeper than {MAX_DEPTH}")
+        length, pos = _decode_length(buf, pos)
+        if length > len(buf) - pos:     # every item is at least one byte
+            raise CodecError(
+                f"tuple of {length} items runs past the frame body")
+        items = []
+        for _ in range(length):
+            item, pos = _decode_value(buf, pos, depth + 1)
+            items.append(item)
+        return tuple(items), pos
+    if tag == _FLOAT64:
+        return _FLOAT.unpack_from(buf, pos)[0], pos + 8
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _STR:
+        length, pos = _decode_length(buf, pos)
+        end = pos + length
+        if end > len(buf):
+            raise CodecError(
+                f"string of {length} bytes runs past the frame body")
+        try:
+            return buf[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"malformed string: {exc}") from None
+    raise CodecError(f"unknown value tag 0x{tag:02x}")
+
+
+def _decode_message(buf: bytes, pos: int, depth: int) -> Tuple[object, int]:
+    """The type id and fields following a message tag."""
+    type_id = buf[pos]
+    pos += 1
+    if type_id >= len(_BY_ID):
+        raise CodecError(f"unknown message type id {type_id}")
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"value nests deeper than {MAX_DEPTH}")
+    entry = _BY_ID[type_id]
+    values = []
+    for allowed in entry.checks:
+        value, pos = _decode_value(buf, pos, depth + 1)
+        if allowed is not None and type(value) not in allowed:
+            raise CodecError(
+                f"bad fields for {entry.cls.__name__!r}: field "
+                f"{len(values)} cannot be {type(value).__name__}")
+        values.append(value)
     try:
-        return cls(**{key: _decode_value(value) for key, value in raw.items()})
-    except TypeError as exc:
-        raise CodecError(f"bad fields for {name!r}: {exc}") from None
+        return entry.cls(*values), pos
+    except (TypeError, ValueError) as exc:
+        raise CodecError(
+            f"bad fields for {entry.cls.__name__!r}: {exc}") from None
+
+
+# -- frames --------------------------------------------------------------------
 
 
 def encode_frame(src: int, dst: int, msg: object) -> bytes:
-    """One complete frame: length prefix, version byte, JSON body."""
-    body = json.dumps(
-        {"s": src, "d": dst, "m": _encode_message(msg)},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    payload = bytes((WIRE_VERSION,)) + body
-    if len(payload) > MAX_FRAME:
-        raise FrameError(
-            f"encoded frame is {len(payload)} bytes (max {MAX_FRAME})")
-    return _LEN.pack(len(payload)) + payload
+    """One complete frame: length prefix, version byte, binary body."""
+    out = bytearray(5)
+    out[4] = WIRE_VERSION
+    _encode_value(out, src, 0)
+    _encode_value(out, dst, 0)
+    _encode_message(out, msg, 0)
+    length = len(out) - _LEN.size
+    if length > MAX_FRAME:
+        raise FrameError(f"encoded frame is {length} bytes (max {MAX_FRAME})")
+    _LEN.pack_into(out, 0, length)
+    return bytes(out)
 
 
 def decode_body(payload: bytes) -> Tuple[int, int, object]:
@@ -172,18 +364,23 @@ def decode_body(payload: bytes) -> Tuple[int, int, object]:
         raise FrameError(
             f"unsupported wire version {version} (speak {WIRE_VERSION})")
     try:
-        doc = json.loads(payload[1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"malformed frame body: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CodecError(f"frame body must be an object, got {doc!r}")
-    try:
-        src, dst, msg_doc = doc["s"], doc["d"], doc["m"]
-    except KeyError as exc:
-        raise CodecError(f"frame body missing envelope key {exc}") from None
-    if not isinstance(src, int) or not isinstance(dst, int):
-        raise CodecError(f"frame endpoints must be ints, got {src!r}->{dst!r}")
-    return src, dst, _decode_message(msg_doc)
+        src, pos = _decode_value(payload, 1, 0)
+        dst, pos = _decode_value(payload, pos, 0)
+        if type(src) is not int or type(dst) is not int:
+            raise CodecError(
+                f"frame endpoints must be ints, got {src!r}->{dst!r}")
+        if payload[pos] != _MSG:
+            raise CodecError(
+                f"frame must carry a registered message, got value tag "
+                f"0x{payload[pos]:02x}")
+        msg, pos = _decode_message(payload, pos + 1, 0)
+    except (IndexError, struct.error):
+        raise CodecError("truncated value: the frame body ends inside it") \
+            from None
+    if pos != len(payload):
+        raise CodecError(
+            f"{len(payload) - pos} trailing bytes after the message")
+    return src, dst, msg
 
 
 async def read_frame(

@@ -38,13 +38,12 @@ __all__ = ["LockServiceServer"]
 
 
 class _Session:
-    """Per-connection state: held grants and a serialized write path."""
+    """Per-connection state: the reply stream, held grants, live requests."""
 
-    __slots__ = ("writer", "lock", "held", "tasks")
+    __slots__ = ("writer", "held", "tasks")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.lock = asyncio.Lock()
         self.held: Dict[int, int] = {}          # node -> grants held
         self.tasks: List[asyncio.Task] = []
 
@@ -66,6 +65,7 @@ class LockServiceServer:
         self._server: Optional["asyncio.Server"] = None
         self._sessions: List[_Session] = []
         self._rr = 0
+        self._members: List[int] = []       # round-robin order, see _pick_node
         self._started_at = 0.0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -131,19 +131,27 @@ class LockServiceServer:
         session.held.clear()
 
     async def _reply(self, session: _Session, msg: object) -> None:
-        frame = encode_frame(-1, -1, msg)
-        async with session.lock:
-            if session.writer.is_closing():
-                return
-            session.writer.write(frame)
-            await session.writer.drain()
+        writer = session.writer
+        if writer.is_closing():
+            return
+        # One write() per reply keeps frames whole between pipelined
+        # requests; drain() only matters once the kernel pushes back.
+        writer.write(encode_frame(-1, -1, msg))
+        if writer.transport.get_write_buffer_size():
+            await writer.drain()
 
     def _pick_node(self, requested: int) -> int:
+        drivers = self.cluster.drivers
         if requested >= 0:
-            if requested not in self.cluster.drivers:
+            if requested not in drivers:
                 raise MembershipError(f"node {requested} is not a member")
             return requested
-        members = sorted(self.cluster.drivers)
+        # The sorted member list is cached; a join or leave shows as a
+        # changed size, or (one of each since) as a listed node gone.
+        members = self._members
+        if (len(members) != len(drivers)
+                or members[self._rr % len(members)] not in drivers):
+            members = self._members = sorted(drivers)
         node = members[self._rr % len(members)]
         self._rr += 1
         return node

@@ -10,10 +10,12 @@ moves the data path onto real loopback sockets:
 - outbound traffic to one destination rides **one multiplexed TCP
   connection** shared by every local sender (frames carry their logical
   ``src``/``dst``, so one socket carries all lanes to that peer);
-- each link has a **bounded send queue**; the writer coroutine applies
-  real TCP backpressure via ``drain()`` and a full queue refuses the send
-  (``on_drop`` reason ``"backpressure"``) instead of buffering without
-  bound;
+- each link has a **bounded send queue**: a connected socket with an
+  empty write buffer takes frames at once (all that are due together as
+  one ``write()``); while the link dials, or ``drain()``s a socket the
+  kernel has pushed back on, frames queue, and a full queue refuses the
+  send (``on_drop`` reason ``"backpressure"``) instead of buffering
+  without bound;
 - a broken or unreachable connection is redialed with **exponential
   backoff plus seeded jitter**; frames enqueued meanwhile wait, frames
   half-written into the dead socket are genuinely lost on the wire.
@@ -26,18 +28,29 @@ the same observable semantics the in-memory transport gives the ARQ,
 supervision, and oracle layers, which therefore attach unchanged.
 
 The artificial ``delay`` is still honoured (it is what scales protocol
-timers; see ``AioNodeDriver._timer_scale``): a frame is handed to its
-link ``delay`` seconds after ``send``, then crosses the real socket.
-With ``delay=0`` the wire's own latency is all there is — but timers
-then run at microsecond scale, so real deployments keep a small
+timers; see ``AioNodeDriver._timer_scale``): a sent message waits in the
+transport's **delay line** — one FIFO for all links, since a constant
+delay makes send order due order, woken by one kernel timer fd — and is
+handed to its link no earlier than ``delay`` seconds after ``send``,
+then crosses the real socket.  The timer fd is what makes a hop cost one
+delay and not 1.8: see :class:`_WakeTimer`.  With ``delay=0`` a message
+is transmitted inline and the wire's own latency is all there is — but
+timers then run at microsecond scale, so real deployments keep a small
 artificial delay as the protocol's time base.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import ctypes
+import functools
+import os
 import random
-from typing import Dict, Optional, Tuple
+import sys
+import time
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.aio.transport import AioTransport
 from repro.errors import CodecError, FrameError, WireError
@@ -70,27 +83,164 @@ class WireConfig:
         self.jitter = jitter
 
 
-class _PeerLink:
-    """One outbound multiplexed connection: bounded queue + writer task."""
+# -- the delay line's wake-up source ---------------------------------------------
 
-    __slots__ = ("transport", "dst", "queue", "task", "writer")
+
+class _Timespec(ctypes.Structure):
+    _fields_ = [("tv_sec", getattr(ctypes, "c_time_t", ctypes.c_long)),
+                ("tv_nsec", ctypes.c_long)]
+
+
+class _Itimerspec(ctypes.Structure):
+    _fields_ = [("it_interval", _Timespec), ("it_value", _Timespec)]
+
+
+@functools.lru_cache(maxsize=None)
+def _timerfd_libc() -> Optional[ctypes.CDLL]:
+    """libc with ``timerfd_create``/``timerfd_settime`` declared, or None
+    where the platform has no timer fds."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.timerfd_create.argtypes = [ctypes.c_int, ctypes.c_int]
+        libc.timerfd_create.restype = ctypes.c_int
+        libc.timerfd_settime.argtypes = [
+            ctypes.c_int, ctypes.c_int,
+            ctypes.POINTER(_Itimerspec), ctypes.POINTER(_Itimerspec)]
+        libc.timerfd_settime.restype = ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    return libc
+
+
+def _timerfd_open() -> Optional[int]:
+    """A new non-blocking ``CLOCK_MONOTONIC`` timer fd, or None when the
+    platform (or the kernel, right now) will not give one."""
+    libc = _timerfd_libc()
+    if libc is None:
+        return None
+    fd: int = libc.timerfd_create(time.CLOCK_MONOTONIC,
+                                  os.O_NONBLOCK | os.O_CLOEXEC)
+    return fd if fd >= 0 else None
+
+
+class _WakeTimer:
+    """One re-armable one-shot wake-up for the delay line.
+
+    ``loop.call_later`` cannot be it on Linux: ``epoll_wait`` takes whole
+    milliseconds and the selector rounds every timeout **up**, again each
+    time socket I/O wakes the loop, so a 1 ms timer fires 1.4-2 ms late.
+    A timer fd is just another readable fd: the kernel makes it readable
+    on the microsecond and epoll reports it at once.  Where there is no
+    timer fd (kqueue and select loops, whose timeouts are not rounded)
+    the wake-up falls back to ``loop.call_later``."""
+
+    __slots__ = ("_loop", "_callback", "_fd", "_spec", "_handle")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 callback: Callable[[], None]) -> None:
+        self._loop = loop
+        self._callback = callback
+        self._fd = _timerfd_open()
+        self._spec = _Itimerspec()
+        self._handle: Optional[asyncio.TimerHandle] = None
+        if self._fd is not None:
+            loop.add_reader(self._fd, callback)
+
+    def now(self) -> float:
+        """The clock :meth:`arm` counts from."""
+        return self._loop.time()
+
+    def arm(self, after: float) -> None:
+        """Fire the callback once, ``after`` seconds from now (replaces
+        any earlier arming, and forgets an expiry not yet :meth:`rest`-ed)."""
+        if self._fd is None:
+            if self._handle is not None:
+                self._handle.cancel()
+            self._handle = self._loop.call_later(after, self._callback)
+            return
+        # An all-zero it_value would disarm the timer instead.
+        nanos = max(int(after * 1e9), 1)
+        value = self._spec.it_value
+        value.tv_sec, value.tv_nsec = divmod(nanos, 1_000_000_000)
+        libc = _timerfd_libc()
+        if libc is None or libc.timerfd_settime(
+                self._fd, 0, ctypes.byref(self._spec), None):
+            errno = ctypes.get_errno()
+            raise OSError(errno, f"timerfd_settime: {os.strerror(errno)}")
+
+    def rest(self) -> None:
+        """The callback ran and has nothing to re-arm for.  An expired
+        timer fd stays readable (and epoll keeps reporting it) until it
+        is read or set again, so every callback must end in :meth:`arm`
+        or here."""
+        if self._fd is not None:
+            # Nothing to read if it was set again since it expired.
+            with contextlib.suppress(BlockingIOError):
+                os.read(self._fd, 8)    # the expiry count
+
+    def close(self) -> None:
+        if self._fd is not None:
+            self._loop.remove_reader(self._fd)
+            os.close(self._fd)
+            self._fd = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+
+class _PeerLink:
+    """One outbound multiplexed connection: bounded queue + writer task.
+
+    Frames wait in ``pending`` only while the socket cannot take them.
+    On a connected, drained socket :meth:`flush` writes the whole queue
+    inline as one ``write()``; the task is woken just to dial and to
+    ``drain()`` a socket the kernel has pushed back on, and while it does
+    either (``_busy``) the queue fills up to ``max_queue`` and then
+    refuses — that is the backpressure."""
+
+    __slots__ = ("transport", "dst", "pending", "task", "writer",
+                 "_wake", "_busy")
 
     def __init__(self, transport: "WireTransport", dst: int) -> None:
         self.transport = transport
         self.dst = dst
-        self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=transport.wire_config.max_queue)
+        self.pending: Deque[bytes] = deque()
         self.writer: Optional[asyncio.StreamWriter] = None
+        self._wake = asyncio.Event()
+        self._busy = False
         self.task = asyncio.get_running_loop().create_task(
             self._run(), name=f"wire-link-{dst}")
 
-    def offer(self, frame: bytes, src: int, msg: object) -> bool:
+    def offer(self, frame: bytes) -> bool:
         """Enqueue one encoded frame; False when the bounded queue is full."""
-        try:
-            self.queue.put_nowait((frame, src, msg))
-        except asyncio.QueueFull:
+        if len(self.pending) >= self.transport.wire_config.max_queue:
             return False
+        self.pending.append(frame)
         return True
+
+    def flush(self) -> None:
+        """Put everything queued on the wire: one joined ``write()`` now
+        if the socket is ready, else as soon as the task has made it so."""
+        if self._busy or not self.pending:
+            return
+        writer = self.writer
+        if writer is not None and not writer.transport.is_closing():
+            self._write(writer)
+            if not writer.transport.get_write_buffer_size():
+                return
+        self._busy = True
+        self._wake.set()
+
+    def _write(self, writer: asyncio.StreamWriter) -> None:
+        pending = self.pending
+        data = b"".join(pending)
+        counters = self.transport.counters
+        counters.frames_sent += len(pending)
+        counters.bytes_sent += len(data)
+        pending.clear()
+        writer.write(data)
 
     async def _dial(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         """Connect to the destination's server, backing off with jitter
@@ -114,19 +264,25 @@ class _PeerLink:
     async def _run(self) -> None:
         counters = self.transport.counters
         while True:
-            frame, src, msg = await self.queue.get()
-            if self.writer is None:
-                _, self.writer = await self._dial()
-            try:
-                self.writer.write(frame)
-                await self.writer.drain()
-                counters.frames_sent += 1
-                counters.bytes_sent += len(frame)
-            except (ConnectionError, OSError):
-                # The frame (and anything the kernel still buffered) is
-                # lost on the wire; the next queued frame redials.
-                counters.resets += 1
-                self._close_writer()
+            await self._wake.wait()
+            self._wake.clear()
+            while self._busy:
+                writer = self.writer
+                try:
+                    if writer is not None and writer.transport.is_closing():
+                        raise ConnectionResetError("peer closed the link")
+                    if writer is None:
+                        _, writer = await self._dial()
+                        self.writer = writer
+                    if self.pending:
+                        self._write(writer)
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    # Whatever the dead socket still buffered is lost on
+                    # the wire; frames queued since then ride the redial.
+                    counters.resets += 1
+                    self._close_writer()
+                self._busy = bool(self.pending)
 
     def _close_writer(self) -> None:
         if self.writer is not None:
@@ -168,6 +324,13 @@ class WireTransport(AioTransport):
         self._servers: Dict[int, "asyncio.Server"] = {}
         self._ports: Dict[int, int] = {}
         self._links: Dict[int, _PeerLink] = {}
+        # The delay line: (due, src, dst, msg) in send order, which is due
+        # order because dues are clamped non-decreasing; one timer (it
+        # lives from start() to aclose()), armed for the head whenever the
+        # line is non-empty.
+        self._line: Deque[Tuple[float, int, int, object]] = deque()
+        self._timer: Optional[_WakeTimer] = None
+        self._last_due = 0.0
         self._binding: set = set()
         self._inbound: set = set()
         self._running = False
@@ -184,12 +347,19 @@ class WireTransport(AioTransport):
         if self._running:
             return
         self._running = True
+        self._timer = _WakeTimer(asyncio.get_running_loop(), self._on_due)
         for node_id in list(self._inboxes):
             await self._bind(node_id)
 
     async def aclose(self) -> None:
         """Close every link and server; the transport cannot be restarted."""
         self._running = False
+        if self._timer is not None:
+            self._timer.close()
+            self._timer = None
+        while self._line:
+            _, src, dst, msg = self._line.popleft()
+            self._drop(src, dst, msg, "detached")
         for link in list(self._links.values()):
             await link.aclose()
         self._links.clear()
@@ -258,23 +428,66 @@ class WireTransport(AioTransport):
     def _schedule(self, src: int, dst: int, msg: object) -> None:
         # Fault injection already ran in the inherited send(); from here
         # the message is committed to the wire after the artificial delay.
-        loop = asyncio.get_running_loop()
-        if self.delay > 0:
-            loop.call_later(self.delay, self._transmit, src, dst, msg)
-        else:
-            self._transmit(src, dst, msg)
-
-    def _transmit(self, src: int, dst: int, msg: object) -> None:
-        if not self._running:
+        delay = self.delay
+        if delay <= 0:
+            link = self._transmit(src, dst, msg)
+            if link is not None:
+                link.flush()
+            return
+        timer = self._timer
+        if timer is None:               # before start() or after aclose()
             self._drop(src, dst, msg, "detached")
             return
+        # Clamped so that lowering ``delay`` mid-run cannot put a later
+        # send ahead of an earlier one.
+        now = timer.now()
+        due = self._last_due = max(now + delay, self._last_due)
+        self._line.append((due, src, dst, msg))
+        if len(self._line) == 1:
+            timer.arm(due - now)
+
+    def _on_due(self) -> None:
+        """The timer fired: transmit every frame that is due, then give
+        each link touched one joined write."""
+        timer = self._timer
+        if timer is None:
+            return                      # a stale wake-up after aclose()
+        line = self._line
+        now = timer.now()
+        touched: Dict[int, _PeerLink] = {}
+        try:
+            while line and line[0][0] <= now:
+                _, src, dst, msg = line.popleft()
+                link = self._transmit(src, dst, msg)
+                if link is not None:
+                    touched[dst] = link
+        finally:
+            # Also when a frame refused to encode: the frames before it
+            # still go out and the ones behind it keep their wake-up.
+            for link in touched.values():
+                link.flush()
+            if line:
+                timer.arm(line[0][0] - timer.now())
+            else:
+                timer.rest()
+
+    def _transmit(self, src: int, dst: int,
+                  msg: object) -> Optional[_PeerLink]:
+        """Encode one due message onto its link's queue.  Returns the
+        link for the caller to :meth:`~_PeerLink.flush`, or None when the
+        message was dropped instead."""
+        if not self._running:
+            self._drop(src, dst, msg, "detached")
+            return None
         frame = encode_frame(src, dst, msg)
         link = self._links.get(dst)
         if link is None:
             link = self._links[dst] = _PeerLink(self, dst)
-        if not link.offer(frame, src, msg):
-            self.counters.backpressure_drops += 1
-            self._drop(src, dst, msg, "backpressure")
+        if link.offer(frame):
+            return link
+        self.counters.backpressure_drops += 1
+        self._drop(src, dst, msg, "backpressure")
+        return None
 
     async def _serve(self, node_id: int, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

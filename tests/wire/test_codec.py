@@ -3,14 +3,14 @@
 The round-trip half derives a hypothesis strategy from each registered
 message class's field annotations, so a message type added tomorrow is
 property-tested automatically.  The adversarial half feeds the reader
-truncated, oversized, and garbage frames and requires a *typed* error
-(or clean ``IncompleteReadError``) immediately — a framing violation must
-never hang the reader coroutine waiting for bytes that will not come.
+truncated, oversized, and hand-assembled hostile frames and requires a
+*typed* error (or clean ``IncompleteReadError``) immediately — a framing
+violation must never hang the reader coroutine waiting for bytes that
+will not come.
 """
 
 import asyncio
 import dataclasses
-import json
 import struct
 import typing
 
@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aio.reliability import AckFrame, DataFrame
-from repro.core.messages import GimmeMsg, TokenMsg
+from repro.core.messages import GimmeMsg, LeaveMsg, TokenMsg
 from repro.errors import CodecError, FrameError
 from repro.wire.codec import (
+    MAX_DEPTH,
     MAX_FRAME,
     WIRE_VERSION,
     decode_body,
@@ -163,6 +164,26 @@ def _frame_with_body(body: bytes) -> bytes:
     return struct.pack("!I", len(body)) + body
 
 
+def _body(*parts: bytes) -> bytes:
+    """A version-2 frame (prefix included) around hand-assembled values."""
+    return _frame_with_body(bytes((WIRE_VERSION,)) + b"".join(parts))
+
+
+# Hand-assembled values of the v2 body (see the codec module docstring).
+ZERO, ONE = bytes((16,)), bytes((17,))       # small ints are the byte - 16
+NONE, TRUE, INT64, FLOAT64, STR, TUPLE, MSG = (
+    bytes((tag,)) for tag in (0xF0, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7))
+
+
+def _type_id(cls) -> bytes:
+    frame = encode_frame(0, 0, cls(*(0,) * len(dataclasses.fields(cls))))
+    assert frame[7:8] == MSG
+    return frame[8:9]
+
+
+LEAVE = MSG + _type_id(LeaveMsg)             # LeaveMsg(leaver: int)
+
+
 class TestAdversarialFrames:
     def test_truncated_frame_raises_incomplete_not_hang(self):
         whole = encode_frame(0, 1, GimmeMsg(1, 2, 3, 4, ()))
@@ -186,49 +207,114 @@ class TestAdversarialFrames:
         with pytest.raises(FrameError, match="version"):
             _read_all(bad)
 
-    def test_garbage_json(self):
-        with pytest.raises(CodecError, match="malformed"):
-            _read_all(_frame_with_body(bytes((WIRE_VERSION,)) + b"{nope"))
+    def test_version_1_json_frame_is_refused_by_version(self):
+        body = b'\x01{"s":0,"d":1,"m":{"t":"LeaveMsg","f":{"leaver":0}}}'
+        with pytest.raises(FrameError, match="unsupported wire version 1 "):
+            _read_all(_frame_with_body(body))
+
+    def test_truncated_value(self):
+        # The body ends inside a value: after the endpoints, inside an
+        # 8-byte int, inside a message's fields, inside a long length.
+        for parts in ((ZERO,), (ZERO, ONE), (ZERO, ONE, LEAVE),
+                      (ZERO, ONE, LEAVE + INT64 + b"\x00\x00\x00"),
+                      (ZERO, ONE, LEAVE + FLOAT64),
+                      (ZERO, ONE, LEAVE + TUPLE + b"\xff\x00"),
+                      (ZERO, ONE, MSG)):
+            with pytest.raises(CodecError, match="truncated"):
+                _read_all(_body(*parts))
+
+    def test_unknown_value_tag(self):
+        for tag in range(0xF8, 0x100):
+            with pytest.raises(CodecError, match="unknown value tag"):
+                _read_all(_body(ZERO, ONE, LEAVE + bytes((tag,))))
+
+    def test_unknown_type_tag(self):
+        unassigned = bytes((len(registered_messages()),))
+        for type_id in (unassigned, b"\xff"):
+            with pytest.raises(CodecError, match="unknown message type id"):
+                _read_all(_body(ZERO, ONE, MSG + type_id + ZERO))
+
+    def test_wrong_fields_for_known_tag(self):
+        # Positional fields: one too few is a truncation, one too many is
+        # trailing bytes, and a value of the wrong type is refused before
+        # the class is constructed.
+        with pytest.raises(CodecError, match="truncated"):
+            _read_all(_body(ZERO, ONE, LEAVE))
+        with pytest.raises(CodecError, match="trailing"):
+            _read_all(_body(ZERO, ONE, LEAVE + ZERO + ZERO))
+        for wrong in (NONE, TRUE, FLOAT64 + bytes(8), STR + b"\x01a",
+                      TUPLE + b"\x00", LEAVE + ZERO):
+            with pytest.raises(CodecError, match="bad fields for 'LeaveMsg'"):
+                _read_all(_body(ZERO, ONE, LEAVE + wrong))
+
+    def test_bool_is_not_an_int_on_the_wire(self):
+        frame = encode_frame(0, 1, AcquireReply(req_id=1, ok=True, node=1))
+        _, _, reply = decode_body(frame[4:])
+        assert reply.ok is True and type(reply.node) is int
+        # ... and an int where the class says bool is refused.
+        swapped = frame.replace(TRUE, ONE, 1)
+        with pytest.raises(CodecError, match="bad fields for 'AcquireReply'"):
+            decode_body(swapped[4:])
+
+    def test_ints_cover_64_bits_and_no_more(self):
+        for value in (-(2**63), -17, -16, 223, 224, 2**63 - 1):
+            frame = encode_frame(0, 1, LeaveMsg(value))
+            assert decode_body(frame[4:])[2] == LeaveMsg(value)
+        with pytest.raises(CodecError, match="64 bits"):
+            encode_frame(0, 1, LeaveMsg(2**63))
+
+    def test_trailing_bytes_after_the_message(self):
+        good = encode_frame(0, 1, LeaveMsg(0))
+        with pytest.raises(CodecError, match="1 trailing bytes"):
+            _read_all(_frame_with_body(good[4:] + ZERO))
+
+    def test_non_int_endpoints(self):
+        for bad in (STR + b"\x04zero", TRUE, NONE, FLOAT64 + bytes(8)):
+            with pytest.raises(CodecError, match="endpoints"):
+                _read_all(_body(bad, ONE, LEAVE + ZERO))
+            with pytest.raises(CodecError, match="endpoints"):
+                _read_all(_body(ZERO, bad, LEAVE + ZERO))
+
+    def test_top_level_value_is_not_a_message(self):
+        for value in (ZERO, NONE, TUPLE + b"\x01" + LEAVE + ZERO,
+                      STR + b"\x00"):
+            with pytest.raises(CodecError, match="registered message"):
+                _read_all(_body(ZERO, ONE, value))
+
+    def test_length_running_past_the_body(self):
+        with pytest.raises(CodecError, match="string of 5 bytes runs past"):
+            _read_all(_body(ZERO, ONE, LEAVE + STR + b"\x05abc"))
+        with pytest.raises(CodecError, match="tuple of 9 items runs past"):
+            _read_all(_body(ZERO, ONE, LEAVE + TUPLE + b"\x09" + ZERO))
+        # A 4 GiB length claim fails on the claim, not on an allocation.
+        huge = b"\xff" + struct.pack("!I", 2**32 - 1)
+        for tag in (STR, TUPLE):
+            with pytest.raises(CodecError, match="runs past"):
+                _read_all(_body(ZERO, ONE, LEAVE + tag + huge))
 
     def test_invalid_utf8(self):
         with pytest.raises(CodecError, match="malformed"):
-            _read_all(_frame_with_body(bytes((WIRE_VERSION,)) + b"\xff\xfe"))
+            _read_all(_body(ZERO, ONE, LEAVE + STR + b"\x02\xff\xfe"))
 
-    def test_non_object_body(self):
-        with pytest.raises(CodecError, match="must be an object"):
-            _read_all(_frame_with_body(bytes((WIRE_VERSION,)) + b"[1,2]"))
+    def test_nesting_bomb(self):
+        # Thousands of one-item tuples (or DataFrames) inside each other:
+        # the depth cap answers, not the interpreter's recursion limit.
+        data_frame = MSG + _type_id(DataFrame) + ZERO + ZERO
+        for layer in (TUPLE + b"\x01", data_frame):
+            bomb = _body(ZERO, ONE, LEAVE + layer * 5000 + ZERO)
+            with pytest.raises(CodecError, match=f"deeper than {MAX_DEPTH}"):
+                _read_all(bomb)
 
-    def test_missing_envelope_key(self):
-        body = bytes((WIRE_VERSION,)) + b'{"s":0,"d":1}'
-        with pytest.raises(CodecError, match="envelope"):
-            _read_all(_frame_with_body(body))
+    def test_nesting_is_capped_on_encode_too(self):
+        value = ()
+        for _ in range(MAX_DEPTH + 1):
+            value = (value,)
+        with pytest.raises(CodecError, match="deeper than"):
+            encode_frame(0, 1, LeaveMsg(value))
 
-    def test_non_int_endpoints(self):
-        doc = {"s": "zero", "d": 1,
-               "m": {"t": "LeaveMsg", "f": {"leaver": 0}}}
-        body = bytes((WIRE_VERSION,)) + json.dumps(doc).encode()
-        with pytest.raises(CodecError, match="endpoints"):
-            _read_all(_frame_with_body(body))
-
-    def test_unknown_type_tag(self):
-        doc = {"s": 0, "d": 1, "m": {"t": "EvilMsg", "f": {}}}
-        body = bytes((WIRE_VERSION,)) + json.dumps(doc).encode()
-        with pytest.raises(CodecError, match="unknown message type"):
-            _read_all(_frame_with_body(body))
-
-    def test_wrong_fields_for_known_tag(self):
-        doc = {"s": 0, "d": 1,
-               "m": {"t": "LeaveMsg", "f": {"nonsense": 42}}}
-        body = bytes((WIRE_VERSION,)) + json.dumps(doc).encode()
-        with pytest.raises(CodecError, match="bad fields"):
-            _read_all(_frame_with_body(body))
-
-    def test_unexpected_object_field(self):
-        doc = {"s": 0, "d": 1,
-               "m": {"t": "LeaveMsg", "f": {"leaver": {"sneaky": 1}}}}
-        body = bytes((WIRE_VERSION,)) + json.dumps(doc).encode()
-        with pytest.raises(CodecError, match="unexpected object"):
-            _read_all(_frame_with_body(body))
+    def test_unencodable_field_value(self):
+        with pytest.raises(CodecError, match="unregistered"):
+            encode_frame(0, 1, LeaveMsg([1, 2]))
 
     def test_oversized_encode_refused(self):
         msg = GimmeMsg(1, 2, 3, 4, tuple(range(400_000)))
@@ -251,7 +337,7 @@ class TestServerSideRejection:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", port)
                 writer.write(_frame_with_body(
-                    bytes((WIRE_VERSION,)) + b"not json at all"))
+                    bytes((WIRE_VERSION,)) + b"not a frame at all"))
                 await writer.drain()
                 # The server must close on us promptly.
                 await asyncio.wait_for(reader.read(), timeout=2.0)

@@ -9,6 +9,7 @@ import pytest
 from repro.aio.cluster import AioCluster
 from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig
+from repro.errors import MembershipError
 from repro.wire.client import LoadGenerator, LockClient
 from repro.wire.server import LockServiceServer
 from repro.wire.smoke import service_config
@@ -139,6 +140,27 @@ class TestAcquireRelease:
                 await server.stop()
 
         asyncio.run(main())
+
+
+class TestServerChosenNode:
+    def test_round_robin_follows_joins_and_leaves(self):
+        class Members:
+            drivers = {0: None, 1: None, 2: None}
+
+        server = LockServiceServer(Members())
+
+        def pick(count):
+            return [server._pick_node(-1) for _ in range(count)]
+
+        assert pick(4) == [0, 1, 2, 0]
+        Members.drivers[3] = None                   # a join
+        assert sorted(pick(4)) == [0, 1, 2, 3]
+        del Members.drivers[1]                      # a leave ...
+        Members.drivers[7] = None                   # ... and a join: same size
+        picks = pick(8)
+        assert 1 not in picks and sorted(set(picks)) == [0, 2, 3, 7]
+        with pytest.raises(MembershipError):
+            server._pick_node(1)
 
 
 class TestSessionHygiene:

@@ -1,10 +1,12 @@
 """Transport conformance: the same runtime-layer tests against both the
-in-memory :class:`AioTransport` and the real-socket :class:`WireTransport`.
+in-memory :class:`AioTransport` and the real-socket :class:`WireTransport`
+(the latter twice: woken by its timer fd, and with the timer-fd probe
+failing so that the ``call_later`` fallback carries the delay line).
 
 This is the acceptance proof for the wire layer: ARQ retry/dedup,
 supervised crash-restart, and the invariant oracle attach to either
 transport **without modification** — the tests are literally parameterized
-over the two implementations.  Everything runs under real wall-clock
+over the implementations.  Everything runs under real wall-clock
 asyncio because sockets cannot ride the virtual clock; waits poll with
 generous deadlines instead of asserting exact timings.
 """
@@ -21,17 +23,27 @@ from repro.aio.reliability import ReliabilityConfig, ReliableChannel
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.aio.transport import AioTransport
 from repro.metrics.counters import ReliabilityCounters
+from repro.wire import transport as wire_transport
 from repro.wire.codec import register_message
 from repro.wire.smoke import service_config
 from repro.wire.transport import WireTransport
 
-TRANSPORTS = ("memory", "wire")
+TRANSPORTS = ("memory", "wire", "wire-fallback")
+
+
+@pytest.fixture(autouse=True)
+def _no_timerfd_for_the_fallback_kind(request, monkeypatch):
+    """``wire-fallback`` is the wire transport on a platform without timer
+    fds: the probe says no, whatever this host could do."""
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and callspec.params.get("kind") == "wire-fallback":
+        monkeypatch.setattr(wire_transport, "_timerfd_open", lambda: None)
 
 
 def make_transport(kind: str, **kwargs) -> AioTransport:
-    if kind == "wire":
-        return WireTransport(**kwargs)
-    return AioTransport(**kwargs)
+    if kind == "memory":
+        return AioTransport(**kwargs)
+    return WireTransport(**kwargs)
 
 
 async def start_transport(transport: AioTransport) -> None:
@@ -146,8 +158,8 @@ class TestClusterConformance:
     def _make_cluster(self, kind: str, n: int = 3,
                       protocol: str = "fault_tolerant") -> AioCluster:
         delay = 0.002
-        transport = (WireTransport(delay=delay, rng=random.Random(11))
-                     if kind == "wire" else None)
+        transport = (None if kind == "memory" else
+                     WireTransport(delay=delay, rng=random.Random(11)))
         return AioCluster(
             protocol, n, seed=5,
             config=service_config(protocol),

@@ -2,14 +2,22 @@
 queues, reconnection, and the AioTransport contract over real TCP."""
 
 import asyncio
+import os
 import random
 from dataclasses import dataclass
 
 import pytest
 
+from repro.aio.cluster import AioCluster
+from repro.aio.reliability import ReliabilityConfig
+from repro.aio.supervisor import ClusterSupervisor
 from repro.core.messages import GimmeMsg, TokenMsg
 from repro.errors import WireError
-from repro.wire.codec import register_message
+from repro.wire import transport as wire_transport
+from repro.wire.client import LockClient
+from repro.wire.codec import encode_frame, register_message
+from repro.wire.server import LockServiceServer
+from repro.wire.smoke import service_config
 from repro.wire.transport import WireConfig, WireTransport
 
 
@@ -111,6 +119,240 @@ class TestDataPath:
                 await t.aclose()
 
         run(main())
+
+
+class TestDelayLine:
+    """The FIFO of delayed frames and its single wake-up timer."""
+
+    def test_pending_frames_are_dropped_detached_at_aclose(self):
+        async def main():
+            t = WireTransport(delay=30.0)      # nothing comes due in here
+            t.attach(0)
+            t.attach(1)
+            drops = []
+            t.on_drop.append(lambda s, d, m, reason: drops.append((m, reason)))
+            # The line (and its timer) lives from start() to aclose().
+            t.send(0, 1, WirePing(8))
+            assert drops == [(WirePing(8), "detached")] and t._timer is None
+            drops.clear()
+            await t.start()
+            for n in range(3):
+                t.send(0, 1, WirePing(n))
+            assert len(t._line) == 3 and not drops
+            fd = t._timer._fd
+            assert fd is not None               # Linux CI: the timerfd path
+            await t.aclose()
+            assert drops == [(WirePing(n), "detached") for n in range(3)]
+            assert not t._line and t._timer is None
+            # The fd is closed and the loop no longer watches it.
+            assert asyncio.get_running_loop().remove_reader(fd) is False
+            with pytest.raises(OSError):
+                os.fstat(fd)
+            # A send after aclose() is refused without reopening a timer.
+            t.send(0, 1, WirePing(9))
+            assert drops[-1] == (WirePing(9), "detached")
+            assert t._timer is None
+            assert t.counters.frames_sent == 0
+
+        run(main())
+
+    def test_zero_delay_transmits_inline(self):
+        async def main():
+            t = WireTransport(delay=0.0)
+            inbox1 = t.attach(1)
+            t.attach(0)
+            await t.start()
+            try:
+                t.send(0, 1, WirePing(1))
+                # Encoded and on its link before send() returned: the
+                # delay line never saw it.
+                assert list(t._links[1].pending) == [
+                    encode_frame(0, 1, WirePing(1))]
+                assert not t._line
+                assert (await asyncio.wait_for(inbox1.get(), 5))[1] == WirePing(1)
+            finally:
+                await t.aclose()
+
+        run(main())
+
+    def test_lowering_delay_mid_run_cannot_reorder_the_fifo(self):
+        async def main():
+            t = WireTransport(delay=0.05)
+            inbox1 = t.attach(1)
+            t.attach(0)
+            await t.start()
+            try:
+                t.send(0, 1, WirePing(1))
+                t.delay = 0.001                 # a later send, due sooner
+                t.send(0, 1, WirePing(2))
+                t.delay = 0.08
+                t.send(0, 1, WirePing(3))
+                dues = [due for due, *_ in t._line]
+                assert dues == sorted(dues) and dues[0] == dues[1] < dues[2]
+                got = [(await asyncio.wait_for(inbox1.get(), 5))[1].n
+                       for _ in range(3)]
+                assert got == [1, 2, 3]
+            finally:
+                await t.aclose()
+
+        run(main())
+
+    def test_duplicated_cheap_frame_is_queued_twice(self):
+        async def main():
+            # rng=Random(1): the first two draws are 0.13 (above the 0.1
+            # loss rate: kept) and 0.85 (below the dup rate: duplicated).
+            t = WireTransport(delay=0.002, loss_rate=0.1, dup_rate=0.9,
+                              rng=random.Random(1))
+            inbox1 = t.attach(1)
+            t.attach(0)
+            await t.start()
+            try:
+                t.send(0, 1, WirePing(7))
+                assert [msg for *_, msg in t._line] == [WirePing(7)] * 2
+                for _ in range(2):
+                    assert (await asyncio.wait_for(inbox1.get(), 5))[1] \
+                        == WirePing(7)
+                assert t.counters.frames_sent == 2
+            finally:
+                await t.aclose()
+
+        run(main())
+
+    def test_counters_stay_exact_per_frame_under_batched_writes(self):
+        async def main():
+            t = WireTransport(delay=0.005)
+            inbox1 = t.attach(1)
+            inbox2 = t.attach(2)
+            t.attach(0)
+            await t.start()
+            try:
+                # One burst: all of it comes due on the same timer expiry
+                # and leaves as one joined write per link.
+                sent = [(0, 1 + n % 2, WirePing(n)) for n in range(40)]
+                for src, dst, msg in sent:
+                    t.send(src, dst, msg)
+                got1 = [(await asyncio.wait_for(inbox1.get(), 5))[1].n
+                        for _ in range(20)]
+                got2 = [(await asyncio.wait_for(inbox2.get(), 5))[1].n
+                        for _ in range(20)]
+                assert got1 == list(range(0, 40, 2))
+                assert got2 == list(range(1, 40, 2))
+                counters = t.counters
+                assert counters.frames_sent == counters.frames_received == 40
+                assert counters.bytes_sent == counters.bytes_received == sum(
+                    len(encode_frame(*item)) for item in sent)
+                assert counters.connects == 2
+            finally:
+                await t.aclose()
+
+        run(main())
+
+    def test_frame_is_never_early(self):
+        async def main():
+            t = WireTransport(delay=0.003)
+            t.attach(1)
+            t.attach(0)
+            loop = asyncio.get_running_loop()
+            sent_at, transit = {}, []
+            t.on_send.append(
+                lambda s, d, m: sent_at.__setitem__(m.n, loop.time()))
+            t.on_deliver.append(
+                lambda s, d, m: transit.append(loop.time() - sent_at[m.n]))
+            await t.start()
+            try:
+                for n in range(50):
+                    t.send(0, 1, WirePing(n))
+                    await asyncio.sleep(0.0004)
+                await wait_until(lambda: len(transit) == 50)
+                assert min(transit) >= 0.003
+            finally:
+                await t.aclose()
+
+        run(main())
+
+    def test_no_fd_leak_across_start_aclose_cycles(self):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to count descriptors")
+
+        async def cycle():
+            t = WireTransport(delay=0.0005)
+            inbox1 = t.attach(1)
+            t.attach(0)
+            await t.start()
+            t.send(0, 1, WirePing(1))           # opens the timer and a link
+            await asyncio.wait_for(inbox1.get(), timeout=5)
+            await t.aclose()
+
+        async def main():
+            await cycle()                       # warm: the loop's own fds
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(100):
+                await cycle()
+            await asyncio.sleep(0.01)           # inbound sockets see EOF
+            assert len(os.listdir("/proc/self/fd")) <= before
+
+        run(main())
+
+    def test_without_a_timerfd_the_line_wakes_by_call_later(self, monkeypatch):
+        monkeypatch.setattr(wire_transport, "_timerfd_open", lambda: None)
+
+        async def main():
+            t = WireTransport(delay=0.01)
+            inbox1 = t.attach(1)
+            t.attach(0)
+            await t.start()
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                for n in range(3):
+                    t.send(0, 1, WirePing(n))
+                assert t._timer._fd is None and t._timer._handle is not None
+                got = [(await asyncio.wait_for(inbox1.get(), 5))[1].n
+                       for _ in range(3)]
+                assert got == [0, 1, 2]
+                assert loop.time() - started >= 0.01
+            finally:
+                await t.aclose()
+            assert t._timer is None
+
+        run(main())
+
+    def test_lossless_loopback_needs_next_to_no_retransmits(self):
+        """At the shipped ``delay`` a hop must cost about one delay: the
+        ARQ's RTO is four of them, and with ``call_later`` holding each
+        frame for 1.8 the round trip brushed it — under ``repro serve``,
+        11-21 % of data frames were retransmitted on a link that loses
+        nothing.  The same composition, a few hundred token hops: the
+        allowance is for a shared host's 3-5 ms scheduling stalls, each
+        of which costs the frame in flight one retransmit."""
+
+        async def main():
+            transport = WireTransport(delay=0.001, rng=random.Random(11))
+            cluster = AioCluster(
+                "fault_tolerant", 3, seed=5,
+                config=service_config("fault_tolerant"),
+                transport=transport, reliability=ReliabilityConfig())
+            supervisor = ClusterSupervisor(cluster)
+            server = LockServiceServer(cluster)
+            await server.start()
+            await supervisor.start()
+            client = await LockClient("127.0.0.1", server.port).connect()
+            try:
+                for _ in range(400):
+                    reply = await client.acquire(timeout=20)
+                    assert reply.ok
+                    await client.release(reply.node)
+            finally:
+                await client.aclose()
+                await supervisor.stop()
+                await server.stop()
+            return cluster.reliability_counters
+
+        counters = run(main())
+        assert counters.data_frames >= 400
+        assert counters.retransmits <= 0.03 * counters.data_frames
+        assert counters.dedup_drops <= 0.03 * counters.data_frames
+        assert counters.give_ups == 0
 
 
 class TestFaultInjection:
