@@ -25,45 +25,33 @@ import asyncio
 
 from repro.aio import (
     AioCluster,
-    AioInvariantOracle,
     ClusterSupervisor,
     ReliabilityConfig,
-    RestartPolicy,
     run_virtual,
 )
-from repro.core.config import ProtocolConfig
+from repro.fuzz import InvariantOracle
+from repro.wire.smoke import service_config
 
 N = 5
 DELAY = 0.01
 SEED = 7
 
 
-def config() -> ProtocolConfig:
-    return ProtocolConfig(
-        trap_gc="rotation",
-        single_outstanding=True,
-        retry_timeout=25.0,
-        regen_timeout=30.0,   # fallback only; phi-accrual adapts below this
-        census_window=8.0,
-        loan_timeout=80.0,
-        regen_quorum=True,
-    )
-
-
 async def main() -> None:
     loop = asyncio.get_running_loop()
+    # service_config: rotation trap GC, quorum-gated regeneration, and a
+    # 30-delay regen timeout that is only the fallback -- phi-accrual
+    # adapts below it.
     cluster = AioCluster(
-        "fault_tolerant", N, seed=SEED, config=config(),
+        "fault_tolerant", N, seed=SEED,
+        config=service_config("fault_tolerant"),
         delay=DELAY, loss_rate=0.05,
         reliability=ReliabilityConfig(),
     )
-    oracle = AioInvariantOracle(cluster)
+    oracle = InvariantOracle(cluster, protocol="fault_tolerant")
     oracle.attach()
-    supervisor = ClusterSupervisor(cluster, RestartPolicy(
-        restart_delay=20 * DELAY,
-        heartbeat_interval=5 * DELAY,
-        phi_threshold=8.0,
-    ))
+    # Default policy: heartbeats every 5 delays, restart after 20, phi 8.
+    supervisor = ClusterSupervisor(cluster)
     await cluster.start()
     await supervisor.start()
 

@@ -6,7 +6,6 @@ lossy transport, and deterministic virtual-time execution."""
 from repro.aio.cluster import AioCluster
 from repro.aio.driver import AioNodeDriver
 from repro.aio.fabric import AioFabric
-from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig, ReliableChannel
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.aio.transport import AioTransport
@@ -17,7 +16,6 @@ __all__ = [
     "AioFabric",
     "AioNodeDriver",
     "AioTransport",
-    "AioInvariantOracle",
     "ReliabilityConfig",
     "ReliableChannel",
     "ClusterSupervisor",

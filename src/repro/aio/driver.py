@@ -88,7 +88,9 @@ class AioNodeDriver:
         self._timers.clear()
         if self.channel is not None:
             self.channel.stop()
-        if self._task is not None:
+        if self._task is not None and self.failure() is None:
+            # (A task that already died stays put: awaiting it would
+            # re-raise here, and failure() is how it gets reported.)
             self._task.cancel()
             try:
                 await self._task
@@ -96,6 +98,15 @@ class AioNodeDriver:
                 pass
             self._task = None
         self.transport.detach(self.node_id)
+
+    def failure(self) -> Optional[BaseException]:
+        """The exception that killed this node's consumer task (a
+        sanitizer violation, a core bug) — None while the task runs and
+        once a live task has been stopped."""
+        task = self._task
+        if task is None or not task.done() or task.cancelled():
+            return None
+        return task.exception()
 
     def request(self) -> None:
         """The application at this node asks for the token."""

@@ -1,7 +1,7 @@
 """Deterministic virtual time for the asyncio runtime.
 
 Chaos schedules must be **bit-exact reproducible from their seed** — the
-same guarantee the discrete-event simulator gives ``repro fuzz``.  Real
+same guarantee the discrete-event simulator gives ``repro run``.  Real
 wall-clock asyncio cannot provide that: timer firing order depends on OS
 scheduling jitter.  :class:`VirtualClock` removes the wall clock from the
 picture: it patches a selector event loop so that

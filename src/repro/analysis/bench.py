@@ -437,10 +437,10 @@ def _bench_aio_recovery(rounds: int) -> Dict[str, Any]:
 
     from repro.aio.cluster import AioCluster
     from repro.aio.reliability import ReliabilityConfig
-    from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
+    from repro.aio.supervisor import ClusterSupervisor
     from repro.aio.virtualtime import run_virtual
-    from repro.core.config import ProtocolConfig
     from repro.metrics.tracing import RecoveryTracker
+    from repro.wire.smoke import service_config
 
     cycles = max(3, min(rounds // 10, 6))
     n, delay = 5, 0.01
@@ -448,13 +448,9 @@ def _bench_aio_recovery(rounds: int) -> Dict[str, Any]:
     async def scenario() -> Dict[str, Any]:
         cluster = AioCluster(
             "fault_tolerant", n, seed=2001,
-            config=ProtocolConfig(
-                trap_gc="rotation", single_outstanding=True,
-                retry_timeout=25.0, regen_timeout=30.0, census_window=8.0,
-                loan_timeout=80.0, regen_quorum=True),
+            config=service_config("fault_tolerant"),
             delay=delay, reliability=ReliabilityConfig())
-        supervisor = ClusterSupervisor(cluster, RestartPolicy(
-            restart_delay=20.0 * delay, heartbeat_interval=5.0 * delay))
+        supervisor = ClusterSupervisor(cluster)
         tracker = RecoveryTracker()
         await cluster.start()
         await supervisor.start()

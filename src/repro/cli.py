@@ -15,15 +15,13 @@ Usage (also available as ``python -m repro``):
     python -m repro bench --compare benchmarks/baselines --regression-threshold 30
     python -m repro fabric [--keys 256 --grants 6400 --json]
     python -m repro fabric --keys 256 --expect-checksum <hex>
-    python -m repro fuzz [--seed 2001 --runs 50 --profile mixed]
-    python -m repro fuzz --replay tests/fuzz/corpus/<case>.json
-    python -m repro stabilize [--seed 2001 --runs 25]
-    python -m repro stabilize --measure 9 [--episodes 20]
-    python -m repro chaos [--seed 2001 --runs 20 --profile mixed]
-    python -m repro chaos --replay chaos-failures/<case>.json
+    python -m repro run [--backend des --profile mixed --seed 2001 --runs 50]
+    python -m repro run --backend aio --profile crash --runs 20
+    python -m repro run --backend wire --profile smoke --runs 1
+    python -m repro run --replay tests/fuzz/corpus/<case>.json [--backend aio]
+    python -m repro run --profile stabilize --measure 9 [--episodes 20]
     python -m repro serve [-n 3 --protocol fault_tolerant --port 7700]
     python -m repro loadgen --port 7700 [--ops 1000 --clients 4]
-    python -m repro wire-smoke [-n 3 --ops 2000 --json --out report.json]
 
 Sweep commands accept ``--jobs N`` (or the ``REPRO_JOBS`` environment
 variable) to fan independent cells out over N worker processes; the output
@@ -219,47 +217,42 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="exit non-zero unless the run checksum equals "
                           "HEX (CI determinism pin)")
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="randomized schedule/fault exploration with invariant "
-             "checking, shrinking, and deterministic replay")
-    fuzz.add_argument("--seed", type=int, default=2001,
-                      help="root seed every case derives from (default 2001)")
-    fuzz.add_argument("--runs", type=int, default=50,
-                      help="number of cases to generate and run (default 50)")
-    fuzz.add_argument("--profile", default="mixed",
-                      choices=("clean", "faults", "spec", "mixed", "fabric",
-                               "stabilize"),
-                      help="case mix (default mixed)")
-    fuzz.add_argument("--replay", metavar="FILE", default=None,
-                      help="replay one saved case file instead of fuzzing; "
-                           "exits nonzero unless the recorded outcome "
-                           "reproduces exactly")
-    fuzz.add_argument("--no-shrink", dest="shrink", action="store_false",
-                      help="report violations without minimizing them")
-    fuzz.add_argument("--out", metavar="DIR", default="fuzz-failures",
-                      help="directory for counterexample files "
-                           "(default fuzz-failures/)")
-
-    stab = sub.add_parser(
-        "stabilize",
-        help="self-stabilization harness: corruption fuzzing of the "
-             "stabilizing core with the convergence oracle, or a "
-             "deterministic convergence-time measurement sweep")
-    stab.add_argument("--seed", type=int, default=2001,
-                      help="root seed every case derives from (default 2001)")
-    stab.add_argument("--runs", type=int, default=25,
-                      help="corruption fuzz cases to run (default 25)")
-    stab.add_argument("--no-shrink", dest="shrink", action="store_false",
-                      help="report violations without minimizing them")
-    stab.add_argument("--out", metavar="DIR", default="fuzz-failures",
-                      help="directory for counterexample files "
-                           "(default fuzz-failures/)")
-    stab.add_argument("--measure", type=int, metavar="N", default=None,
-                      help="instead of fuzzing, measure convergence-time "
-                           "percentiles on an N-node ring")
-    stab.add_argument("--episodes", type=int, default=20,
-                      help="corruption episodes for --measure (default 20)")
+    run = sub.add_parser(
+        "run",
+        help="seeded schedules of requests and faults, run on a backend "
+             "(des / fast / aio / wire) under the invariant oracle, with "
+             "shrinking and deterministic replay")
+    run.add_argument("--backend", default=None,
+                     help="des: discrete-event simulator; fast: "
+                          "array-compiled engine; aio: supervised asyncio "
+                          "runtime on a virtual clock; wire: the same "
+                          "runtime on loopback TCP (default des, or the "
+                          "replayed file's own)")
+    run.add_argument("--profile", default="mixed",
+                     help="case mix: clean, faults, spec, fabric, stabilize "
+                          "(sim-shaped); crash, partition, corrupt "
+                          "(runtime-shaped); smoke (closed-loop service "
+                          "run); mixed (default: clean/faults/spec on des "
+                          "and fast, crash/partition on aio and wire)")
+    run.add_argument("--seed", type=int, default=2001,
+                     help="root seed every case derives from (default 2001)")
+    run.add_argument("--runs", type=int, default=50,
+                     help="number of cases to generate and run (default 50)")
+    run.add_argument("--replay", metavar="FILE", default=None,
+                     help="replay one saved case file instead; exits "
+                          "nonzero unless the recorded outcome reproduces "
+                          "exactly")
+    run.add_argument("--no-shrink", dest="shrink", action="store_false",
+                     help="report violations without minimizing them")
+    run.add_argument("--out", metavar="DIR", default="run-failures",
+                     help="directory for counterexample files "
+                          "(default run-failures/)")
+    run.add_argument("--measure", type=int, metavar="N", default=None,
+                     help="with --profile stabilize: instead of generated "
+                          "cases, measure convergence-time percentiles on "
+                          "an N-node ring")
+    run.add_argument("--episodes", type=int, default=20,
+                     help="corruption episodes for --measure (default 20)")
 
     verify = sub.add_parser(
         "verify",
@@ -289,30 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--recompute", action="store_true",
                         help="with --check: re-run the certification and "
                              "require identical counts")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="seeded crash/partition scenarios against the asyncio "
-             "runtime (virtual time): supervised restart, reliable "
-             "delivery, invariant oracle, bounded-recovery check")
-    chaos.add_argument("--seed", type=int, default=2001,
-                       help="root seed every scenario derives from "
-                            "(default 2001)")
-    chaos.add_argument("--runs", type=int, default=20,
-                       help="number of scenarios to generate and run "
-                            "(default 20)")
-    chaos.add_argument("--profile", default="mixed",
-                       choices=("crash", "partition", "mixed", "corrupt"),
-                       help="fault mix (default mixed; corrupt injects "
-                            "arbitrary-state corruption on the "
-                            "stabilizing protocol)")
-    chaos.add_argument("--replay", metavar="FILE", default=None,
-                       help="replay one saved scenario file instead; exits "
-                            "nonzero unless the recorded outcome reproduces "
-                            "exactly")
-    chaos.add_argument("--out", metavar="DIR", default="chaos-failures",
-                       help="directory for counterexample files "
-                            "(default chaos-failures/)")
 
     serve = sub.add_parser(
         "serve",
@@ -374,37 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="arrival-process seed (default 0)")
     gen.add_argument("--json", action="store_true",
                      help="emit the report as JSON")
-
-    wsmoke = sub.add_parser(
-        "wire-smoke",
-        help="stand up the full real-socket stack in-process (wire "
-             "transport + ARQ + supervision + invariant oracle + lock "
-             "service) and hammer it; exits non-zero unless every op is "
-             "granted with zero violations")
-    wsmoke.add_argument("-n", "--nodes", type=int, default=3,
-                        help="cluster size (default 3)")
-    wsmoke.add_argument("--ops", type=int, default=2000,
-                        help="acquire/release ops (default 2000)")
-    wsmoke.add_argument("--clients", type=int, default=6,
-                        help="closed-loop sessions (default 6)")
-    wsmoke.add_argument("--protocol", choices=PROTOCOLS,
-                        default="fault_tolerant",
-                        help="protocol core (default fault_tolerant)")
-    wsmoke.add_argument("--seed", type=int, default=0,
-                        help="run seed (default 0)")
-    wsmoke.add_argument("--delay", type=float, default=0.001,
-                        help="node wire delay / timer base (default 0.001)")
-    wsmoke.add_argument("--loss-rate", type=float, default=0.0,
-                        help="cheap-message loss on the node wire "
-                             "(default 0)")
-    wsmoke.add_argument("--p99-budget", type=float, default=2.0,
-                        help="acquire-wait p99 budget in seconds "
-                             "(default 2.0)")
-    wsmoke.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    wsmoke.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the report JSON to FILE "
-                             "(CI artifact)")
     return parser
 
 
@@ -834,68 +772,52 @@ def _cmd_fabric(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args) -> int:
-    import os
+def _describe(result) -> str:
+    """One status phrase per result: what ran, and what it showed."""
+    if result.skipped is not None:
+        return f"skipped: {result.skipped}"
+    if result.violation is not None:
+        return f"VIOLATION {result.violation.get('invariant')}"
+    text = f"ok  checksum={result.checksum or '-'}"
+    if result.runtime is None:
+        text += f" events={result.events}"
+    else:
+        text += (f" grants={result.grants} "
+                 f"restarts={result.runtime['restarts']} "
+                 f"max_wait={result.runtime['max_wait']:.2f}")
+        load = result.runtime.get("load")
+        if load is not None:
+            text += (f" p50={load['wait_p50_ms']:.2f}ms "
+                     f"p99={load['wait_p99_ms']:.2f}ms "
+                     f"{load['throughput_ops_s']:.0f}ops/s")
+    if result.stabilization is not None:
+        stab = result.stabilization
+        text += (f" episodes={stab['episodes']:.0f} "
+                 f"stabilization_p99={stab['stabilization_p99']:.2f}")
+    return text
 
+
+def _cmd_run(args) -> int:
+    from repro.errors import ConfigError
+
+    try:
+        return _run(args)
+    except ConfigError as exc:  # unknown backend/profile, malformed file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     from repro.fuzz import FuzzCase, fuzz_run, run_case, shrink
-
-    if args.replay:
-        case, recorded = FuzzCase.load(args.replay)
-        result = run_case(case)
-        status = "ok" if result.ok else \
-            f"VIOLATION {result.violation.get('invariant')}"
-        print(f"replay {args.replay}: {status} "
-              f"checksum={result.checksum} events={result.events}")
-        if recorded is None:
-            return 0 if result.ok else 1
-        if result.matches(recorded):
-            print("recorded outcome reproduced exactly")
-            return 0
-        print(f"MISMATCH: recorded {recorded}, got {result.outcome()}",
-              file=sys.stderr)
-        return 1
-
-    failures = []
-
-    def _capture(index, case, result):
-        label = case.label or case.kind
-        if result.ok:
-            print(f"  run {index:3d} {label:32s} ok  "
-                  f"checksum={result.checksum} events={result.events}")
-            return
-        print(f"  run {index:3d} {label:32s} VIOLATION "
-              f"{result.violation.get('invariant')}")
-        final_case, final_result = case, result
-        if args.shrink:
-            final_case, final_result, attempts = shrink(case, result)
-            print(f"    shrunk to {final_case.event_count()} schedule "
-                  f"events (n={final_case.n}) in {attempts} attempts")
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"case-{args.seed}-{index}.json")
-        final_case.save(path, outcome=final_result.outcome())
-        failures.append((index, final_result.violation, path))
-        print(f"    counterexample written to {path}")
-
-    print(f"fuzz: seed={args.seed} runs={args.runs} profile={args.profile}")
-    summaries = fuzz_run(args.seed, args.runs, args.profile,
-                         on_result=_capture)
-    ok = sum(1 for s in summaries if s["ok"])
-    print(f"{ok}/{len(summaries)} runs clean")
-    for index, violation, path in failures:
-        print(f"  run {index}: {violation.get('invariant')} -> {path}",
-              file=sys.stderr)
-    return 0 if not failures else 1
-
-
-def _cmd_stabilize(args) -> int:
-    import os
-
-    from repro.fuzz import fuzz_run, shrink
 
     if args.measure is not None:
         from repro.faults.corruption import CORRUPTION_KINDS
         from repro.stabilize import measure_convergence
 
+        if args.profile != "stabilize":
+            print("error: --measure needs --profile stabilize",
+                  file=sys.stderr)
+            return 2
         n = args.measure
         corruptions = [
             (CORRUPTION_KINDS[i % len(CORRUPTION_KINDS)],
@@ -911,33 +833,50 @@ def _cmd_stabilize(args) -> int:
               f"grants={doc['grants']}")
         return 0
 
+    if args.replay:
+        case, recorded = FuzzCase.load(args.replay)
+        if args.backend is not None and args.backend != case.backend:
+            # Another backend's checksum pins nothing here: replay for the
+            # verdict alone.
+            case, recorded = case.with_(backend=args.backend), None
+        result = run_case(case)
+        print(f"replay {args.replay} [{case.backend}]: {_describe(result)}")
+        if recorded is None:
+            return 1 if result.violation is not None else 0
+        if result.matches(recorded):
+            print("recorded outcome reproduced exactly")
+            return 0
+        print(f"MISMATCH: recorded {recorded}, got {result.outcome()}",
+              file=sys.stderr)
+        return 1
+
+    backend = args.backend or "des"
     failures = []
 
     def _capture(index, case, result):
-        if result.ok:
-            stab = result.stabilization or {}
-            print(f"  run {index:3d} {case.label:20s} ok  "
-                  f"episodes={stab.get('episodes', 0):.0f} "
-                  f"stabilization_p99={stab.get('stabilization_p99', 0):.2f}")
+        print(f"  run {index:3d} {case.label or case.kind:32s} "
+              f"{_describe(result)}")
+        if result.violation is None:
             return
-        print(f"  run {index:3d} {case.label:20s} VIOLATION "
-              f"{result.violation.get('invariant')}")
         final_case, final_result = case, result
         if args.shrink:
             final_case, final_result, attempts = shrink(case, result)
             print(f"    shrunk to {final_case.event_count()} schedule "
                   f"events (n={final_case.n}) in {attempts} attempts")
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"stabilize-{args.seed}-{index}.json")
+        path = os.path.join(args.out, f"case-{args.seed}-{index}.json")
         final_case.save(path, outcome=final_result.outcome())
         failures.append((index, final_result.violation, path))
         print(f"    counterexample written to {path}")
 
-    print(f"stabilize: seed={args.seed} runs={args.runs}")
-    summaries = fuzz_run(args.seed, args.runs, "stabilize",
-                         on_result=_capture)
+    print(f"run: backend={backend} seed={args.seed} runs={args.runs} "
+          f"profile={args.profile}")
+    summaries = fuzz_run(args.seed, args.runs, args.profile,
+                         on_result=_capture, backend=backend)
     ok = sum(1 for s in summaries if s["ok"])
-    print(f"{ok}/{len(summaries)} runs converged")
+    skipped = sum(1 for s in summaries if "skipped" in s)
+    print(f"{ok}/{len(summaries)} runs clean"
+          + (f", {skipped} skipped" if skipped else ""))
     for index, violation, path in failures:
         print(f"  run {index}: {violation.get('invariant')} -> {path}",
               file=sys.stderr)
@@ -1037,58 +976,6 @@ def _cmd_verify(args) -> int:
     return 1 if (failed and args.strict) else (1 if violations else 0)
 
 
-def _cmd_chaos(args) -> int:
-    import os
-
-    from repro.aio.chaos import ChaosCase, chaos_run, run_chaos_case
-
-    if args.replay:
-        case, recorded = ChaosCase.load(args.replay)
-        result = run_chaos_case(case)
-        status = "ok" if result.ok else \
-            f"VIOLATION {result.violation.get('invariant')}"
-        if result.unrecovered:
-            status += f" unrecovered={len(result.unrecovered)}"
-        print(f"replay {args.replay}: {status} "
-              f"checksum={result.checksum} grants={result.grants}")
-        if recorded is None:
-            return 0 if result.ok and not result.unrecovered else 1
-        if result.matches(recorded):
-            print("recorded outcome reproduced exactly")
-            return 0
-        print(f"MISMATCH: recorded {recorded}, got {result.outcome()}",
-              file=sys.stderr)
-        return 1
-
-    failures = []
-
-    def _capture(index, case, result):
-        clean = result.ok and not result.unrecovered
-        if clean:
-            print(f"  run {index:3d} {case.label:32s} ok  "
-                  f"checksum={result.checksum} grants={result.grants} "
-                  f"restarts={result.restarts} max_wait={result.max_wait:.2f}")
-            return
-        what = (result.violation.get("invariant")
-                if result.violation is not None
-                else f"{len(result.unrecovered)} acquire(s) past the "
-                     f"recovery window")
-        print(f"  run {index:3d} {case.label:32s} FAILED {what}")
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"case-{args.seed}-{index}.json")
-        case.save(path, outcome=result.outcome())
-        failures.append((index, what, path))
-        print(f"    counterexample written to {path}")
-
-    print(f"chaos: seed={args.seed} runs={args.runs} profile={args.profile}")
-    chaos_run(args.seed, args.runs, args.profile, on_result=_capture)
-    clean = args.runs - len(failures)
-    print(f"{clean}/{args.runs} scenarios clean")
-    for index, what, path in failures:
-        print(f"  run {index}: {what} -> {path}", file=sys.stderr)
-    return 0 if not failures else 1
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -1173,44 +1060,6 @@ def _cmd_loadgen(args) -> int:
     return 0 if report.errors == 0 and report.failures == 0 else 1
 
 
-def _cmd_wire_smoke(args) -> int:
-    import json
-
-    from repro.wire.smoke import run_wire_smoke, save_report
-
-    report = run_wire_smoke(
-        n=args.nodes, ops=args.ops, clients=args.clients,
-        protocol=args.protocol, seed=args.seed, delay=args.delay,
-        loss_rate=args.loss_rate, p99_budget=args.p99_budget,
-    )
-    if args.out:
-        save_report(report, args.out)
-        print(f"report written to {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        load = report["load"]
-        print(f"wire-smoke: {report['protocol']} x{report['n']} "
-              f"ops={report['ops']} -> grants={load['grants']} "
-              f"failures={load['failures']} errors={load['errors']}")
-        print(f"  wait p50={load['wait_p50_ms']:.2f}ms "
-              f"p99={load['wait_p99_ms']:.2f}ms "
-              f"max={load['wait_max_ms']:.2f}ms "
-              f"({load['throughput_ops_s']:.0f} ops/s over "
-              f"{load['duration_s']:.2f}s)")
-        wire = report["wire"]
-        print(f"  wire frames tx/rx={wire['frames_sent']}/"
-              f"{wire['frames_received']} "
-              f"bytes tx/rx={wire['bytes_sent']}/{wire['bytes_received']} "
-              f"connects={wire['connects']} resets={wire['resets']}")
-        if report["oracle_violation"] is not None:
-            violation = report["oracle_violation"]
-            print(f"  ORACLE VIOLATION {violation['invariant']}: "
-                  f"{violation['detail']}", file=sys.stderr)
-        print(f"  ok={report['ok']}")
-    return 0 if report["ok"] else 1
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
@@ -1222,13 +1071,10 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "bench": _cmd_bench,
     "fabric": _cmd_fabric,
-    "fuzz": _cmd_fuzz,
-    "stabilize": _cmd_stabilize,
+    "run": _cmd_run,
     "verify": _cmd_verify,
-    "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
-    "wire-smoke": _cmd_wire_smoke,
 }
 
 

@@ -74,8 +74,8 @@ class ProtocolConfig:
     - ``stabilize_reset`` — allow the reloading-wave-style full reset of a
       node's volatile bookkeeping (queues, traps, memos) when local repair
       finds it inconsistent; off limits repair to field clamping.
-    - ``stabilize_bound`` — convergence-time bound the ConvergenceOracle
-      enforces after an injected corruption, in virtual seconds.  0 lets
+    - ``stabilize_bound`` — convergence-time bound the oracle's convergence
+      verdict enforces after an injected corruption, in virtual seconds.  0 lets
       the harness derive a bound from the ring size and timer settings.
     """
 

@@ -1,19 +1,18 @@
 """Differential harness: object cores vs. the array-compiled engine.
 
 The fast path's whole value rests on one claim — *bit-identical* runs.
-This module checks that claim mechanically by replaying the same fully
-pinned schedule through both stacks and comparing the strongest cheap
-observables: the CRC32 digest over the full send stream (time, source,
-destination, rendered message — any field drift changes it), the kernel
-event count, and the grant count.
+This module checks that claim mechanically by running the same fully
+pinned case on the ``des`` and ``fast`` backends of
+:func:`repro.fuzz.run_case` and comparing the strongest cheap observables:
+the CRC32 digest over the full send stream (time, source, destination,
+rendered message — any field drift changes it), the kernel event count,
+and the grant count.
 
 Two entry points:
 
-- :func:`diff_case` replays one :class:`~repro.fuzz.case.FuzzCase`
-  (the fuzz corpus format) through ``repro.fuzz.runner.run_case`` (object
-  stack, digest hook) and through :class:`~repro.fastsim.FastCluster`
-  (``digest=True``), classifying cases outside the fast path's support
-  matrix as *skipped* with the reason instead of failing.
+- :func:`diff_case` replays one :class:`~repro.fuzz.case.FuzzCase`,
+  classifying cases outside the fast path's support matrix as *skipped*
+  with the reason instead of failing.
 - :func:`diff_corpus` sweeps a corpus directory and returns one report
   per case file; the differential tests run it over
   ``tests/fuzz/corpus`` so every committed counterexample doubles as a
@@ -31,14 +30,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.config import ProtocolConfig
-from repro.errors import ConfigError
-from repro.fastsim.cluster import FastCluster
-from repro.fastsim.state import unsupported_reason
-from repro.fuzz.case import FuzzCase, build_delay
-from repro.fuzz.rng import derive_seed
+from repro.fuzz.case import FuzzCase
+from repro.fuzz.runner import FuzzResult, run_case, skip_reason
 
-__all__ = ["DiffReport", "fast_outcome", "diff_case", "diff_corpus"]
+__all__ = ["DiffReport", "diff_case", "diff_corpus"]
 
 
 @dataclass
@@ -68,75 +63,26 @@ class DiffReport:
                 f"fast={self.fast_outcome!r}")
 
 
-def _skip_reason(case: FuzzCase) -> Optional[str]:
-    """Why this corpus case cannot run on the fast path (None = it can).
-
-    Layered on top of :func:`unsupported_reason`: fuzz cases add fault
-    plans and spec-level walks, which only the object stack executes.
-    """
-    if case.kind != "impl":
-        return "spec-level case (random reduction, no DES run)"
-    if case.protocol == "stabilizing":
-        return ("stabilizing core (watchdog censuses + absorption) has no "
-                "array compilation")
-    if any(f.get("op") == "corrupt" for f in case.faults):
-        return ("arbitrary-state corruption mutates core objects; the "
-                "array fast path has no object state to corrupt")
-    if case.faults:
-        return "fault plan needs the object driver stack"
-    try:
-        config = ProtocolConfig(**case.config)
-        config.n = case.n
-        config.validate()
-    except (TypeError, ConfigError) as exc:
-        return f"config rejected: {exc}"
-    return unsupported_reason(case.protocol, config, build_delay(case.delay))
-
-
-def fast_outcome(case: FuzzCase) -> Dict:
-    """Replay an impl-level case on :class:`FastCluster`.
-
-    Returns the same shape as ``FuzzResult.outcome()`` plus ``grants``
-    so the comparison covers application-visible behaviour, not just the
-    wire. The caller must have cleared :func:`_skip_reason` first.
-    """
-    cluster = FastCluster.build(
-        case.protocol, case.n,
-        seed=derive_seed(case.seed, "net"),
-        config=ProtocolConfig(**case.config),
-        delay=build_delay(case.delay),
-        loss_rate=case.loss_rate,
-        dup_rate=case.dup_rate,
-        digest=True,
-    )
-    for time, node in case.requests:
-        cluster.request_at(time, node)
-    cluster.run(until=case.horizon, max_events=case.max_events)
-    return {
-        "ok": True,
-        "checksum": cluster.send_checksum,
-        "events": cluster.executed_total,
-        "grants": cluster.grants,
-    }
+def _observables(result: FuzzResult) -> Dict:
+    """Application-visible behaviour, not just the wire."""
+    return {"ok": result.ok, "checksum": result.checksum,
+            "events": result.events, "grants": result.grants}
 
 
 def diff_case(case: FuzzCase) -> DiffReport:
     """Replay ``case`` through both stacks and compare.
 
-    The object side runs through :func:`repro.fuzz.runner.run_case` —
-    the exact harness that produced the corpus outcomes, oracle and
-    sanitizer included — so a match here certifies the fast path against
-    the strictest instrumented object run, not a stripped-down twin.
+    The object side is the ``des`` backend — the exact harness that
+    produced the corpus outcomes, oracle and sanitizer included — so a
+    match here certifies the fast path against the strictest instrumented
+    object run, not a stripped-down twin.
     """
-    from repro.fuzz.runner import run_case  # deferred: pulls in lint/oracle
-
     label = case.label or f"{case.protocol}/n{case.n}/seed{case.seed}"
-    reason = _skip_reason(case)
+    reason = skip_reason(case.with_(backend="fast"))
     if reason is not None:
         return DiffReport(label=label, verdict="skipped", skip_reason=reason)
-    obj = run_case(case)
-    obj_outcome = {"ok": obj.ok, "checksum": obj.checksum,
-                   "events": obj.events, "grants": obj.grants}
+    obj = run_case(case.with_(backend="des"))
+    obj_outcome = _observables(obj)
     if not obj.ok:
         # A safety violation on the object side is a finding for the fuzz
         # harness, not a differential target: the fast path raises on the
@@ -145,7 +91,7 @@ def diff_case(case: FuzzCase) -> DiffReport:
                           skip_reason=f"object run not clean: "
                                       f"{(obj.violation or {}).get('type')}",
                           object_outcome=obj_outcome)
-    fast = fast_outcome(case)
+    fast = _observables(run_case(case.with_(backend="fast")))
     verdict = "match" if fast == obj_outcome else "MISMATCH"
     return DiffReport(label=label, verdict=verdict,
                       object_outcome=obj_outcome, fast_outcome=fast)

@@ -1,15 +1,25 @@
-"""Fuzz cases: fully explicit, serializable schedules.
+"""Cases: fully explicit, serializable schedules for every backend.
 
 A :class:`FuzzCase` pins **everything** a run needs — node count, protocol,
 delay model, loss/duplication rates, the request schedule, the fault plan,
-and the event/time budget — as concrete data rather than implicit RNG
-state.  Two consequences:
+the event/time budget, and the backend it runs on — as concrete data
+rather than implicit RNG state.  Two consequences:
 
 - replay needs no generator: loading a case file reproduces the run
-  bit-for-bit (the only remaining randomness, delay sampling and
-  loss/duplication draws, flows from ``derive_seed(case.seed, "net")``);
+  bit-for-bit on the deterministic backends (the only remaining
+  randomness, delay sampling and loss/duplication draws, flows from the
+  case seed);
 - the shrinker can minimize by editing lists (drop a request, drop a fault,
   lower the horizon, remove a node) instead of hunting for a luckier seed.
+
+One schema (``repro-fuzz-case/v1``) serves the discrete-event simulator
+(``des``), the array-compiled engine (``fast``), the asyncio runtime on a
+virtual clock (``aio``) and the same runtime on loopback TCP (``wire``);
+:data:`FAULT_OPS` is the one table saying which fault each of them can
+apply.  All times in a case share the unit of its ``delay``; ``des`` and
+``aio`` run that unit as is, ``wire`` runs it in wall-clock seconds
+(compressed when a hop would exceed a couple of milliseconds, see
+:mod:`repro.fuzz.runner`).
 
 ``generate_case`` derives a case from ``(root_seed, index, profile)``; the
 same triple always yields the same case.
@@ -33,15 +43,23 @@ from repro.sim.network import (
 
 __all__ = [
     "SCHEMA",
+    "BACKENDS",
     "PROFILES",
+    "FAULT_OPS",
     "IMPL_PROTOCOLS",
     "SPEC_SYSTEMS",
     "FuzzCase",
     "generate_case",
     "build_delay",
+    "hop_delay",
 ]
 
 SCHEMA = "repro-fuzz-case/v1"
+
+#: The pre-merge chaos dialect; :meth:`FuzzCase.load` upgrades it on read.
+_CHAOS_SCHEMA = "repro-chaos-case/v1"
+
+BACKENDS = ("des", "fast", "aio", "wire")
 
 #: Impl-level protocols eligible for fuzzing (every registered core).
 IMPL_PROTOCOLS = (
@@ -57,44 +75,94 @@ IMPL_PROTOCOLS = (
 #: Spec-level systems eligible for random-reduction fuzzing.
 SPEC_SYSTEMS = ("S", "S1", "Tok", "MP", "Srch", "BS")
 
-#: profile -> what the generator draws.  ``mixed`` alternates per index
-#: (it predates the fabric and stabilize kinds and deliberately excludes
-#: them: adding a mode to the rotation would reshuffle every pinned
-#: mixed-profile case).
-PROFILES = ("clean", "faults", "spec", "mixed", "fabric", "stabilize")
+#: profile -> what the generator draws.  The first six are sim-shaped
+#: (delays around one time unit, horizons in the hundreds); ``crash`` /
+#: ``partition`` / ``corrupt`` are runtime-shaped (10 ms hops, seconds-long
+#: schedules, a bounded-recovery window) and ``smoke`` is the closed-loop
+#: service run.  ``mixed`` alternates per index — sim-shaped kinds on the
+#: ``des``/``fast`` backends, runtime-shaped fault plans on ``aio``/``wire``
+#: — and deliberately never grew past its original rotations: adding a mode
+#: would reshuffle every pinned mixed-profile case.
+PROFILES = ("clean", "faults", "spec", "mixed", "fabric", "stabilize",
+            "crash", "partition", "corrupt", "smoke")
 
-_FAULT_OPS = ("crash", "recover", "token_loss", "partition", "heal",
-              "corrupt")
+#: op -> (fields it requires, targets that can apply it).  A target is a
+#: backend, or ``"fabric"`` for one lane of a ``kind="fabric"`` case on
+#: ``des``.  ``partition`` also accepts the ``group_a``/``group_b``
+#: spelling in place of ``a``/``b``; ``reset`` takes an optional ``a``.
+#: Validation checks the fields, the runner turns a missing target into a
+#: ``skipped`` result, and each backend family's applier dispatches on
+#: exactly the ops that name it here.
+FAULT_OPS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "crash": (("a",), ("des", "fabric", "aio", "wire")),
+    # The runtime's supervisor owns restarts; a scripted one has no meaning.
+    "recover": (("a",), ("des", "fabric")),
+    "token_loss": ((), ("des", "fabric")),
+    "partition": (("a", "b"), ("des", "fabric", "aio", "wire")),
+    "heal": (("a", "b"), ("des", "fabric", "aio", "wire")),
+    "heal_all": ((), ("aio", "wire")),
+    "reset": ((), ("wire",)),
+    # A lane's verdict is strict safety; only a whole cluster can be
+    # judged by convergence.
+    "corrupt": (("a", "what", "arg"), ("des", "aio", "wire")),
+}
 
 #: Protocols accepted by validation: every fuzz-eligible core plus the
 #: stabilizing variant, which is replayable but excluded from
 #: IMPL_PROTOCOLS so random clean/faults draws stay pinned.
 _VALID_PROTOCOLS = IMPL_PROTOCOLS + ("stabilizing",)
 
+_LOAD_KEYS = ("clients", "ops", "p99_budget")
 
-def _check_fault(fault: Dict, n: int) -> None:
-    """Validate one impl-level fault entry; raise FuzzCaseError naming
-    the offending kind instead of letting the runner hit a KeyError."""
+
+def _is_node(value: object, n: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value < n)
+
+
+def check_fault(fault: Dict, n: int, target: str = "") -> None:
+    """Validate one fault entry against :data:`FAULT_OPS` (and, given a
+    ``target``, against what that target can apply); raise
+    :class:`FuzzCaseError` naming the offending kind instead of letting a
+    runner hit a ``KeyError``."""
     op = fault.get("op")
-    if op not in _FAULT_OPS:
-        raise FuzzCaseError(f"unknown fault op {op!r} in fault {fault!r}; "
-                            f"known ops: {_FAULT_OPS}", kind=op)
-    if op == "corrupt":
-        what = fault.get("what")
-        if what not in CORRUPTION_KINDS:
+    if op not in FAULT_OPS or (target and target not in FAULT_OPS[op][1]):
+        raise FuzzCaseError(
+            f"unknown {target + ' ' if target else ''}fault op {op!r} in "
+            f"fault {fault!r}; known ops: {tuple(FAULT_OPS)}", kind=op)
+    t = fault.get("t")
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or t < 0:
+        raise FuzzCaseError(f"fault {fault!r} needs a time 't' >= 0", kind=op)
+    fields = FAULT_OPS[op][0]
+    if op == "partition" and "group_a" in fault:
+        fields = ("group_a", "group_b")
+    elif op == "reset" and "a" in fault:
+        fields = ("a",)
+    for name in fields:
+        value = fault.get(name)
+        if name in ("a", "b"):
+            ok = _is_node(value, n)
+        elif name in ("group_a", "group_b"):
+            ok = (isinstance(value, (list, tuple)) and len(value) > 0
+                  and all(_is_node(x, n) for x in value))
+        elif name == "what":
+            if value not in CORRUPTION_KINDS:
+                raise FuzzCaseError(
+                    f"unknown corruption kind {value!r} in fault {fault!r}; "
+                    f"known kinds: {CORRUPTION_KINDS}", kind=value)
+            continue
+        else:  # "arg"
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        if not ok:
             raise FuzzCaseError(
-                f"unknown corruption kind {what!r} in fault {fault!r}; "
-                f"known kinds: {CORRUPTION_KINDS}", kind=what)
-        victim = fault.get("a")
-        if not isinstance(victim, int) or not 0 <= victim < n:
-            raise FuzzCaseError(
-                f"corrupt fault needs a victim node 'a' in [0, {n}), "
+                f"{op} fault needs {name!r} naming "
+                f"{'an int' if name == 'arg' else f'nodes in [0, {n})'}, "
                 f"got {fault!r}", kind=op)
 
 
 @dataclass
 class FuzzCase:
-    """One self-contained fuzz run (impl- or spec-level)."""
+    """One self-contained run (impl-, spec- or fabric-level) on one backend."""
 
     seed: int
     kind: str = "impl"                       # "impl" | "spec" | "fabric"
@@ -104,7 +172,9 @@ class FuzzCase:
     delay: Dict = field(default_factory=lambda: {"kind": "constant", "delay": 1.0})
     loss_rate: float = 0.0
     dup_rate: float = 0.0
-    config: Dict = field(default_factory=dict)   # ProtocolConfig overrides
+    #: ProtocolConfig overrides — over the defaults on ``des``/``fast``,
+    #: over :func:`repro.wire.smoke.service_config` on ``aio``/``wire``.
+    config: Dict = field(default_factory=dict)
     requests: List[Tuple[float, int]] = field(default_factory=list)
     faults: List[Dict] = field(default_factory=list)
     max_events: int = 20_000
@@ -122,6 +192,17 @@ class FuzzCase:
     #: Fabric arrivals as ``(time, key_index, node)``; fabric faults carry
     #: a ``"k"`` (key index) in :attr:`faults` entries instead.
     keyed_requests: List[Tuple[float, int, int]] = field(default_factory=list)
+    # -- where and how it runs -----------------------------------------------
+    backend: str = "des"
+    #: ``aio``/``wire``: every request must be granted within this long of
+    #: ``max(issue time, last fault time)`` — the bounded-recovery verdict.
+    #: 0 asks for none: a request may wait until the horizon, as on ``des``.
+    recovery_window: float = 0.0
+    #: ``wire`` only: the closed-loop load block (``clients``, ``ops``,
+    #: optional ``p99_budget`` in seconds) driven through the lock service
+    #: instead of :attr:`requests`; the run ends when the ops do.  (Not
+    #: named ``load``: that is the file loader.)
+    closed_loop: Optional[Dict] = None
 
     # -- derived -------------------------------------------------------------
 
@@ -132,6 +213,21 @@ class FuzzCase:
     def validate(self) -> "FuzzCase":
         if self.kind not in ("impl", "spec", "fabric"):
             raise ConfigError(f"unknown case kind {self.kind!r}")
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"unknown backend {self.backend!r}; "
+                              f"choose from {BACKENDS}")
+        if self.recovery_window < 0:
+            raise ConfigError("recovery_window must be >= 0")
+        if self.closed_loop is not None:
+            unknown = sorted(set(self.closed_loop) - set(_LOAD_KEYS))
+            if unknown:
+                raise ConfigError(f"unknown closed_loop keys {unknown}; "
+                                  f"known: {_LOAD_KEYS}")
+            for name in ("clients", "ops"):
+                if not isinstance(self.closed_loop.get(name), int) \
+                        or self.closed_loop[name] < 1:
+                    raise ConfigError(f"closed_loop needs {name!r} >= 1, "
+                                      f"got {self.closed_loop!r}")
         if self.kind == "fabric":
             if not self.keys:
                 raise ConfigError("fabric case needs at least one key")
@@ -141,30 +237,31 @@ class FuzzCase:
                 if spec.get("n", 4) < 1:
                     raise ConfigError(f"bad ring size in key spec {spec!r}")
             n_keys = len(self.keys)
-            for _t, k, _node in self.keyed_requests:
+            for _t, k, node in self.keyed_requests:
                 if not 0 <= k < n_keys:
                     raise ConfigError(f"keyed request names key {k} "
                                       f"of {n_keys}")
+                if not _is_node(node, self.keys[k].get("n", 4)):
+                    raise ConfigError(f"keyed request targets unknown node "
+                                      f"{node} of key {k}")
             for fault in self.faults:
-                op = fault.get("op")
-                if op not in _FAULT_OPS or op == "corrupt":
+                if not _is_node(fault.get("k"), n_keys):
                     raise FuzzCaseError(
-                        f"unknown fabric fault op {op!r} in fault "
-                        f"{fault!r}", kind=op)
-                if "k" not in fault:
-                    raise FuzzCaseError(
-                        f"fabric fault {fault!r} is missing its lane "
-                        f"index 'k'", kind=op)
-                if not 0 <= fault["k"] < n_keys:
-                    raise FuzzCaseError(f"fault names key {fault['k']} "
-                                        f"of {n_keys}", kind=op)
+                        f"fabric fault {fault!r} needs its lane index 'k' "
+                        f"in [0, {n_keys})", kind=fault.get("op"))
+                check_fault(fault, self.keys[fault["k"]].get("n", 4),
+                            target="fabric")
         elif self.kind == "impl":
             if self.protocol not in _VALID_PROTOCOLS:
                 raise ConfigError(f"unknown protocol {self.protocol!r}")
             if self.n < 1:
                 raise ConfigError(f"n must be >= 1, got {self.n}")
+            for _t, node in self.requests:
+                if not _is_node(node, self.n):
+                    raise ConfigError(
+                        f"request targets unknown node {node}")
             for fault in self.faults:
-                _check_fault(fault, self.n)
+                check_fault(fault, self.n)
         else:
             if self.system not in SPEC_SYSTEMS:
                 raise ConfigError(f"unknown spec system {self.system!r}")
@@ -183,14 +280,23 @@ class FuzzCase:
     def from_dict(cls, doc: Dict) -> "FuzzCase":
         doc = dict(doc)
         schema = doc.pop("schema", SCHEMA)
-        if schema != SCHEMA:
+        if schema == _CHAOS_SCHEMA:
+            # The chaos dialect was this schema with a scalar delay, its
+            # own profile tag, and the asyncio runtime implied.
+            doc.pop("profile", None)
+            doc["delay"] = {"kind": "constant", "delay": doc.get("delay", 0.01)}
+            doc["backend"] = "aio"
+        elif schema != SCHEMA:
             raise ConfigError(f"unsupported case schema {schema!r}")
         doc.pop("outcome", None)  # replay files carry the recorded outcome
         doc["requests"] = [(float(t), int(node)) for t, node in
                            doc.get("requests", [])]
         doc["keyed_requests"] = [(float(t), int(k), int(node)) for t, k, node
                                  in doc.get("keyed_requests", [])]
-        return cls(**doc).validate()
+        try:
+            return cls(**doc).validate()
+        except TypeError as exc:  # an unknown or missing top-level field
+            raise FuzzCaseError(f"malformed case: {exc}") from exc
 
     def save(self, path: str, outcome: Optional[Dict] = None) -> None:
         doc = self.to_dict()
@@ -202,10 +308,15 @@ class FuzzCase:
 
     @classmethod
     def load(cls, path: str) -> Tuple["FuzzCase", Optional[Dict]]:
-        """Load a case file; returns ``(case, recorded_outcome_or_None)``."""
+        """Load a case file; returns ``(case, recorded_outcome_or_None)``.
+        A ``repro-chaos-case/v1`` file's outcome is dropped: it pinned
+        that harness's own result shape, so such a file replays for its
+        verdict alone."""
         with open(path) as handle:
             doc = json.load(handle)
         outcome = doc.get("outcome")
+        if doc.get("schema") == _CHAOS_SCHEMA:
+            outcome = None
         return cls.from_dict(doc), outcome
 
     def with_(self, **changes) -> "FuzzCase":
@@ -222,6 +333,19 @@ def build_delay(spec: Dict) -> DelayModel:
     if kind == "exponential":
         return ExponentialDelay(spec.get("mean", 1.0),
                                 spec.get("minimum", 0.01))
+    raise ConfigError(f"unknown delay kind {kind!r}")
+
+
+def hop_delay(spec: Dict) -> float:
+    """The one fixed hop delay the ``aio``/``wire`` transports run a case
+    at: the mean of its delay model (they cannot draw per-message delays)."""
+    kind = spec.get("kind", "constant")
+    if kind == "constant":
+        return float(spec.get("delay", 1.0))
+    if kind == "uniform":
+        return (spec.get("low", 0.5) + spec.get("high", 2.0)) / 2.0
+    if kind == "exponential":
+        return float(spec.get("mean", 1.0))
     raise ConfigError(f"unknown delay kind {kind!r}")
 
 
@@ -412,13 +536,90 @@ def _generate_stabilize_case(root_seed: int, index: int, rng) -> FuzzCase:
     ).validate()
 
 
-def generate_case(root_seed: int, index: int, profile: str = "mixed") -> FuzzCase:
+def _draw_crashes(rng, n: int) -> List[Dict]:
+    faults = [{"t": round(rng.uniform(1.0, 2.5), 3),
+               "op": "crash", "a": rng.randrange(n)}]
+    if rng.random() < 0.5:
+        survivors = [x for x in range(n) if x != faults[0]["a"]]
+        # Spaced so the supervisor repairs the first before the second
+        # lands — at most one node is ever down, preserving the quorum.
+        faults.append({"t": round(faults[0]["t"] + rng.uniform(2.0, 3.5), 3),
+                       "op": "crash", "a": rng.choice(survivors)})
+    return faults
+
+
+def _draw_group_partition(rng, n: int) -> List[Dict]:
+    minority = 1 if n < 5 else rng.choice((1, 2))
+    group_a = sorted(rng.sample(range(n), minority))
+    group_b = [x for x in range(n) if x not in group_a]
+    t = round(rng.uniform(1.0, 2.5), 3)
+    return [
+        {"t": t, "op": "partition", "group_a": group_a, "group_b": group_b},
+        {"t": round(t + rng.uniform(1.5, 3.0), 3), "op": "heal_all"},
+    ]
+
+
+def _generate_runtime_case(root_seed: int, index: int, mode: str,
+                           backend: str) -> FuzzCase:
+    """A runtime-shaped scenario: 10 ms hops, a few acquires over five
+    seconds, and crashes the supervisor must detect and repair, partitions
+    the quorum gate must park through, or corruptions the stabilizing core
+    must absorb — every acquire due within the recovery window."""
+    rng = child_rng(root_seed, "chaos", index, mode)
+    n = rng.choice((4, 5, 6, 7))
+    requests = sorted(
+        (round(rng.uniform(0.5, 5.0), 3), rng.randrange(n))
+        for _ in range(rng.randrange(3, 7))
+    )
+    faults: List[Dict] = []
+    if "crash" in mode:
+        faults.extend(_draw_crashes(rng, n))
+    if "partition" in mode:
+        faults.extend(_draw_group_partition(rng, n))
+    if mode == "corrupt":
+        for _ in range(rng.randrange(1, 3)):
+            faults.append({"t": round(rng.uniform(1.0, 2.5), 3),
+                           "op": "corrupt", "a": rng.randrange(n),
+                           "what": rng.choice(CORRUPTION_KINDS),
+                           "arg": rng.randrange(1 << 16)})
+    faults.sort(key=lambda f: f["t"])
+    last_t = max(f["t"] for f in faults)
+    return FuzzCase(
+        seed=root_seed + index,
+        protocol="stabilizing" if mode == "corrupt" else "fault_tolerant",
+        n=n,
+        delay={"kind": "constant", "delay": 0.01},
+        loss_rate=rng.choice((0.0, 0.02, 0.05)),
+        recovery_window=8.0,
+        requests=requests,
+        faults=faults,
+        horizon=round(last_t + 10.0, 3),
+        label=f"{mode}/n{n}",
+        backend=backend,
+    ).validate()
+
+
+def generate_case(root_seed: int, index: int, profile: str = "mixed",
+                  backend: str = "des") -> FuzzCase:
     """Derive the ``index``-th case of a run from the root seed."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {PROFILES}")
     mode = profile
     if profile == "mixed":
-        mode = ("clean", "faults", "clean", "faults", "spec")[index % 5]
+        if backend in ("aio", "wire"):
+            mode = ("crash", "partition", "crash+partition")[index % 3]
+        else:
+            mode = ("clean", "faults", "clean", "faults", "spec")[index % 5]
+    if mode in ("crash", "partition", "crash+partition", "corrupt"):
+        return _generate_runtime_case(root_seed, index, mode, backend)
+    if mode == "smoke":
+        from repro.wire.smoke import smoke_case
+
+        return smoke_case(seed=root_seed + index).with_(backend=backend)
+    return _generate_sim_case(root_seed, index, mode).with_(backend=backend)
+
+
+def _generate_sim_case(root_seed: int, index: int, mode: str) -> FuzzCase:
     rng = child_rng(root_seed, "case", index, mode)
 
     if mode == "fabric":

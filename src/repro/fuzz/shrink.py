@@ -80,6 +80,19 @@ def _ddmin_list(case: FuzzCase, fld: str, run: Callable,
     return best, best_result
 
 
+def _without_node(fault: dict, n: int) -> Optional[dict]:
+    """``fault`` on a ring shrunk to ``n`` nodes: None when it names a
+    removed node (a partition group just loses the member, unless that
+    empties it)."""
+    if fault.get("a", 0) >= n or fault.get("b", 0) >= n:
+        return None
+    if "group_a" in fault:
+        groups = {g: [x for x in fault[g] if x < n]
+                  for g in ("group_a", "group_b")}
+        return dict(fault, **groups) if all(groups.values()) else None
+    return fault
+
+
 def _drop_nodes(case: FuzzCase, run: Callable, invariant: Optional[str],
                 budget: _Budget) -> Tuple[FuzzCase, Optional[FuzzResult]]:
     best, best_result = case, None
@@ -89,8 +102,8 @@ def _drop_nodes(case: FuzzCase, run: Callable, invariant: Optional[str],
         candidate = best.with_(
             n=smaller,
             requests=[(t, node) for t, node in best.requests if node < smaller],
-            faults=[f for f in best.faults
-                    if f.get("a", 0) < smaller and f.get("b", 0) < smaller],
+            faults=[g for g in (_without_node(f, smaller)
+                                for f in best.faults) if g is not None],
         )
         result = _repro(candidate, run, invariant, budget)
         if result is None:

@@ -25,8 +25,7 @@ from repro.core.messages import (
 )
 from repro.metrics.stats import mean, percentile
 
-__all__ = ["TraceEvent", "TraceRecorder", "RecoveryTracker",
-           "StabilizationTracker"]
+__all__ = ["TraceEvent", "TraceRecorder", "RecoveryTracker"]
 
 
 class TraceEvent(NamedTuple):
@@ -203,52 +202,4 @@ class RecoveryTracker:
             "mttr": self.mttr(),
             "max_ttr": self.max_ttr(),
             "unrecovered": float(len(self._open)),
-        }
-
-
-class StabilizationTracker:
-    """Convergence-time bookkeeping for self-stabilization runs.
-
-    Where :class:`RecoveryTracker` measures *service* restoration after a
-    crash, this measures *state* convergence after arbitrary corruption:
-    the interval from an injection to the instant the cluster re-entered
-    the single-token legitimate predicate and stayed there.  Samples are
-    recorded by the convergence oracle when it closes an episode, so a
-    sample exists only for episodes that actually converged.
-    """
-
-    def __init__(self) -> None:
-        #: Closed injection-to-legitimacy intervals, in clock units.
-        self.samples: List[float] = []
-
-    def record(self, injected_at: float,
-               legit_since: Optional[float]) -> None:
-        """Close one episode: corruption at ``injected_at``, permanent
-        legitimacy from ``legit_since`` (None = was never illegitimate,
-        i.e. the corruption landed in an already-legal component)."""
-        if legit_since is None:
-            legit_since = injected_at
-        self.samples.append(max(0.0, legit_since - injected_at))
-
-    def count(self) -> int:
-        return len(self.samples)
-
-    def stabilization_time(self) -> float:
-        """Mean convergence time over the closed episodes."""
-        return mean(self.samples)
-
-    def max_time(self) -> float:
-        """Worst recorded convergence time."""
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Percentile of the convergence-time samples."""
-        return percentile(self.samples, p)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "episodes": float(self.count()),
-            "stabilization_time": self.stabilization_time(),
-            "stabilization_p99": self.percentile(99.0),
-            "max_stabilization_time": self.max_time(),
         }

@@ -10,28 +10,31 @@ Three pieces:
 - :class:`~repro.stabilize.core.StabilizingCore` — the stabilizing
   protocol variant (local repair, epoch-fenced token reduction, and a
   staggered token watchdog) layered on the fault-tolerant core;
-- :class:`~repro.stabilize.oracle.ConvergenceOracle` — the convergence
-  verdict: bounded convergence + closure over the token-unit census,
-  with :func:`~repro.stabilize.bound.convergence_bound` supplying the
-  bound from the protocol timers;
+- :func:`~repro.stabilize.bound.convergence_bound` — the bound, derived
+  from the protocol timers, that the oracle's
+  :func:`~repro.fuzz.oracle.convergence` verdict (bounded convergence +
+  closure over the token-unit census) judges a run against;
 - :func:`~repro.stabilize.runner.measure_convergence` — the
-  deterministic episode driver behind the ``stabilize_n9`` bench.
+  deterministic episode schedule behind the ``stabilize_n9`` bench.
 
 The corruption injector itself lives in :mod:`repro.faults.corruption`
-(it is a fault model, not a protocol), and ``repro stabilize`` /
-``repro fuzz --profile stabilize`` exercise all of it end to end.
+(it is a fault model, not a protocol), and ``repro run --profile
+stabilize`` exercises all of it end to end.
 """
 
 from repro.stabilize.bound import convergence_bound, delay_ceiling
 from repro.stabilize.core import StabilizingCore
-from repro.stabilize.oracle import ConvergenceOracle
-from repro.stabilize.runner import default_stabilize_config, measure_convergence
+from repro.stabilize.runner import (
+    default_stabilize_config,
+    measure_case,
+    measure_convergence,
+)
 
 __all__ = [
-    "ConvergenceOracle",
     "StabilizingCore",
     "convergence_bound",
     "default_stabilize_config",
     "delay_ceiling",
+    "measure_case",
     "measure_convergence",
 ]

@@ -30,7 +30,7 @@ from repro.wire.service import (
     StatusReply,
     StatusRequest,
 )
-from repro.wire.smoke import run_wire_smoke
+from repro.wire.smoke import service_config, smoke_case
 from repro.wire.transport import WireConfig, WireTransport
 
 __all__ = [
@@ -53,5 +53,6 @@ __all__ = [
     "ReleaseReply",
     "StatusRequest",
     "StatusReply",
-    "run_wire_smoke",
+    "service_config",
+    "smoke_case",
 ]

@@ -1,53 +1,37 @@
-"""End-to-end wire runs: the smoke/soak harness behind ``repro wire-smoke``.
+"""The service-level shape: the runtime's protocol stack and its smoke case.
 
-One call stands up the entire real-socket stack in-process — a
-:class:`~repro.wire.transport.WireTransport` (every node on its own TCP
-listener), an :class:`~repro.aio.cluster.AioCluster` with the
-fault-tolerant runtime (ARQ reliability, supervision, phi-accrual
-detection) attached **unchanged**, the
-:class:`~repro.aio.oracle.AioInvariantOracle` observing every logical
-send, a :class:`~repro.wire.server.LockServiceServer` on its own port,
-and a closed-loop :class:`~repro.wire.client.LoadGenerator` hammering it
-over loopback TCP.  Optionally a chaos-style fault schedule (crash /
-partition / heal / connection reset, all at the socket layer) runs
-concurrently with the load.
-
-The report is a JSON-able dict (schema ``repro-wire-smoke/v1``): ``ok``
-demands every op granted, zero oracle violations, zero client errors,
-and p99 acquire wait within budget.  CI runs a 3-node/2k-op smoke; the
-soak tier runs 5 nodes and 10k+ ops.
+:func:`service_config` is the one spelling of the protocol configuration
+the supervised asyncio runtime runs — ``repro serve``, every ``aio`` and
+``wire`` case of :func:`repro.fuzz.run_case`, the recovery bench.
+:func:`smoke_case` is the closed-loop run behind ``repro run --backend
+wire --profile smoke``: a :class:`~repro.wire.transport.WireTransport`
+cluster (every node on its own TCP listener) with ARQ, supervision and the
+invariant oracle attached, fronted by a
+:class:`~repro.wire.server.LockServiceServer` and hammered over loopback
+TCP by a :class:`~repro.wire.client.LoadGenerator`, optionally with faults
+(crash / partition / heal / connection reset, all at the socket layer)
+running alongside.  The case passes when every op is granted, no client
+errors, the oracle stays clean, and the p99 acquire wait is within budget.
+CI runs the 3-node/2k-op default; the soak tier runs 5 nodes and 10k ops.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import platform
-import time
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.aio.cluster import AioCluster
-from repro.aio.oracle import AioInvariantOracle, CorruptionTolerantOracle
-from repro.aio.reliability import ReliabilityConfig
-from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.core.config import ProtocolConfig
-from repro.errors import ConfigError
-from repro.wire.client import LoadGenerator
-from repro.wire.server import LockServiceServer
-from repro.wire.transport import WireTransport
+from repro.fuzz.case import FuzzCase
 
-__all__ = ["SCHEMA", "FAULT_OPS", "service_config", "run_wire_smoke"]
-
-SCHEMA = "repro-wire-smoke/v1"
-
-FAULT_OPS = ("crash", "partition", "heal", "heal_all", "reset", "corrupt")
+__all__ = ["service_config", "smoke_case"]
 
 
 def service_config(protocol: str) -> ProtocolConfig:
-    """The protocol stack a wire service runs.  For ``fault_tolerant``
-    (and the stabilizing core on top of it) this mirrors the chaos
-    harness: rotation trap GC, quorum-gated regeneration, timers in
-    message-delay units that the driver scales by the transport delay."""
+    """The protocol stack a supervised runtime cluster runs.  For
+    ``fault_tolerant`` (and the stabilizing core on top of it): rotation
+    trap GC, quorum-gated regeneration, timers in message-delay units
+    that the driver scales by the transport delay — ``regen_timeout`` is
+    the *fallback*; once the ring has cadence history, the supervisor's
+    phi provider overrides it."""
     if protocol in ("fault_tolerant", "stabilizing"):
         config = ProtocolConfig(
             trap_gc="rotation",
@@ -59,175 +43,16 @@ def service_config(protocol: str) -> ProtocolConfig:
             regen_quorum=True,
         )
         if protocol == "stabilizing":
+            # The watchdog census would race the quorum-gated
+            # demand-driven regeneration; its staggered cadence sits well
+            # above it.
             config.stabilize_watch = 50.0
+            config.stabilize_reset = True
         return config
     return ProtocolConfig()
 
 
-def _validate_faults(faults: List[Dict], n: int,
-                     protocol: str = "fault_tolerant") -> None:
-    from repro.faults.corruption import CORRUPTION_KINDS
-
-    for fault in faults:
-        op = fault.get("op")
-        if op not in FAULT_OPS:
-            raise ConfigError(f"unknown wire fault op {fault!r}")
-        if op == "crash" and not 0 <= fault.get("a", -1) < n:
-            raise ConfigError(f"crash targets unknown node {fault!r}")
-        if op == "corrupt":
-            if protocol != "stabilizing":
-                raise ConfigError(
-                    "corrupt wire faults need protocol='stabilizing' "
-                    f"(got {protocol!r})")
-            if fault.get("what") not in CORRUPTION_KINDS:
-                raise ConfigError(
-                    f"unknown corruption kind in wire fault {fault!r}")
-            if not 0 <= fault.get("a", -1) < n:
-                raise ConfigError(
-                    f"corrupt targets unknown node {fault!r}")
-
-
-async def _run(
-    n: int,
-    ops: int,
-    clients: int,
-    protocol: str,
-    seed: int,
-    delay: float,
-    loss_rate: float,
-    think_time: float,
-    hold_time: float,
-    reliability: bool,
-    supervise: bool,
-    acquire_timeout: float,
-    p99_budget: float,
-    faults: List[Dict],
-) -> Dict[str, Any]:
-    import random
-
-    corrupting = any(f["op"] == "corrupt" for f in faults)
-    transport = WireTransport(
-        delay=delay, loss_rate=loss_rate,
-        rng=random.Random(seed ^ 0x5EED))
-    cluster = AioCluster(
-        protocol, n, seed=seed,
-        config=service_config(protocol),
-        transport=transport,
-        reliability=ReliabilityConfig() if reliability else None,
-        # Injected illegal states would (rightly) trip the at-rest
-        # sanitizer; a corruption run's verdict is convergence instead.
-        sanitize=False if corrupting else None,
-    )
-    oracle_cls = CorruptionTolerantOracle if corrupting else AioInvariantOracle
-    oracle = oracle_cls(cluster, protocol=protocol)
-    oracle.attach()
-    supervisor: Optional[ClusterSupervisor] = None
-    if supervise:
-        supervisor = ClusterSupervisor(cluster, RestartPolicy(
-            restart_delay=20.0 * max(delay, 1e-3),
-            heartbeat_interval=5.0 * max(delay, 1e-3),
-            phi_threshold=8.0,
-        ))
-    server = LockServiceServer(cluster)
-    await server.start()
-    if supervisor is not None:
-        await supervisor.start()
-
-    async def _apply_fault(fault: Dict) -> None:
-        await asyncio.sleep(float(fault.get("t", 0.0)))
-        op = fault["op"]
-        if op == "crash":
-            await cluster.crash_node(fault["a"])
-        elif op == "partition":
-            transport.split(fault["group_a"], fault["group_b"])
-        elif op == "heal":
-            transport.heal(fault["a"], fault["b"])
-        elif op == "heal_all":
-            transport.heal_all()
-        elif op == "reset":
-            transport.reset_connections(fault.get("a"))
-        elif op == "corrupt":
-            from repro.faults.corruption import corrupt_core
-
-            corrupt_core(cluster.drivers[fault["a"]].core,
-                         fault["what"], int(fault.get("arg", 0)), n=n)
-
-    generator = LoadGenerator("127.0.0.1", server.port, seed=seed,
-                              acquire_timeout=acquire_timeout)
-    fault_tasks = [asyncio.get_running_loop().create_task(_apply_fault(f))
-                   for f in faults]
-    try:
-        load = await generator.run_closed_loop(
-            clients, ops, think_time=think_time, hold_time=hold_time)
-    finally:
-        for task in fault_tasks:
-            task.cancel()
-        # Let in-flight protocol traffic settle before tearing down, so
-        # the oracle judges a quiescent network.
-        await asyncio.sleep(20.0 * max(delay, 1e-3))
-        if supervisor is not None:
-            await supervisor.stop()
-        await server.stop()
-
-    violation: Optional[Dict[str, str]] = None
-    if oracle.violation is not None:
-        exc = oracle.violation
-        violation = {"invariant": exc.invariant, "detail": exc.detail}
-
-    converged: Optional[bool] = None
-    if corrupting:
-        # Convergence fold: at most one token at rest at teardown (the
-        # census is blind to in-flight copies, so only > 1 is a breach);
-        # liveness is already proven by every op having been granted.
-        census = sum(
-            1 for driver in cluster.drivers.values()
-            if getattr(driver.core, "has_token", False)
-            or getattr(driver.core, "lent_to", None) is not None)
-        converged = census <= 1
-
-    p99_ok = load.wait_p99 <= p99_budget
-    ok = (violation is None and load.errors == 0 and load.failures == 0
-          and load.grants == ops and p99_ok and converged is not False)
-    report: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "ok": ok,
-        "protocol": protocol,
-        "n": n,
-        "ops": ops,
-        "clients": clients,
-        "seed": seed,
-        "delay": delay,
-        "loss_rate": loss_rate,
-        "reliability": reliability,
-        "supervised": supervise,
-        "faults": list(faults),
-        "load": load.as_dict(),
-        "p99_budget_s": p99_budget,
-        "p99_ok": p99_ok,
-        "converged": converged,
-        "oracle_violation": violation,
-        "server": {
-            "grants": server.grants,
-            "releases": server.releases,
-            "failures": server.failures,
-        },
-        "wire": transport.counters.as_dict(),
-        "transport": {
-            "sent": transport.sent_count,
-            "delivered": transport.delivered_count,
-            "dropped": transport.dropped_count,
-        },
-        "host": platform.node(),
-        "unix_time": int(time.time()),
-    }
-    if cluster.reliability_counters is not None:
-        report["arq"] = cluster.reliability_counters.as_dict()
-    if supervisor is not None:
-        report["restarts"] = sum(supervisor.restarts.values())
-    return report
-
-
-def run_wire_smoke(
+def smoke_case(
     n: int = 3,
     ops: int = 2000,
     clients: int = 6,
@@ -235,36 +60,18 @@ def run_wire_smoke(
     seed: int = 0,
     delay: float = 0.001,
     loss_rate: float = 0.0,
-    think_time: float = 0.0,
-    hold_time: float = 0.0,
-    reliability: bool = True,
-    supervise: bool = True,
-    acquire_timeout: float = 30.0,
     p99_budget: float = 2.0,
     faults: Optional[List[Dict]] = None,
-) -> Dict[str, Any]:
-    """Run the full real-socket stack once; returns the report dict.
-
-    Real wall-clock asyncio (sockets cannot run on the virtual clock), so
-    numbers vary run to run — the *assertions* (every op granted, zero
-    oracle violations, p99 within budget) are what must hold."""
-    if n < 2:
-        raise ConfigError(f"wire smoke needs n >= 2, got {n}")
-    if ops < 1:
-        raise ConfigError(f"ops must be >= 1, got {ops}")
-    fault_list = list(faults) if faults else []
-    _validate_faults(fault_list, n, protocol)
-    return asyncio.run(_run(
-        n=n, ops=ops, clients=clients, protocol=protocol, seed=seed,
-        delay=delay, loss_rate=loss_rate, think_time=think_time,
-        hold_time=hold_time, reliability=reliability, supervise=supervise,
-        acquire_timeout=acquire_timeout, p99_budget=p99_budget,
-        faults=fault_list,
-    ))
-
-
-def save_report(report: Dict[str, Any], path: str) -> None:
-    """Write a report as deterministic JSON (counterexample artifacts)."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+) -> FuzzCase:
+    """The closed-loop service run as a case (fault times in seconds)."""
+    return FuzzCase(
+        seed=seed,
+        protocol=protocol,
+        n=n,
+        delay={"kind": "constant", "delay": delay},
+        loss_rate=loss_rate,
+        faults=list(faults or []),
+        closed_loop={"clients": clients, "ops": ops, "p99_budget": p99_budget},
+        backend="wire",
+        label=f"smoke/{protocol}/n{n}",
+    ).validate()

@@ -6,7 +6,7 @@ uniqueness on every delivery along the way (any violation raises)."""
 
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
-from repro.fuzz import InvariantOracle
+from repro.fuzz import InvariantOracle, safety
 
 
 def ft_config(**kwargs):
@@ -19,7 +19,7 @@ def build_watched(n, seed):
     cluster = Cluster.build("fault_tolerant", n=n, seed=seed,
                             config=ft_config())
     oracle = InvariantOracle(cluster, protocol="fault_tolerant",
-                             strict=False)
+                             verdict=safety())
     oracle.attach()  # before start: every delivery is checked
     return cluster, oracle
 

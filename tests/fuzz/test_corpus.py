@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from repro.errors import ReproError
-from repro.fuzz import FuzzCase, run_case
+from repro.fuzz import BACKENDS, FuzzCase, run_case
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 CASES = sorted(CORPUS.glob("*.json"))
@@ -29,6 +29,25 @@ def test_corpus_case_replays_exactly(path):
     result = run_case(case)
     assert result.outcome() == outcome, (
         f"{path.name}: recorded {outcome}, replayed {result.outcome()}")
+
+
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "des"])
+@pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
+def test_corpus_case_holds_on_every_backend(path, backend):
+    """Every corpus file is a cross-backend check: on a backend other
+    than the one that recorded it, the schedule either runs clean under
+    the same oracle or comes back with the reason it cannot run — never
+    an exception, never a silent pass."""
+    case, outcome = FuzzCase.load(str(path))
+    result = run_case(case.with_(backend=backend))
+    if result.skipped is not None:
+        assert result.skipped.strip() and not result.ok
+        assert result.violation is None
+    else:
+        assert result.ok == outcome["ok"], result.violation
+    if backend == "fast" and result.skipped is None:
+        # The array engine's claim is stronger: the des run, bit for bit.
+        assert result.outcome() == outcome
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)

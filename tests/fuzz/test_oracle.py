@@ -159,14 +159,16 @@ class TestStrictConservation:
         as a declared loss and therefore relaxes the check.)"""
         from repro.core.cluster import Cluster
         from repro.core.config import ProtocolConfig
-        from repro.fuzz import InvariantOracle, build_delay, derive_seed
+        from repro.fuzz import (InvariantOracle, build_delay, derive_seed,
+                                safety)
 
         cluster = Cluster.build(
             "ring", 3, seed=derive_seed(17, "net"),
             config=ProtocolConfig(),
             delay=build_delay({"kind": "constant", "delay": 1.0}),
             sanitize=True)
-        oracle = InvariantOracle(cluster, protocol="ring", strict=True)
+        oracle = InvariantOracle(cluster, protocol="ring",
+                                 verdict=safety(strict=True))
         oracle.attach()
         dropped = []
         orig = oracle._orig_deliver

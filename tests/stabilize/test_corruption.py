@@ -133,7 +133,7 @@ def test_stabilize_layer_never_imports_random():
     import repro.faults.corruption as corruption
     import repro.stabilize.bound as bound
     import repro.stabilize.core as score
-    import repro.stabilize.oracle as soracle
-    for module in (corruption, bound, score, soracle):
+    import repro.stabilize.runner as srunner
+    for module in (corruption, bound, score, srunner):
         assert "random" not in open(module.__file__).read().split(
             '"""', 2)[2], module.__name__

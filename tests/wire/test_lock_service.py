@@ -7,9 +7,9 @@ import random
 import pytest
 
 from repro.aio.cluster import AioCluster
-from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig
 from repro.errors import MembershipError
+from repro.fuzz import InvariantOracle
 from repro.wire.client import LoadGenerator, LockClient
 from repro.wire.server import LockServiceServer
 from repro.wire.smoke import service_config
@@ -57,8 +57,8 @@ class TestAcquireRelease:
     def test_mutual_exclusion_under_concurrency(self):
         async def main():
             server = make_server()
-            oracle = AioInvariantOracle(server.cluster,
-                                        protocol=server.cluster.protocol)
+            oracle = InvariantOracle(server.cluster,
+                                     protocol=server.cluster.protocol)
             oracle.attach()
             await server.start()
             in_cs = 0

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro.aio.cluster import AioCluster
-from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig, ReliableChannel
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.aio.transport import AioTransport
+from repro.fuzz import InvariantOracle
 from repro.metrics.counters import ReliabilityCounters
 from repro.wire import transport as wire_transport
 from repro.wire.codec import register_message
@@ -172,7 +172,7 @@ class TestClusterConformance:
     def test_acquire_release_cycle(self, kind):
         async def main():
             cluster = self._make_cluster(kind)
-            oracle = AioInvariantOracle(cluster, protocol=cluster.protocol)
+            oracle = InvariantOracle(cluster, protocol=cluster.protocol)
             oracle.attach()
             await cluster.start()
             try:
@@ -191,7 +191,7 @@ class TestClusterConformance:
     def test_supervisor_restarts_crashed_node(self, kind):
         async def main():
             cluster = self._make_cluster(kind)
-            oracle = AioInvariantOracle(cluster, protocol=cluster.protocol)
+            oracle = InvariantOracle(cluster, protocol=cluster.protocol)
             oracle.attach()
             supervisor = ClusterSupervisor(cluster, RestartPolicy(
                 restart_delay=0.05, heartbeat_interval=0.01))
@@ -224,7 +224,7 @@ class TestClusterConformance:
 
         async def main():
             cluster = self._make_cluster(kind, protocol="binary_search")
-            oracle = AioInvariantOracle(cluster, protocol="binary_search")
+            oracle = InvariantOracle(cluster, protocol="binary_search")
             oracle.attach()
             await cluster.start()
             try:
