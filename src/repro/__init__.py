@@ -8,9 +8,11 @@ Three layers:
    machine-checked safety (prefix property, token uniqueness) and
    refinement mappings (Lemmas 1-3, Theorem 1).
 2. :mod:`repro.core` + :mod:`repro.sim` — the executable protocols
-   (ring baseline, linear search, the adaptive binary search, directed /
-   push / hybrid variants) over a deterministic discrete-event simulator,
-   with :mod:`repro.faults` adding regeneration and dynamic membership.
+   (ring baseline, linear search, and the protocol table: the adaptive
+   binary search and its directed / push / hybrid / fault-tolerant /
+   stabilizing rows over one token machine) over a deterministic
+   discrete-event simulator, with :mod:`repro.faults` adding failure
+   detectors, the corruption fault model and dynamic membership.
 3. :mod:`repro.apps` + :mod:`repro.aio` — mutual exclusion, totally
    ordered broadcast, and round-robin scheduling, runnable both in
    simulation and on asyncio.
@@ -31,6 +33,7 @@ from repro.core import (
     BinarySearchCore,
     Cluster,
     DirectedSearchCore,
+    FaultTolerantCore,
     HybridCore,
     LinearSearchCore,
     ProtocolConfig,
@@ -38,7 +41,7 @@ from repro.core import (
     RingCore,
 )
 from repro.fabric import RingOfRings, TokenFabric
-from repro.faults import FaultTolerantCore, MembershipService, RingView
+from repro.faults import MembershipService, RingView
 from repro.metrics import (
     FairnessAuditor,
     KeyedMetricsRegistry,

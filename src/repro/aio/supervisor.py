@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Set
 from repro.aio.cluster import AioCluster
 from repro.aio.driver import AioNodeDriver
 from repro.core.messages import HeartbeatMsg
+from repro.core.regeneration import Regeneration
 from repro.faults.detector import PhiAccrualDetector
 
 __all__ = ["RestartPolicy", "ClusterSupervisor"]
@@ -120,11 +121,13 @@ class ClusterSupervisor:
         driver.on_control.append(self._heartbeat_sink)
         driver.subscribe(self._on_app_event)
         core = driver.core
-        if hasattr(core, "regen_delay_provider"):
+        if isinstance(core, Regeneration):
+            # Suspicion is the regeneration layer's business: a row
+            # without it neither fences nor mints, and is left to behave
+            # under a crash exactly as the plain protocol does.
             detector = self.token_detectors.setdefault(
                 node, PhiAccrualDetector())
             core.regen_delay_provider = self._make_delay_provider(detector)
-        if hasattr(core, "alive_provider"):
             core.alive_provider = self._alive_view
 
     def _heartbeat_sink(self, src: int, msg: object) -> bool:
@@ -237,7 +240,7 @@ class ClusterSupervisor:
                  and not driver.crashed}
         for node, driver in self.cluster.drivers.items():
             core = driver.core
-            if driver.crashed or not hasattr(core, "suspected"):
+            if driver.crashed or not isinstance(core, Regeneration):
                 continue
             core.suspected |= current - {node}
             core.suspected -= alive

@@ -33,6 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.runner import Cell, run_cells
 from repro.core.cluster import Cluster
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
+from repro.core.parts import Advertise
+from repro.core.protocols import ROWS
 from repro.workload.generators import FixedRateWorkload
 
 __all__ = [
@@ -188,8 +190,8 @@ def _push_pull_cell(protocol: str, interval: float, n: int, rounds: int,
                     seed: int) -> Dict[str, float]:
     """One arm of ablation A3 (pull vs. push vs. hybrid)."""
     config = ProtocolConfig()
-    if protocol in ("push", "hybrid"):
-        config.idle_pause = 2.0
+    if ROWS[protocol].has(Advertise):
+        config.idle_pause = 2.0  # adverts only flow from a parked token
     # Fixed virtual-time horizon: a parked (push) token makes no rounds,
     # so rounds-based termination would not be comparable.
     cluster = Cluster.build(protocol, n=n, seed=seed, config=config)

@@ -52,9 +52,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.tables import format_series, format_table
 from repro.core.config import ProtocolConfig
-
-PROTOCOLS = ("ring", "linear_search", "binary_search", "directed_search",
-             "push", "hybrid", "fault_tolerant")
+from repro.core.protocols import PROTOCOLS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

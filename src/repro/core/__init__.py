@@ -2,23 +2,34 @@
 
 - :class:`RingCore` — circular rotation (the Figures 9/10 baseline);
 - :class:`LinearSearchCore` — System Search, ring-restricted (Lemma 5);
-- :class:`BinarySearchCore` — the adaptive ring + binary-search protocol;
-- :class:`DirectedSearchCore`, :class:`PushCore`, :class:`HybridCore` —
-  the Section 4.2/4.4 variants;
+- :mod:`repro.core.protocols` — the protocol table: every other protocol
+  is a row of search × advertise × layers parts
+  (:mod:`repro.core.parts`, :mod:`repro.core.regeneration`,
+  :mod:`repro.core.stabilization`) over one
+  :class:`~repro.core.machine.TokenMachine`;
+- :class:`BinarySearchCore` (the adaptive ring + binary-search protocol),
+  :class:`DirectedSearchCore`, :class:`PushCore`, :class:`HybridCore`
+  (the Section 4.2/4.4 variants), :class:`FaultTolerantCore` and
+  :class:`StabilizingCore` (Section 5 and beyond) — the table's
+  assembled rows, i.e. the registry's values under their class names;
 - :class:`Cluster` — wiring + metrics for simulation experiments.
 """
 
 from repro.core.base import ProtocolCore
-from repro.core.binary_search import BinarySearchCore
 from repro.core.cluster import Cluster
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
-from repro.core.directed_search import DirectedSearchCore
 from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer, Trace
-from repro.core.hybrid import HybridCore
-from repro.core.push import PushCore
+from repro.core.protocols import REGISTRY
 from repro.core.ring import RingCore
 from repro.core.search import LinearSearchCore
 from repro.core.traps import Trap, TrapStore
+
+BinarySearchCore = REGISTRY["binary_search"]
+DirectedSearchCore = REGISTRY["directed_search"]
+PushCore = REGISTRY["push"]
+HybridCore = REGISTRY["hybrid"]
+FaultTolerantCore = REGISTRY["fault_tolerant"]
+StabilizingCore = REGISTRY["stabilizing"]
 
 __all__ = [
     "BinarySearchCore",
@@ -27,6 +38,7 @@ __all__ = [
     "Deliver",
     "DirectedSearchCore",
     "Effect",
+    "FaultTolerantCore",
     "GC_INVERSE",
     "GC_NONE",
     "GC_ROTATION",
@@ -38,6 +50,7 @@ __all__ = [
     "RingCore",
     "Send",
     "SetTimer",
+    "StabilizingCore",
     "Trace",
     "Trap",
     "TrapStore",

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
+from repro.core.protocols import REGISTRY
 from repro.errors import ConfigError, SimulationError, TokenSafetyError
 from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
 from repro.metrics.counters import MessageCounters
@@ -36,26 +37,9 @@ CoreFactory = Callable[[int, ProtocolConfig], ProtocolCore]
 
 
 def _registry() -> Dict[str, CoreFactory]:
-    # Imported lazily to avoid import cycles between cluster and cores.
-    from repro.core.binary_search import BinarySearchCore
-    from repro.core.directed_search import DirectedSearchCore
-    from repro.core.hybrid import HybridCore
-    from repro.core.push import PushCore
-    from repro.core.ring import RingCore
-    from repro.core.search import LinearSearchCore
-    from repro.faults.regeneration import FaultTolerantCore
-    from repro.stabilize.core import StabilizingCore
-
-    return {
-        "ring": RingCore,
-        "linear_search": LinearSearchCore,
-        "binary_search": BinarySearchCore,
-        "directed_search": DirectedSearchCore,
-        "push": PushCore,
-        "hybrid": HybridCore,
-        "fault_tolerant": FaultTolerantCore,
-        "stabilizing": StabilizingCore,
-    }
+    """name -> core class: the protocol table's registry.  Tracers wrap
+    handlers on these values by name, so they are looked up per call."""
+    return REGISTRY
 
 
 class Cluster:

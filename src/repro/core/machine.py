@@ -1,59 +1,71 @@
-"""System BinarySearch, executable — the paper's contribution.
+"""The token machine — what every row of the protocol table does alike.
 
-The token circulates the logical ring exactly as in :class:`RingCore`.
-When a node becomes ready it launches a *gimme* search "directly across"
-the ring; every node the search touches lays a FIFO trap and forwards the
-search half as far, choosing the direction by comparing visit stamps — the
-bounded-history realisation of rule 6's ``⊂_C`` comparison (a node whose
-last token visit is *older* than the requester's snapshot concludes the
-token is behind it, counter-clockwise; otherwise ahead, clockwise).
-
-A holder (or a node the rotating token reaches) with traps serves them in
+The token circulates the logical ring exactly as in :class:`RingCore`.  A
+holder (or a node the rotating token reaches) with traps serves them in
 FIFO order by **loaning** the token (rule 7's decorated ``ŷ``): the
 requester uses it and returns it, and the rotation resumes where it was
-intercepted (rule 8).
+intercepted (rule 8).  How a request *finds* the token is not here: a row
+of :mod:`repro.core.protocols` stacks a search part
+(:mod:`repro.core.parts`) and optional layers over this class, filling
+:meth:`_launch_search`, :meth:`_on_sighting` and, chained with
+``super()``, ``on_message``/``on_timer`` for the part's own types.
 
-Optimizations from Section 4.4, all config-selectable:
+The machine owns possession (``has_token``, ``lent_to``, ``epoch``), the
+clock/round/visit stamps, request and grant sequence numbers, traps with
+the served carry and their GC, rotation and parking, loans, and routing
+around ``suspected``.  Epoch and suspects stay ``0`` and empty unless a
+layer writes them, so on a row without layers that code is inert.
+
+Optimizations from Section 4.4 that live here, all config-selectable:
 
 - trap GC ``rotation`` (clock-expiry + recent-serves piggyback) and
   ``inverse`` (loans retrace the gimme trail, clearing traps en route);
-- ``single_outstanding`` request throttling;
-- ``idle_pause`` adaptive rotation speed — unlike the plain ring, this core
-  *does* have a remote-demand signal (incoming gimmes), so the token can
-  park when idle and resume at full speed the instant demand appears;
-- ``retry_timeout`` — because gimmes are cheap (droppable), an optional
-  retry recovers search progress under lossy networks; the rotation is
-  always the safety net.
+- ``single_outstanding`` request throttling (honoured by every search);
+- ``idle_pause`` adaptive rotation speed — the token parks when idle and
+  resumes at full speed the instant demand (a request, an incoming
+  search message) appears.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.core.base import ProtocolCore
 from repro.core.config import GC_INVERSE, GC_ROTATION, ProtocolConfig
 from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
-from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
+from repro.core.messages import LoanMsg, LoanReturnMsg, TokenMsg
 from repro.core.traps import TrapStore
 from repro.errors import ProtocolError
 
-__all__ = ["BinarySearchCore"]
+__all__ = ["TokenMachine"]
 
 _FWD = "forward"
 _REL = "release"
-_RETRY = "retry"
 
 
-class BinarySearchCore(ProtocolCore):
-    """Per-node state machine of the adaptive binary-search protocol."""
-
-    protocol_name = "binary_search"
+class TokenMachine(ProtocolCore):
+    """Per-node token-and-queue state machine under every table row."""
 
     def __init__(self, node_id: int, config: ProtocolConfig,
                  initial_holder: int = 0) -> None:
         super().__init__(node_id, config)
         self.has_token = node_id == initial_holder
         self.lent_to: Optional[int] = None
+        #: Lineage fence stamped on outgoing token/loan messages; only a
+        #: layer that mints (regeneration, stabilization) ever raises it.
+        self.epoch = 0
+        #: Peers the circulation and loans route around; only a layer (or
+        #: the supervisor feeding one) ever adds to it.
+        self.suspected: set = set()
+        #: Optional liveness hook: the set of peers with fresh out-of-band
+        #: liveness evidence (the supervisor's heartbeat view).  Consulted
+        #: wherever ``suspected`` steers routing, because gossip alone
+        #: cannot retire a stale suspicion: the suspects tuple is merged
+        #: and re-forwarded inside the same token handler, so while a
+        #: token is in flight somewhere, clearing the *set* between
+        #: handlers never sticks — the evidence has to win at the point
+        #: of use.
+        self.alive_provider: Optional[Callable[[], set]] = None
         self.clock = 0
         self.round_no = 0
         self.last_visit = 0 if self.has_token else -1
@@ -71,15 +83,13 @@ class BinarySearchCore(ProtocolCore):
         self._ms_out: Tuple[Tuple[int, int], ...] = ()
         # Lazily-rebuilt {z: seq} view of _served_carry (ids are unique in
         # the carry).  Keyed by tuple identity so direct writes to
-        # _served_carry (tests, subclasses) invalidate it automatically.
+        # _served_carry (tests, layers) invalidate it automatically.
         self._sm_src: Optional[Tuple[Tuple[int, int], ...]] = None
         self._sm_map: dict = {}
         self._parked = False
         self._serving = False
         self._demand_seen = False
         self._loan_pending: Optional[Tuple[int, Tuple[Tuple[int, int], ...]]] = None
-        self._gimme_inflight = False
-        self._gimme_queue: List[GimmeMsg] = []
 
     # -- application interface -------------------------------------------------
 
@@ -89,12 +99,7 @@ class BinarySearchCore(ProtocolCore):
         self.req_seq += 1
         self._demand_seen = True
         if self.has_token and not self._serving:
-            effects: List[Effect] = []
-            if self._parked:
-                self._parked = False
-                effects.append(CancelTimer(_FWD))
-            effects.extend(self._advance(now))
-            return effects
+            return self._unpark_and_advance(now)
         if self.lent_to is not None:
             return []  # served when the loan returns
         return self._launch_search()
@@ -113,7 +118,7 @@ class BinarySearchCore(ProtocolCore):
             self._loan_pending = None
             effects.append(Send(lender, LoanReturnMsg(
                 clock=self.clock, round_no=self.round_no, served=carry,
-                epoch=getattr(self, "epoch", 0))))
+                epoch=self.epoch)))
             return effects
         effects.extend(self._advance(now))
         return effects
@@ -127,27 +132,17 @@ class BinarySearchCore(ProtocolCore):
             self._advance(now)
 
     def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
-        # Exact-type dispatch (message classes are final); isinstance
-        # fallback keeps hypothetical subclasses working.
+        # Exact-type dispatch: message classes are final.  Parts and layers
+        # peel off their own types first and chain here with super().
         kind = type(msg)
         if kind is TokenMsg:
             return self._on_token(msg, now)
-        if kind is GimmeMsg:
-            return self._on_gimme(msg, now)
         if kind is LoanMsg:
             return self._on_loan(src, msg, now)
         if kind is LoanReturnMsg:
             return self._on_loan_return(msg, now)
-        if isinstance(msg, TokenMsg):
-            return self._on_token(msg, now)
-        if isinstance(msg, GimmeMsg):
-            return self._on_gimme(msg, now)
-        if isinstance(msg, LoanMsg):
-            return self._on_loan(src, msg, now)
-        if isinstance(msg, LoanReturnMsg):
-            return self._on_loan_return(msg, now)
         raise ProtocolError(
-            f"binary-search node {self.node_id}: unexpected {msg!r}"
+            f"{self.protocol_name} node {self.node_id}: unexpected {msg!r}"
         )
 
     def on_timer(self, key: Hashable, now: float) -> List[Effect]:
@@ -158,8 +153,19 @@ class BinarySearchCore(ProtocolCore):
             return self._forward()
         if key == _REL:
             return self.on_release(now)
-        if isinstance(key, tuple) and key and key[0] == _RETRY:
-            return self._on_retry(key[1])
+        return []
+
+    # -- the search seam ---------------------------------------------------------
+
+    def _launch_search(self) -> List[Effect]:
+        """Our request could not be served locally: go and find the token.
+        No search part, no search — the rotation will serve us."""
+        return []
+
+    def _on_sighting(self, now: float) -> List[Effect]:
+        """The token just came to rest here (arrival, loan return, mint,
+        absorption), before it serves or moves on.  A search part that
+        holds work back until the next sighting releases it here."""
         return []
 
     # -- token rotation ----------------------------------------------------------
@@ -174,7 +180,17 @@ class BinarySearchCore(ProtocolCore):
         self._merge_served(msg.served)
         self._gc_traps()
         effects: List[Effect] = [Deliver("token_visit", (self.node_id, self.clock))]
-        effects.extend(self._release_gimme_budget(now))
+        effects.extend(self._on_sighting(now))
+        effects.extend(self._advance(now))
+        return effects
+
+    def _unpark_and_advance(self, now: float) -> List[Effect]:
+        """Demand reached a holder that is free to serve: wake a parked
+        token, then serve."""
+        effects: List[Effect] = []
+        if self._parked:
+            self._parked = False
+            effects.append(CancelTimer(_FWD))
         effects.extend(self._advance(now))
         return effects
 
@@ -183,20 +199,8 @@ class BinarySearchCore(ProtocolCore):
         if self._serving or not self.has_token:
             return []
         effects: List[Effect] = []
-        if self.ready:
-            self.ready = False
-            self.outstanding = False
-            self.granted_seq = self.req_seq
-            self._record_served(self.node_id, self.req_seq)
-            effects.append(Deliver("granted", (self.node_id, self.req_seq)))
-            if self.config.hold_until_release:
-                self._serving = True
-                return effects
-            if self.config.service_time > 0:
-                self._serving = True
-                effects.append(SetTimer(_REL, self.config.service_time))
-                return effects
-            effects.append(Deliver("released", (self.node_id, self.req_seq)))
+        if self.ready and self._grant(effects):
+            return effects
         loan = self._next_loan()
         if loan is not None:
             effects.extend(loan)
@@ -207,6 +211,24 @@ class BinarySearchCore(ProtocolCore):
             return effects
         effects.extend(self._forward())
         return effects
+
+    def _grant(self, effects: List[Effect]) -> bool:
+        """Serve our own request with the token that is here now.  True
+        when the grant keeps hold of it (until the application releases or
+        the service timer fires), False when it was used on the spot."""
+        self.ready = False
+        self.outstanding = False
+        self.granted_seq = self.req_seq
+        self._record_served(self.node_id, self.req_seq)
+        effects.append(Deliver("granted", (self.node_id, self.req_seq)))
+        if self.config.hold_until_release:
+            self._serving = True
+        elif self.config.service_time > 0:
+            self._serving = True
+            effects.append(SetTimer(_REL, self.config.service_time))
+        else:
+            effects.append(Deliver("released", (self.node_id, self.req_seq)))
+        return self._serving
 
     def _next_loan(self) -> Optional[List[Effect]]:
         """Pop the next live trap and loan the token to its requester,
@@ -219,8 +241,8 @@ class BinarySearchCore(ProtocolCore):
                 continue
             if self._is_served(t.requester, t.req_seq):
                 continue
-            if self._skip_requester(t.requester):
-                continue
+            if self.suspected and t.requester in self._live_suspects():
+                continue  # suspected dead: a loan to it would never return
             self.has_token = False
             self.lent_to = t.requester
             trail: Tuple[int, ...] = ()
@@ -232,54 +254,45 @@ class BinarySearchCore(ProtocolCore):
                 if back:
                     target = back[0]
                     trail = back[1:]
-            effects = [Send(target, LoanMsg(
+            return [Send(target, LoanMsg(
                 clock=self.clock, round_no=self.round_no,
                 lender=self.node_id, requester=t.requester,
                 req_seq=t.req_seq, served=self._served_carry, trail=trail,
-                epoch=self._token_epoch(),
+                epoch=self.epoch,
             ))]
-            effects.extend(self._after_loan_sent(t.requester))
-            return effects
 
     def _forward(self) -> List[Effect]:
         if self.ring_size() == 1:
             return []  # a solitary node keeps its token
         self.has_token = False
         self._demand_seen = False
-        successor = self._rotation_successor()
-        if successor == self.node_id:
-            self.has_token = True
-            return []  # everyone else is suspected or gone
+        successor = self.hop(1)
+        gossip: Tuple[int, ...] = ()
+        if self.suspected:
+            # Route around suspects (the paper's x⁻¹/x⁺¹ healing) and let
+            # the token carry the set to the nodes it visits.
+            suspects = self._live_suspects()
+            gossip = tuple(sorted(suspects))
+            successor = next(
+                (peer for peer in map(self.hop, range(1, self.ring_size()))
+                 if peer not in suspects), self.node_id)
+            if successor == self.node_id:
+                self.has_token = True
+                return []  # everyone else is suspected or gone
         next_round = (
             self.round_no + 1 if successor == self.ring_first() else self.round_no
         )
         return [Send(successor, TokenMsg(
             clock=self.clock + 1, round_no=next_round,
-            served=self._served_carry, epoch=self._token_epoch(),
-            suspects=self._token_suspects(),
+            served=self._served_carry, epoch=self.epoch, suspects=gossip,
         ))]
 
-    # -- extension hooks (fault tolerance / dynamic membership) -----------------
-
-    def _token_epoch(self) -> int:
-        """Epoch stamped on outgoing token/loan messages (0 = static)."""
-        return 0
-
-    def _token_suspects(self):
-        """Suspect set piggybacked on the forwarded token (static: none)."""
-        return ()
-
-    def _rotation_successor(self) -> int:
-        """Next hop of the circulation; overridden to skip suspects."""
-        return self.ring_succ()
-
-    def _skip_requester(self, requester: int) -> bool:
-        """Whether to drop traps for this requester (e.g. suspected dead)."""
-        return False
-
-    def _after_loan_sent(self, requester: int) -> List[Effect]:
-        """Extra effects after a loan departs (e.g. arm a reclaim timer)."""
-        return []
+    def _live_suspects(self) -> set:
+        """``suspected`` minus peers proven alive out-of-band.  Also prunes
+        the set itself, so rehabilitated peers stop riding the gossip."""
+        if self.alive_provider is not None:
+            self.suspected -= self.alive_provider()
+        return self.suspected
 
     # -- loans ---------------------------------------------------------------------
 
@@ -303,21 +316,10 @@ class BinarySearchCore(ProtocolCore):
             return [Send(msg.lender, LoanReturnMsg(
                 clock=msg.clock, round_no=msg.round_no,
                 served=self._served_carry, epoch=msg.epoch))]
-        self.ready = False
-        self.outstanding = False
-        self.granted_seq = self.req_seq
-        self._record_served(self.node_id, self.req_seq)
-        effects: List[Effect] = [Deliver("granted", (self.node_id, self.req_seq))]
-        if self.config.hold_until_release:
-            self._serving = True
+        effects: List[Effect] = []
+        if self._grant(effects):
             self._loan_pending = (msg.lender, self._served_carry)
             return effects
-        if self.config.service_time > 0:
-            self._serving = True
-            self._loan_pending = (msg.lender, self._served_carry)
-            effects.append(SetTimer(_REL, self.config.service_time))
-            return effects
-        effects.append(Deliver("released", (self.node_id, self.req_seq)))
         effects.append(Send(msg.lender, LoanReturnMsg(
             clock=msg.clock, round_no=msg.round_no,
             served=self._served_carry, epoch=msg.epoch)))
@@ -332,98 +334,8 @@ class BinarySearchCore(ProtocolCore):
         self.has_token = True
         self._merge_served(msg.served)
         self._gc_traps()
-        effects = self._release_gimme_budget(now)
+        effects = self._on_sighting(now)
         effects.extend(self._advance(now))
-        return effects
-
-    # -- search ------------------------------------------------------------------
-
-    def _launch_search(self) -> List[Effect]:
-        if self.ring_size() <= 1:
-            return []
-        if self.outstanding and self.config.single_outstanding:
-            return []
-        self.outstanding = True
-        self._gimme_inflight = True
-        span = self.ring_size() // 2
-        target = self.hop(span)
-        effects: List[Effect] = [Send(target, GimmeMsg(
-            requester=self.node_id, req_seq=self.req_seq, span=span,
-            visit_stamp=self.last_visit, trail=(self.node_id,),
-        ))]
-        if self.config.retry_timeout > 0:
-            effects.append(SetTimer((_RETRY, self.req_seq),
-                                    self.config.retry_timeout))
-        return effects
-
-    def _on_retry(self, req_seq: int) -> List[Effect]:
-        if not self.ready or req_seq != self.req_seq:
-            return []
-        self.outstanding = False
-        return self._launch_search()
-
-    def _on_gimme(self, msg: GimmeMsg, now: float) -> List[Effect]:
-        self._demand_seen = True
-        if msg.requester == self.node_id:
-            return []  # our own search came all the way around
-        if self._is_served(msg.requester, msg.req_seq):
-            return []  # stale search: its request is already satisfied
-        if self.has_token or self.lent_to is not None:
-            # The search found the token('s owner): trap FIFO, serve when free.
-            self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp, msg.trail)
-            effects: List[Effect] = []
-            if self.has_token and not self._serving:
-                if self._parked:
-                    self._parked = False
-                    effects.append(CancelTimer(_FWD))
-                effects.extend(self._advance(now))
-            return effects
-        # Traps are stamped with the *requester's* visit stamp: the rotating
-        # token reaches the requester within n clock ticks of that stamp, so
-        # a trap older than that is provably obsolete (rotation GC).
-        self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp, msg.trail)
-        half = msg.span // 2
-        if half < 1:
-            return []  # search exhausted; the trap will catch the token
-        if self.config.forward_throttle and self._gimme_inflight:
-            # Strong throttle: one in-flight gimme per node; the rest wait
-            # for the next token sighting (the trap is already laid, so
-            # correctness never depends on the delayed forward).
-            self._gimme_queue.append(msg)
-            return []
-        if self.last_visit < msg.visit_stamp:
-            # Rule 6 / Figure 8(a): the requester saw the token after us, so
-            # the token is behind us — continue counter-clockwise.
-            target = self.hop(-half)
-        else:
-            # Figure 8(b): we saw the token after the requester (or neither
-            # has) — the token is ahead, continue clockwise.
-            target = self.hop(half)
-        if target in (self.node_id, msg.requester):
-            return []
-        self._gimme_inflight = True
-        return [Send(target, GimmeMsg(
-            requester=msg.requester, req_seq=msg.req_seq, span=half,
-            visit_stamp=msg.visit_stamp, trail=msg.trail + (self.node_id,),
-        ))]
-
-    def _release_gimme_budget(self, now: float) -> List[Effect]:
-        """A token sighting resets the forward-throttle budget and releases
-        at most one queued gimme (re-run through the normal handler so
-        staleness checks and direction are re-evaluated with fresh state)."""
-        self._gimme_inflight = False
-        if not self._gimme_queue:
-            return []
-        queued = self._gimme_queue
-        self._gimme_queue = []
-        effects: List[Effect] = []
-        for idx, msg in enumerate(queued):
-            if self._is_served(msg.requester, msg.req_seq):
-                continue
-            effects.extend(self._on_gimme(msg, now))
-            if self._gimme_inflight:
-                self._gimme_queue.extend(queued[idx + 1:])
-                break
         return effects
 
     # -- served bookkeeping --------------------------------------------------------

@@ -1,0 +1,389 @@
+"""Search and advertise parts — how a request finds the token
+(Sections 4.2, 4.4), each answer written once.
+
+A part is an ordinary class whose methods run with the assembled core as
+``self``: it keeps its own fields, fills the
+:class:`~repro.core.machine.TokenMachine` search seam and hands every
+message or timer that is not its own down with ``super()``.  No part names
+another as a base; which parts a protocol stacks is a row of
+:mod:`repro.core.protocols`.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, List, Optional
+
+from repro.core.config import ProtocolConfig
+from repro.core.effects import Effect, Send, SetTimer
+from repro.core.messages import (
+    AdvertMsg,
+    GimmeMsg,
+    ProbeMsg,
+    ProbeReplyMsg,
+    RequestMsg,
+    TokenMsg,
+)
+
+__all__ = ["Advertise", "DelegatedSearch", "DirectSearch", "DirectedSearch",
+           "advert_fanout"]
+
+_FWD = "forward"
+_RETRY = "retry"
+
+
+class DelegatedSearch:
+    """The paper's contribution: a *gimme* search launched "directly
+    across" the ring.  Every node the search touches lays a FIFO trap and
+    forwards the search half as far, choosing the direction by comparing
+    visit stamps — the bounded-history realisation of rule 6's ``⊂_C``
+    comparison (a node whose last token visit is *older* than the
+    requester's snapshot concludes the token is behind it,
+    counter-clockwise; otherwise ahead, clockwise).
+
+    Config-selectable (Section 4.4): ``forward_throttle`` — at most one
+    gimme (own or forwarded) in flight per node, the rest queued until the
+    next token sighting; ``retry_timeout`` — because gimmes are cheap
+    (droppable), an optional retry recovers search progress under lossy
+    networks; the rotation is always the safety net.
+    """
+
+    def __init__(self, node_id: int, config: ProtocolConfig,
+                 initial_holder: int = 0) -> None:
+        super().__init__(node_id, config, initial_holder)
+        self._gimme_inflight = False
+        self._gimme_queue: List[GimmeMsg] = []
+
+    def _launch_search(self) -> List[Effect]:
+        if self.ring_size() <= 1:
+            return []
+        if self.outstanding and self.config.single_outstanding:
+            return []
+        self.outstanding = True
+        self._gimme_inflight = True
+        span = self.ring_size() // 2
+        target = self.hop(span)
+        effects: List[Effect] = [Send(target, GimmeMsg(
+            requester=self.node_id, req_seq=self.req_seq, span=span,
+            visit_stamp=self.last_visit, trail=(self.node_id,),
+        ))]
+        if self.config.retry_timeout > 0:
+            effects.append(SetTimer((_RETRY, self.req_seq),
+                                    self.config.retry_timeout))
+        return effects
+
+    def _on_retry(self, req_seq: int) -> List[Effect]:
+        if not self.ready or req_seq != self.req_seq:
+            return []
+        self.outstanding = False
+        return self._launch_search()
+
+    def _on_gimme(self, msg: GimmeMsg, now: float) -> List[Effect]:
+        self._demand_seen = True
+        if msg.requester == self.node_id:
+            return []  # our own search came all the way around
+        if self._is_served(msg.requester, msg.req_seq):
+            return []  # stale search: its request is already satisfied
+        # Traps are stamped with the *requester's* visit stamp: the rotating
+        # token reaches the requester within n clock ticks of that stamp, so
+        # a trap older than that is provably obsolete (rotation GC).
+        self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp, msg.trail)
+        if self.has_token or self.lent_to is not None:
+            # The search found the token('s owner): serve FIFO when free.
+            if self.has_token and not self._serving:
+                return self._unpark_and_advance(now)
+            return []
+        half = msg.span // 2
+        if half < 1:
+            return []  # search exhausted; the trap will catch the token
+        if self.config.forward_throttle and self._gimme_inflight:
+            # Strong throttle: one in-flight gimme per node; the rest wait
+            # for the next token sighting (the trap is already laid, so
+            # correctness never depends on the delayed forward).
+            self._gimme_queue.append(msg)
+            return []
+        if self.last_visit < msg.visit_stamp:
+            # Rule 6 / Figure 8(a): the requester saw the token after us, so
+            # the token is behind us — continue counter-clockwise.
+            target = self.hop(-half)
+        else:
+            # Figure 8(b): we saw the token after the requester (or neither
+            # has) — the token is ahead, continue clockwise.
+            target = self.hop(half)
+        if target in (self.node_id, msg.requester):
+            return []
+        self._gimme_inflight = True
+        return [Send(target, GimmeMsg(
+            requester=msg.requester, req_seq=msg.req_seq, span=half,
+            visit_stamp=msg.visit_stamp, trail=msg.trail + (self.node_id,),
+        ))]
+
+    def _on_sighting(self, now: float) -> List[Effect]:
+        """A token sighting resets the forward-throttle budget and releases
+        at most one queued gimme (re-run through the normal handler so
+        staleness checks and direction are re-evaluated with fresh state)."""
+        self._gimme_inflight = False
+        if not self._gimme_queue:
+            return []
+        queued = self._gimme_queue
+        self._gimme_queue = []
+        effects: List[Effect] = []
+        for idx, msg in enumerate(queued):
+            if self._is_served(msg.requester, msg.req_seq):
+                continue
+            effects.extend(self._on_gimme(msg, now))
+            if self._gimme_inflight:
+                self._gimme_queue.extend(queued[idx + 1:])
+                break
+        return effects
+
+    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+        if type(msg) is GimmeMsg:
+            return self._on_gimme(msg, now)
+        return super().on_message(src, msg, now)
+
+    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+        if isinstance(key, tuple) and key and key[0] == _RETRY:
+            return self._on_retry(key[1])
+        return super().on_timer(key, now)
+
+
+class DirectedSearch:
+    """Directed search (Section 4.4): "search messages do not migrate
+    through the ring but instead are always returned to the searching node
+    informing it whether the token was found or not".  The requester
+    steers the whole binary search itself: it probes a node, the probed
+    node lays a trap and replies with its visit stamp, and the requester
+    halves the span and probes again in the direction the reply implies.
+
+    This doubles the search traffic (≤ 2·log N messages per request) but
+    lets the requester stop the search the moment it is served — e.g. when
+    the rotating token reaches it first — saving the tail of the search.
+    The A2 ablation benchmark compares the two disciplines.
+    """
+
+    def __init__(self, node_id: int, config: ProtocolConfig,
+                 initial_holder: int = 0) -> None:
+        super().__init__(node_id, config, initial_holder)
+        self._probe_span = 0
+        self._probe_target = -1
+
+    # -- requester side --------------------------------------------------------
+
+    def _launch_search(self) -> List[Effect]:
+        if self.n <= 1:
+            return []
+        if self.outstanding and self.config.single_outstanding:
+            return []
+        self.outstanding = True
+        self._probe_span = self.n // 2
+        self._probe_target = self.hop(self._probe_span)
+        return [self._probe()]
+
+    def _probe(self) -> Send:
+        return Send(self._probe_target, ProbeMsg(
+            requester=self.node_id, req_seq=self.req_seq,
+            visit_stamp=self.last_visit,
+        ))
+
+    def _on_probe_reply(self, msg: ProbeReplyMsg) -> List[Effect]:
+        if not self.ready or msg.req_seq != self.req_seq:
+            return []  # already served: stop the search right here
+        if msg.has_token:
+            return []  # the probed holder has trapped us; the loan is coming
+        half = self._probe_span // 2
+        if half < 1:
+            return []  # search exhausted; the laid traps will catch the token
+        if msg.last_visit < self.last_visit:
+            self._probe_target = (self._probe_target - half) % self.n
+        else:
+            self._probe_target = (self._probe_target + half) % self.n
+        self._probe_span = half
+        if self._probe_target == self.node_id:
+            return []
+        return [self._probe()]
+
+    # -- probed side --------------------------------------------------------------
+
+    def _on_probe(self, msg: ProbeMsg, now: float) -> List[Effect]:
+        self._demand_seen = True
+        if msg.requester == self.node_id:
+            return []
+        if self._is_served(msg.requester, msg.req_seq):
+            return []
+        holds = self.has_token or self.lent_to is not None
+        self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp)
+        effects: List[Effect] = [Send(msg.requester, ProbeReplyMsg(
+            prober=self.node_id, req_seq=msg.req_seq,
+            last_visit=self.last_visit, has_token=holds,
+        ))]
+        if self.has_token and not self._serving:
+            effects.extend(self._unpark_and_advance(now))
+        return effects
+
+    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+        kind = type(msg)
+        if kind is ProbeMsg:
+            return self._on_probe(msg, now)
+        if kind is ProbeReplyMsg:
+            return self._on_probe_reply(msg)
+        return super().on_message(src, msg, now)
+
+
+class DirectSearch:
+    """Push mode's requester (Section 4.2's dual: "keep requests local and
+    have the token find which node wants it"): a ready node does not
+    search — knowing the holder from the latest advertisement, it sends
+    one direct request, and asks again when a fresh advert shows the root
+    has moved.  Needs :class:`Advertise` below it in the row (it asks *the
+    advertised holder*).  When its knowledge is no good it hands the
+    request down with ``super()``: to the next search part if the row has
+    one (hybrid: "direct when the advert is fresh, else delegated"), else
+    to the machine, whose answer is "the rotation will serve us" — a node
+    whose request message is lost is still served by rotation.  Reads the
+    row attributes ``fresh_means_newer`` and ``first_request_tracked``.
+    """
+
+    def __init__(self, node_id: int, config: ProtocolConfig,
+                 initial_holder: int = 0) -> None:
+        super().__init__(node_id, config, initial_holder)
+        self._requested_holder = -1
+
+    def _launch_search(self) -> List[Effect]:
+        if self.n <= 1:
+            return []
+        if self.outstanding and self.config.single_outstanding:
+            return []
+        holder = self.known_holder
+        fresh = holder is not None and holder != self.node_id and (
+            not self.fresh_means_newer
+            or self.known_holder_clock >= self.last_visit)
+        if not fresh:
+            return super()._launch_search()
+        self.outstanding = True
+        stamp = -1
+        if self.first_request_tracked:
+            self._requested_holder = holder
+            stamp = self.last_visit
+        return [Send(holder, RequestMsg(
+            requester=self.node_id, req_seq=self.req_seq, visit_stamp=stamp,
+        ))]
+
+    def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
+        effects = super()._on_advert(msg, now)
+        if (self.ready and msg.holder != self.node_id
+                and (not self.outstanding
+                     or msg.holder != self._requested_holder)):
+            # Fresh advert: the root moved since our last request, so the
+            # old request is parked as a trap somewhere behind it.  Ask the
+            # new root directly (cheap, idempotent — traps dedupe by seq).
+            self.outstanding = True
+            self._requested_holder = msg.holder
+            effects.append(Send(msg.holder, RequestMsg(
+                requester=self.node_id, req_seq=self.req_seq,
+                visit_stamp=self.last_visit,
+            )))
+        return effects
+
+
+def advert_fanout(node_id: int, n: int, holder: int, clock: int, span: int) -> List[Send]:
+    """Delegate the upper half of the covered ring segment repeatedly:
+    the node responsible for ``[x, x+span)`` hands ``[x+k/2, x+k)`` to the
+    node at offset ``k/2`` and recurses on the lower half — n−1 messages
+    total across all nodes, log₂ n depth."""
+    sends: List[Send] = []
+    k = span
+    while k >= 2:
+        half = k // 2
+        target = (node_id + half) % n
+        sends.append(Send(target, AdvertMsg(holder=holder, clock=clock,
+                                            span=k - half)))
+        k = half
+    return sends
+
+
+class Advertise:
+    """Push mode's holder: an idle holder parks the token and
+    **advertises** its position through a binary fan-out tree over the
+    ring (n−1 cheap messages, log N depth — the paper's observation that a
+    parallel search costs Θ(n) messages), traps the direct requests that
+    come back FIFO and serves them by loan.
+
+    The parked holder is the paper's "virtual root of a
+    token-distribution tree": response is O(1) hops once the advertisement
+    has spread, but the message load concentrates at the root — exactly
+    the tree-protocol trade-off the conclusion contrasts with the ring's
+    load balance (ablation A3 measures both sides).  While demand persists
+    the token keeps circulating as usual (requests are also trapped by the
+    rotating token), so the ring's fairness and O(N) fallback are
+    preserved; under load the token never parks and no adverts flow — the
+    "fluid" virtual-root behaviour the conclusion describes.  Reads the row
+    attributes ``knows_initial_holder``, ``receipt_refreshes_holder`` and
+    ``advert_every_gates``.
+    """
+
+    def __init__(self, node_id: int, config: ProtocolConfig,
+                 initial_holder: int = 0) -> None:
+        super().__init__(node_id, config, initial_holder)
+        self.known_holder: Optional[int] = (
+            initial_holder if self.knows_initial_holder else None)
+        self.known_holder_clock = -1
+        self._receipts = 0
+        self._advertised_clock = -1
+
+    def _advance(self, now: float) -> List[Effect]:
+        effects = super()._advance(now)
+        if self.has_token and self._parked:
+            # We just parked: become the virtual root.  Advertise once per
+            # parking spot (re-parking at the same clock stays silent).
+            if self._advertised_clock != self.clock and (
+                    not self.advert_every_gates
+                    or self._receipts % self.config.advert_every == 0):
+                self._advertised_clock = self.clock
+                effects.extend(advert_fanout(
+                    self.node_id, self.n, self.node_id, self.clock, self.n,
+                ))
+        return effects
+
+    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+        # A parked virtual root with no demand stays parked: the whole
+        # point of push mode is that requests come to the root; demand
+        # un-parks it via _advance.
+        if (key == _FWD and self.has_token and self._parked
+                and not self._demand_seen):
+            return [SetTimer(_FWD, self.config.idle_pause)]
+        return super().on_timer(key, now)
+
+    def _on_token(self, msg: TokenMsg, now: float) -> List[Effect]:
+        self._receipts += 1
+        if self.receipt_refreshes_holder:
+            self.known_holder = self.node_id
+            self.known_holder_clock = msg.clock
+        return super()._on_token(msg, now)
+
+    def _on_request_msg(self, msg: RequestMsg, now: float) -> List[Effect]:
+        self._demand_seen = True
+        if msg.requester == self.node_id:
+            return []
+        if self._is_served(msg.requester, msg.req_seq):
+            return []
+        self.traps.add(msg.requester, msg.req_seq,
+                       max(msg.visit_stamp, self.last_visit - self.ring_size()))
+        if self.has_token and not self._serving:
+            return self._unpark_and_advance(now)
+        return []
+
+    def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
+        if msg.clock >= self.known_holder_clock:
+            self.known_holder = msg.holder
+            self.known_holder_clock = msg.clock
+        return advert_fanout(
+            self.node_id, self.n, msg.holder, msg.clock, msg.span,
+        )
+
+    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+        kind = type(msg)
+        if kind is RequestMsg:
+            return self._on_request_msg(msg, now)
+        if kind is AdvertMsg:
+            return self._on_advert(msg, now)
+        return super().on_message(src, msg, now)

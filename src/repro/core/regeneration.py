@@ -1,7 +1,9 @@
-"""Fault-tolerant binary-search protocol with token regeneration
-(paper Section 5).
+"""The regeneration layer: token-loss detection and recovery (paper
+Section 5).
 
-:class:`FaultTolerantCore` extends the adaptive protocol with:
+:class:`Regeneration` is a layer of the protocol table
+(:mod:`repro.core.protocols`): stacked over any search part and the
+:class:`~repro.core.machine.TokenMachine` it adds:
 
 - **time-out detection** — a requester whose wait exceeds
   ``config.regen_timeout`` polls the ring with (cheap) who-has messages;
@@ -12,8 +14,10 @@
 - **epochs** — every regenerated token carries a higher epoch; messages
   from older epochs are discarded, so a token that merely *seemed* lost
   cannot yield two circulating tokens once any node has seen the new one;
-- **suspect-skipping rotation** — forwarding and loans route around
-  suspects (the ``x⁻¹``/``x⁺¹`` healing of the paper);
+- **suspects** — it fills the machine's ``suspected`` set (census
+  non-responders, gossip on the token, crashed borrowers), which is what
+  makes forwarding and loans route around them (the ``x⁻¹``/``x⁺¹``
+  healing of the paper) — the routing itself is machine code;
 - **loan reclaim** — a lender whose borrower crashed reclaims the token
   after ``config.loan_timeout`` under a fresh epoch.
 
@@ -23,9 +27,8 @@ with no requester, a lost token goes unnoticed — and harmlessly so.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Tuple
 
-from repro.core.binary_search import BinarySearchCore
 from repro.core.config import ProtocolConfig
 from repro.core.effects import Deliver, Effect, Send, SetTimer
 from repro.core.messages import (
@@ -38,23 +41,19 @@ from repro.core.messages import (
 )
 from repro.faults.detector import Census
 
-__all__ = ["FaultTolerantCore"]
+__all__ = ["Regeneration"]
 
 _SUSPECT = "suspect"
 _CENSUS = "census"
 _LOANBACK = "loanback"
 
 
-class FaultTolerantCore(BinarySearchCore):
-    """Adaptive protocol + failure detection, election, regeneration."""
-
-    protocol_name = "fault_tolerant"
+class Regeneration:
+    """Failure detection, election, epoch-fenced regeneration."""
 
     def __init__(self, node_id: int, config: ProtocolConfig,
                  initial_holder: int = 0) -> None:
         super().__init__(node_id, config, initial_holder)
-        self.epoch = 0
-        self.suspected: set = set()
         self._census: Optional[Census] = None
         self._probe_seq = 0
         #: Freshest fleet-wide clock seen at the previous census deadline —
@@ -65,15 +64,6 @@ class FaultTolerantCore(BinarySearchCore):
         #: message-delay units, or None to fall back to the configured
         #: fixed ``regen_timeout``.
         self.regen_delay_provider: Optional[Callable[[], Optional[float]]] = None
-        #: Optional liveness hook: the set of peers with fresh out-of-band
-        #: liveness evidence (the supervisor's heartbeat view).  Consulted
-        #: wherever ``suspected`` steers routing, because gossip alone
-        #: cannot retire a stale suspicion: the suspects tuple is merged
-        #: and re-forwarded inside the same token handler, so while a
-        #: token is in flight somewhere, clearing the *set* between
-        #: handlers never sticks — the evidence has to win at the point
-        #: of use.
-        self.alive_provider: Optional[Callable[[], set]] = None
 
     def _suspect_delay(self) -> float:
         """Delay before this requester suspects the token is lost."""
@@ -88,17 +78,7 @@ class FaultTolerantCore(BinarySearchCore):
             return list(self.ring.members)
         return list(range(self.n))
 
-    def _effective_suspects(self) -> set:
-        """``suspected`` minus peers proven alive out-of-band.  Also prunes
-        the set itself, so rehabilitated peers stop riding the gossip."""
-        if self.alive_provider is not None:
-            self.suspected -= self.alive_provider()
-        return self.suspected
-
-    # -- epoch & routing hooks ----------------------------------------------------
-
-    def _token_epoch(self) -> int:
-        return self.epoch
+    # -- epochs & loan reclaim ----------------------------------------------------
 
     def _next_epoch(self, minter: int) -> int:
         """The epoch a regeneration by ``minter`` would create.
@@ -115,24 +95,13 @@ class FaultTolerantCore(BinarySearchCore):
         stride = max(self.n, 1)
         return (self.epoch // stride + 1) * stride + minter
 
-    def _token_suspects(self):
-        return tuple(sorted(self._effective_suspects()))
-
-    def _rotation_successor(self) -> int:
-        suspects = self._effective_suspects()
-        for k in range(1, self.ring_size()):
-            candidate = self.ring_succ(k)
-            if candidate not in suspects:
-                return candidate
-        return self.node_id
-
-    def _skip_requester(self, requester: int) -> bool:
-        return requester in self._effective_suspects()
-
-    def _after_loan_sent(self, requester: int) -> List[Effect]:
-        if self.config.loan_timeout <= 0:
-            return []
-        return [SetTimer((_LOANBACK, requester), self.config.loan_timeout)]
+    def _next_loan(self) -> Optional[List[Effect]]:
+        effects = super()._next_loan()
+        if effects is not None and self.config.loan_timeout > 0:
+            # The borrower may crash with our token: arm the reclaim.
+            effects.append(SetTimer((_LOANBACK, self.lent_to),
+                                    self.config.loan_timeout))
+        return effects
 
     # -- message handling ---------------------------------------------------------------
 
@@ -156,8 +125,8 @@ class FaultTolerantCore(BinarySearchCore):
                     # epochs (see _next_epoch); this message outranks any
                     # lineage we still carry, so retire ours here — the
                     # fence that normally kills the loser on contact,
-                    # applied to ourselves.  Without this, the base
-                    # handler would see an illegal "second token".
+                    # applied to ourselves.  Without this, the machine
+                    # would see an illegal "second token".
                     self.has_token = False
                     self.lent_to = None
         if isinstance(msg, WhoHasMsg):
@@ -165,7 +134,7 @@ class FaultTolerantCore(BinarySearchCore):
         if isinstance(msg, WhoHasReplyMsg):
             return self._on_who_has_reply(src, msg)
         if isinstance(msg, RegenerateMsg):
-            return self._on_regenerate(msg, now)
+            return self._mint(msg, now)
         if isinstance(msg, TokenMsg):
             self.suspected |= set(msg.suspects)
             self.suspected.discard(self.node_id)
@@ -196,16 +165,21 @@ class FaultTolerantCore(BinarySearchCore):
             return []
         if self.has_token or self._census is not None:
             return []
+        self._census, effects = self._open_census(_CENSUS)
+        return effects
+
+    def _open_census(self, timer: str) -> Tuple[Census, List[Effect]]:
+        """Poll every other ring member with who-has; replies are collected
+        until the ``(timer, probe_seq)`` deadline one census window away."""
         self._probe_seq += 1
         population = [x for x in self._ring_members() if x != self.node_id]
-        self._census = Census(self.node_id, self._probe_seq, population)
         effects: List[Effect] = [
             Send(x, WhoHasMsg(origin=self.node_id, probe_seq=self._probe_seq))
             for x in population
         ]
-        effects.append(SetTimer((_CENSUS, self._probe_seq),
+        effects.append(SetTimer((timer, self._probe_seq),
                                 self.config.census_window))
-        return effects
+        return Census(self.node_id, self._probe_seq, population), effects
 
     def _on_who_has(self, src: int, msg: WhoHasMsg) -> List[Effect]:
         holds = self.has_token or self.lent_to is not None
@@ -278,9 +252,6 @@ class FaultTolerantCore(BinarySearchCore):
 
     # -- regeneration -------------------------------------------------------------------------
 
-    def _on_regenerate(self, msg: RegenerateMsg, now: float) -> List[Effect]:
-        return self._mint(msg, now)
-
     def _mint(self, msg: RegenerateMsg, now: float) -> List[Effect]:
         if msg.epoch <= self.epoch:
             return []  # duplicate or raced regeneration: only one epoch wins
@@ -317,5 +288,4 @@ class FaultTolerantCore(BinarySearchCore):
     def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> List[Effect]:
         if self.lent_to is None:
             return []  # reclaimed already; the borrower survived after all
-        effects = super()._on_loan_return(msg, now)
-        return effects
+        return super()._on_loan_return(msg, now)

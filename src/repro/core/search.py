@@ -10,7 +10,7 @@ rotation resumes from the requester's position.
 Responsiveness is O(N) (Lemma 5) — the same bound as the plain ring but
 with extra search traffic; it exists here as the stepping-stone baseline
 between :class:`~repro.core.ring.RingCore` and
-:class:`~repro.core.binary_search.BinarySearchCore`, and the benchmarks
+:class:`~repro.core.BinarySearchCore`, and the benchmarks
 show why the binary refinement is the one that matters.
 """
 

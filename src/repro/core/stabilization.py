@@ -1,9 +1,12 @@
-"""The self-stabilizing protocol variant.
+"""The stabilization layer: self-stabilization over regeneration.
 
-:class:`StabilizingCore` layers three convergence mechanisms over the
-fault-tolerant adaptive core, so that from *any* state the corruption
-injector (:mod:`repro.faults.corruption`) can produce, the cluster
-returns to — and stays in — the single-token legitimate states:
+:class:`Stabilization` is a layer of the protocol table
+(:mod:`repro.core.protocols`).  It needs the epochs, census and mint of
+:class:`~repro.core.regeneration.Regeneration` and says so the plain way,
+by naming it as its base.  It adds three convergence mechanisms, so that
+from *any* state the corruption injector (:mod:`repro.faults.corruption`)
+can produce, the cluster returns to — and stays in — the single-token
+legitimate states:
 
 1. **Local detection-and-correction** (Herman's safe-register checks,
    arXiv:1101.1680, transposed to message passing): every handler entry
@@ -48,22 +51,20 @@ from __future__ import annotations
 from typing import Hashable, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.effects import Deliver, Effect, Send, SetTimer
-from repro.core.messages import LoanMsg, TokenMsg, WhoHasMsg, WhoHasReplyMsg
+from repro.core.effects import Deliver, Effect, SetTimer
+from repro.core.messages import LoanMsg, TokenMsg, WhoHasReplyMsg
 from repro.core.traps import TrapStore
+from repro.core.regeneration import Regeneration
 from repro.faults.detector import Census
-from repro.faults.regeneration import FaultTolerantCore
 
-__all__ = ["StabilizingCore"]
+__all__ = ["Stabilization"]
 
 _WATCH = "stab_watch"
 _WCENSUS = "stab_census"
 
 
-class StabilizingCore(FaultTolerantCore):
-    """Fault-tolerant adaptive protocol + self-stabilization."""
-
-    protocol_name = "stabilizing"
+class Stabilization(Regeneration):
+    """Local repair, k -> 1 token reduction, and a token watchdog."""
 
     def __init__(self, node_id: int, config: ProtocolConfig,
                  initial_holder: int = 0) -> None:
@@ -121,7 +122,9 @@ class StabilizingCore(FaultTolerantCore):
         if self.config.stabilize_reset:
             # Reloading-wave-lite: every structure below is a rebuildable
             # optimization cache; dropping it costs performance, never
-            # safety (dummy loans and re-searches recover the rest).
+            # safety (dummy loans and re-searches recover the rest).  The
+            # gimme pair is the delegated search's; under any other search
+            # part the two fields are simply never read.
             self.traps = TrapStore()
             self._gimme_queue = []
             self._gimme_inflight = False
@@ -151,7 +154,7 @@ class StabilizingCore(FaultTolerantCore):
             Deliver("stabilized", (self.node_id, self.epoch)),
             Deliver("token_visit", (self.node_id, self.clock)),
         ]
-        effects.extend(self._release_gimme_budget(now))
+        effects.extend(self._on_sighting(now))
         effects.extend(self._advance(now))
         return effects
 
@@ -226,22 +229,11 @@ class StabilizingCore(FaultTolerantCore):
             return effects
         if self._watch_census is not None:
             return effects  # previous census still collecting
-        population = [x for x in self._ring_members() if x != self.node_id]
-        if not population:
+        if self._ring_members() == [self.node_id]:
             # Solitary node: nothing to poll; mint directly if tokenless.
-            effects.extend(self._watch_mint(now, self.last_visit))
-            return effects
-        self._probe_seq += 1
-        self._watch_census = Census(self.node_id, self._probe_seq,
-                                    population)
-        effects.extend(
-            Send(x, WhoHasMsg(origin=self.node_id,
-                              probe_seq=self._probe_seq))
-            for x in population
-        )
-        effects.append(SetTimer((_WCENSUS, self._probe_seq),
-                                self.config.census_window))
-        return effects
+            return effects + self._watch_mint(now, self.last_visit)
+        self._watch_census, polls = self._open_census(_WCENSUS)
+        return effects + polls
 
     def _on_who_has_reply(self, src: int,
                           msg: WhoHasReplyMsg) -> List[Effect]:
@@ -285,6 +277,6 @@ class StabilizingCore(FaultTolerantCore):
             Deliver("regenerated", (self.node_id, self.epoch)),
             Deliver("token_visit", (self.node_id, self.clock)),
         ]
-        effects.extend(self._release_gimme_budget(now))
+        effects.extend(self._on_sighting(now))
         effects.extend(self._advance(now))
         return effects

@@ -13,7 +13,7 @@ storage/overhead problem the paper's clean-up algorithms address:
   clock at which the trap was set; additionally the token piggybacks the
   most recent serves so matching traps are dropped early.
 - **inverse clean-up** — handled in the core: loans retrace the gimme trail
-  and clear traps en route (see :class:`repro.core.binary_search.BinarySearchCore`).
+  and clear traps en route (see :class:`repro.core.machine.TokenMachine`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Flat column-oriented node state for the array-compiled engine.
 
-The object cores (:mod:`repro.core.ring`, :mod:`repro.core.binary_search`)
+The object cores (:mod:`repro.core.ring`, :mod:`repro.core.machine`)
 keep one Python object per node with ~15 attributes; every handler pays
 attribute-dictionary lookups and allocates effect/message dataclasses.
 The fast engine replaces all of that with *columns*: one ``bytearray``
@@ -127,7 +127,7 @@ class ArrayState:
         # -- per-node tuple-valued structures ------------------------------
         # Served carry (rotation GC), always one of the engine's interned
         # canonical tuples; the {z: seq} lookup views and the merge memo
-        # mirroring BinarySearchCore._merge_served/_served_lookup live in
+        # mirroring TokenMachine._merge_served/_served_lookup live in
         # process-level caches in :mod:`repro.fastsim.compiled`.
         self.carry: List[Tuple[Tuple[int, int], ...]] = [()] * n
         # FIFO trap queue as an insertion-ordered dict:

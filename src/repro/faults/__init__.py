@@ -1,15 +1,13 @@
 """Failure handling and dynamic membership (paper Section 5).
 
-- :mod:`repro.faults.detector` — who-has census bookkeeping;
-- :mod:`repro.faults.regeneration` — :class:`FaultTolerantCore`: time-out
-  detection, neighbour election, epoch-guarded token regeneration,
-  suspect-skipping rotation, loan reclaim;
+- :mod:`repro.faults.detector` — who-has census bookkeeping (used by the
+  regeneration layer, :mod:`repro.core.regeneration`) and the phi-accrual
+  detector;
 - :mod:`repro.faults.membership` — versioned ring views and the
   authoritative membership service for asynchronous join/leave.
 """
 
 from repro.faults.detector import Census
 from repro.faults.membership import MembershipService, RingView
-from repro.faults.regeneration import FaultTolerantCore
 
-__all__ = ["Census", "FaultTolerantCore", "MembershipService", "RingView"]
+__all__ = ["Census", "MembershipService", "RingView"]

@@ -17,9 +17,9 @@ core object directly (no messages, no timers): exactly what a stray
 cosmic ray or a restored-from-stale-snapshot process would do.
 
 The injector is deliberately *protocol-agnostic*: it targets the state
-fields of the :class:`~repro.core.binary_search.BinarySearchCore` family
-(which the fault-tolerant and stabilizing cores extend) and silently
-skips fields a given core lacks, so the same schedule can corrupt any
+fields of the :class:`~repro.core.machine.TokenMachine` and its parts
+(every assembled row of the protocol table) and silently skips fields a
+given core lacks, so the same schedule can corrupt any
 registered core — including non-stabilizing ones, for demonstrating
 *why* the stabilizing variant exists.
 """

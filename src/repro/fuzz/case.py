@@ -31,6 +31,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.protocols import FUZZ_DRAWN, PROTOCOLS, ROWS
+from repro.core.regeneration import Regeneration
 from repro.errors import ConfigError, FuzzCaseError
 from repro.faults.corruption import CORRUPTION_KINDS
 from repro.fuzz.rng import child_rng
@@ -61,16 +63,11 @@ _CHAOS_SCHEMA = "repro-chaos-case/v1"
 
 BACKENDS = ("des", "fast", "aio", "wire")
 
-#: Impl-level protocols eligible for fuzzing (every registered core).
-IMPL_PROTOCOLS = (
-    "ring",
-    "linear_search",
-    "binary_search",
-    "directed_search",
-    "push",
-    "hybrid",
-    "fault_tolerant",
-)
+#: Impl-level protocols the random profiles draw from: the protocol
+#: table's fuzz-drawn rows, in table order (the order pins every draw).
+#: Validation accepts every registered name; ``stabilizing`` is replayable
+#: but not drawn, so random clean/faults draws stay pinned.
+IMPL_PROTOCOLS = FUZZ_DRAWN
 
 #: Spec-level systems eligible for random-reduction fuzzing.
 SPEC_SYSTEMS = ("S", "S1", "Tok", "MP", "Srch", "BS")
@@ -106,11 +103,6 @@ FAULT_OPS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     # judged by convergence.
     "corrupt": (("a", "what", "arg"), ("des", "aio", "wire")),
 }
-
-#: Protocols accepted by validation: every fuzz-eligible core plus the
-#: stabilizing variant, which is replayable but excluded from
-#: IMPL_PROTOCOLS so random clean/faults draws stay pinned.
-_VALID_PROTOCOLS = IMPL_PROTOCOLS + ("stabilizing",)
 
 _LOAD_KEYS = ("clients", "ops", "p99_budget")
 
@@ -252,7 +244,7 @@ class FuzzCase:
                 check_fault(fault, self.keys[fault["k"]].get("n", 4),
                             target="fabric")
         elif self.kind == "impl":
-            if self.protocol not in _VALID_PROTOCOLS:
+            if self.protocol not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {self.protocol!r}")
             if self.n < 1:
                 raise ConfigError(f"n must be >= 1, got {self.n}")
@@ -377,7 +369,7 @@ def _draw_config(rng, protocol: str) -> Dict:
         config["service_time"] = rng.choice((0.5, 2.0))
     if rng.random() < 0.3:
         config["retry_timeout"] = rng.choice((20.0, 60.0))
-    if protocol == "fault_tolerant":
+    if ROWS[protocol].has(Regeneration):
         config["regen_timeout"] = rng.choice((40.0, 80.0))
         config["census_window"] = 5.0
         config["loan_timeout"] = rng.choice((0.0, 30.0))
@@ -406,7 +398,7 @@ def _draw_faults(rng, n: int, horizon: float, protocol: str) -> List[Dict]:
                            "op": "recover", "a": node})
     # Token loss (the in-flight token vanishes) only where regeneration can
     # recover it — elsewhere it would just freeze the run uninformatively.
-    if protocol == "fault_tolerant":
+    if ROWS[protocol].has(Regeneration):
         for _ in range(rng.randrange(0, 2)):
             faults.append({"t": round(rng.uniform(5.0, horizon * 0.4), 3),
                            "op": "token_loss"})
@@ -638,7 +630,7 @@ def _generate_sim_case(root_seed: int, index: int, mode: str) -> FuzzCase:
 
     n = rng.choice((3, 4, 5, 6, 8))
     protocols = IMPL_PROTOCOLS if mode == "faults" else tuple(
-        p for p in IMPL_PROTOCOLS if p != "fault_tolerant"
+        p for p in IMPL_PROTOCOLS if not ROWS[p].has(Regeneration)
     )
     protocol = rng.choice(protocols)
     horizon = rng.choice((400.0, 800.0, 1500.0))

@@ -79,19 +79,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
+from repro.core.protocols import ROWS
 from repro.metrics.stats import mean, percentile
 from repro.specs.common import is_ring_prefix, project_ring
 
 __all__ = ["OracleViolation", "InvariantOracle", "Verdict", "safety",
            "convergence", "check_spec_reduction"]
-
-#: Protocols whose every TokenMsg is a circulation hop (clock advances by
-#: exactly one).  System Search's direct hand-over ("not a circulation
-#: hop") exempts linear_search from the strict form.
-_STRICT_HOP = frozenset(
-    {"ring", "binary_search", "directed_search", "push", "hybrid",
-     "fault_tolerant"}
-)
 
 _LINEAGE = (TokenMsg, LoanMsg, LoanReturnMsg)
 
@@ -339,7 +332,7 @@ class InvariantOracle:
 
     def _check_token_send(self, src: int, dst: int, msg: TokenMsg) -> None:
         shadow = self._history(src, "forwards the token")
-        if self.protocol in _STRICT_HOP:
+        if ROWS[self.protocol].strict_hop:
             if msg.clock != shadow + 1:
                 self._fail(
                     "hop-clock",

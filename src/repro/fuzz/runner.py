@@ -38,6 +38,8 @@ from repro.aio.supervisor import ClusterSupervisor
 from repro.aio.virtualtime import run_virtual
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.core.protocols import ROWS
+from repro.core.stabilization import Stabilization
 from repro.errors import ConfigError, ProtocolError, SimulationError
 from repro.faults.corruption import corrupt_core
 from repro.fuzz.case import (
@@ -153,12 +155,16 @@ def _corrupting(case: FuzzCase) -> bool:
     return any(f["op"] == "corrupt" for f in case.faults)
 
 
+def _stabilizing(case: FuzzCase) -> bool:
+    return ROWS[case.protocol].has(Stabilization)
+
+
 def _converging(case: FuzzCase) -> bool:
     """A stabilize run = the stabilizing core, or any case that injects
     arbitrary-state corruption.  The transition sanitizer and the safety
     verdict both presume legal histories, so they give way to the
     convergence verdict (closure + bounded convergence)."""
-    return case.protocol == "stabilizing" or _corrupting(case)
+    return _stabilizing(case) or _corrupting(case)
 
 
 def _links(fault: Dict) -> List[Tuple[int, int]]:
@@ -415,7 +421,7 @@ def _fast_skip_reason(case: FuzzCase) -> Optional[str]:
     add fault plans, which only the object stacks execute."""
     from repro.fastsim.state import unsupported_reason
 
-    if case.protocol == "stabilizing":
+    if _stabilizing(case):
         return ("stabilizing core (watchdog censuses + absorption) has no "
                 "array compilation")
     if _corrupting(case):
@@ -668,8 +674,7 @@ def skip_reason(case: FuzzCase) -> Optional[str]:
         if backend not in FAULT_OPS[fault["op"]][1]:
             return (f"the {backend} backend cannot apply "
                     f"{fault['op']!r} faults")
-    if backend != "des" and case.protocol != "stabilizing" \
-            and _corrupting(case):
+    if backend != "des" and not _stabilizing(case) and _corrupting(case):
         return ("corrupt faults on the supervised runtime need the "
                 "stabilizing core: no other core converges from "
                 "arbitrary states")

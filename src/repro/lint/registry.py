@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.core.protocols import PROTOCOLS
 from repro.lint.findings import LintFinding, LintReport, Severity
 from repro.lint.refinement import check_restriction, check_simulation
 from repro.lint.rules import lint_rules, overlap_pairs, sample_states
@@ -50,17 +51,6 @@ from repro.trs.rules import RuleContext, RuleSet
 from repro.trs.terms import Term
 
 __all__ = ["LintTarget", "targets", "run_static", "run_dynamic", "run_all"]
-
-#: Executable sans-IO protocols exercised by the dynamic sanitizer pass.
-DYNAMIC_PROTOCOLS = (
-    "ring",
-    "linear_search",
-    "binary_search",
-    "directed_search",
-    "push",
-    "hybrid",
-    "fault_tolerant",
-)
 
 
 class LintTarget:
@@ -290,11 +280,12 @@ def run_static(
 
 def run_dynamic(
     report: LintReport,
-    protocols=DYNAMIC_PROTOCOLS,
+    protocols=PROTOCOLS,
     n: int = 5,
     rounds: int = 3,
 ) -> None:
-    """Sanitized short simulation of every executable protocol core."""
+    """Sanitized short simulation of every executable protocol core (by
+    default every row of the protocol table)."""
     from repro.core.cluster import Cluster
     from repro.lint.findings import LintViolation
     from repro.workload.generators import FixedRateWorkload

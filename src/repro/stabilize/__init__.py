@@ -7,9 +7,10 @@ single-token legitimate states within a bounded time, and stay there.
 
 Three pieces:
 
-- :class:`~repro.stabilize.core.StabilizingCore` — the stabilizing
-  protocol variant (local repair, epoch-fenced token reduction, and a
-  staggered token watchdog) layered on the fault-tolerant core;
+- :class:`~repro.core.stabilization.Stabilization` — the stabilization
+  layer of the protocol table (local repair, epoch-fenced token
+  reduction, and a staggered token watchdog), stacked on regeneration in
+  the ``stabilizing`` row;
 - :func:`~repro.stabilize.bound.convergence_bound` — the bound, derived
   from the protocol timers, that the oracle's
   :func:`~repro.fuzz.oracle.convergence` verdict (bounded convergence +
@@ -23,7 +24,6 @@ stabilize`` exercises all of it end to end.
 """
 
 from repro.stabilize.bound import convergence_bound, delay_ceiling
-from repro.stabilize.core import StabilizingCore
 from repro.stabilize.runner import (
     default_stabilize_config,
     measure_case,
@@ -31,7 +31,6 @@ from repro.stabilize.runner import (
 )
 
 __all__ = [
-    "StabilizingCore",
     "convergence_bound",
     "default_stabilize_config",
     "delay_ceiling",

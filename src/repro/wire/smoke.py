@@ -20,19 +20,23 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
+from repro.core.protocols import ROWS
+from repro.core.regeneration import Regeneration
+from repro.core.stabilization import Stabilization
 from repro.fuzz.case import FuzzCase
 
 __all__ = ["service_config", "smoke_case"]
 
 
 def service_config(protocol: str) -> ProtocolConfig:
-    """The protocol stack a supervised runtime cluster runs.  For
-    ``fault_tolerant`` (and the stabilizing core on top of it): rotation
+    """The protocol stack a supervised runtime cluster runs.  For a row
+    with the regeneration layer (and stabilization on top of it): rotation
     trap GC, quorum-gated regeneration, timers in message-delay units
     that the driver scales by the transport delay — ``regen_timeout`` is
     the *fallback*; once the ring has cadence history, the supervisor's
     phi provider overrides it."""
-    if protocol in ("fault_tolerant", "stabilizing"):
+    row = ROWS[protocol]
+    if row.has(Regeneration):
         config = ProtocolConfig(
             trap_gc="rotation",
             single_outstanding=True,
@@ -42,7 +46,7 @@ def service_config(protocol: str) -> ProtocolConfig:
             loan_timeout=80.0,
             regen_quorum=True,
         )
-        if protocol == "stabilizing":
+        if row.has(Stabilization):
             # The watchdog census would race the quorum-gated
             # demand-driven regeneration; its staggered cadence sits well
             # above it.

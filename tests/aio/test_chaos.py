@@ -95,7 +95,7 @@ class TestTargetedScenarios:
     def test_dead_node_task_is_a_violation(self, monkeypatch):
         # A node coroutine killed by a core bug surfaces through the
         # driver's public failure() accessor, not as a hang or a pass.
-        from repro.faults.regeneration import FaultTolerantCore
+        from repro.core import FaultTolerantCore
 
         def boom(self, src, msg, now):
             raise RuntimeError("core bug")

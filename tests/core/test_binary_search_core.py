@@ -4,7 +4,7 @@ returns, GC policies, and throttling."""
 
 import pytest
 
-from repro.core.binary_search import BinarySearchCore
+from repro.core import BinarySearchCore
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
 from repro.core.effects import Deliver, Send, SetTimer
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg

@@ -116,7 +116,7 @@ class TestBroadcastOnOtherProtocols:
 class TestPushAdvertEdgeCases:
     def test_stale_advert_does_not_regress_knowledge(self):
         from repro.core.messages import AdvertMsg
-        from repro.core.push import PushCore
+        from repro.core import PushCore
         core = PushCore(3, ProtocolConfig(n=8, idle_pause=2.0))
         core.known_holder = 5
         core.known_holder_clock = 50
@@ -125,7 +125,7 @@ class TestPushAdvertEdgeCases:
 
     def test_fresher_advert_updates_knowledge(self):
         from repro.core.messages import AdvertMsg
-        from repro.core.push import PushCore
+        from repro.core import PushCore
         core = PushCore(3, ProtocolConfig(n=8, idle_pause=2.0))
         core.known_holder = 5
         core.known_holder_clock = 50
@@ -135,7 +135,7 @@ class TestPushAdvertEdgeCases:
     def test_own_advert_does_not_self_request(self):
         from repro.core.messages import AdvertMsg, RequestMsg
         from repro.core.effects import Send
-        from repro.core.push import PushCore
+        from repro.core import PushCore
         core = PushCore(3, ProtocolConfig(n=8, idle_pause=2.0))
         core.ready = True
         effects = core.on_message(3, AdvertMsg(holder=3, clock=9, span=1),

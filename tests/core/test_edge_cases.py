@@ -123,7 +123,7 @@ class TestExamplesImportable:
 
 class TestForwardThrottle:
     def test_queued_gimme_released_on_token_visit(self):
-        from repro.core.binary_search import BinarySearchCore
+        from repro.core import BinarySearchCore
         from repro.core.effects import Send
         config = ProtocolConfig(n=16, forward_throttle=True)
         core = BinarySearchCore(4, config, initial_holder=0)

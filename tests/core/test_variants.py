@@ -5,9 +5,9 @@ import math
 
 import pytest
 
+from repro.core import DirectedSearchCore, HybridCore, PushCore
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
-from repro.core.directed_search import DirectedSearchCore
 from repro.core.messages import (
     AdvertMsg,
     ProbeMsg,
@@ -15,7 +15,7 @@ from repro.core.messages import (
     RequestMsg,
     TokenMsg,
 )
-from repro.core.push import PushCore, advert_fanout
+from repro.core.parts import advert_fanout
 from repro.core.effects import Send
 from repro.workload.generators import FixedRateWorkload, SingleShotWorkload
 
@@ -237,7 +237,6 @@ class TestHybrid:
         assert cluster.responsiveness.grants() == 5
 
     def test_hybrid_falls_back_to_pull_when_stale(self):
-        from repro.core.hybrid import HybridCore
         from repro.core.messages import GimmeMsg
         core = HybridCore(3, cfg(n=16))
         core.known_holder = 9
@@ -247,7 +246,6 @@ class TestHybrid:
         assert isinstance(out[0].msg, GimmeMsg)
 
     def test_hybrid_uses_push_when_fresh(self):
-        from repro.core.hybrid import HybridCore
         core = HybridCore(3, cfg(n=16))
         core.known_holder = 9
         core.known_holder_clock = 20

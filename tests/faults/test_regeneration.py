@@ -170,7 +170,7 @@ class TestRegeneration:
 
     def test_stale_epoch_token_discarded(self):
         from repro.core.messages import TokenMsg
-        from repro.faults.regeneration import FaultTolerantCore
+        from repro.core import FaultTolerantCore
         core = FaultTolerantCore(1, ft_config(n=4))
         core.epoch = 3
         assert core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=1),
@@ -180,7 +180,7 @@ class TestRegeneration:
     def test_newer_epoch_adopted(self):
         from repro.core.effects import Send
         from repro.core.messages import TokenMsg
-        from repro.faults.regeneration import FaultTolerantCore
+        from repro.core import FaultTolerantCore
         core = FaultTolerantCore(1, ft_config(n=4))
         effects = core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=2),
                                   0.0)
@@ -193,7 +193,7 @@ class TestRegeneration:
     def test_mint_is_idempotent_per_epoch(self):
         from repro.core.effects import Deliver
         from repro.core.messages import RegenerateMsg
-        from repro.faults.regeneration import FaultTolerantCore
+        from repro.core import FaultTolerantCore
         core = FaultTolerantCore(1, ft_config(n=4))
         first = core._mint(RegenerateMsg(new_clock=50, epoch=1), 0.0)
         minted = [e for e in first

@@ -54,9 +54,9 @@ def test_fuzz_failure_writes_counterexample(tmp_path, monkeypatch, capsys):
     """A violating run exits 1 and leaves a self-contained repro file."""
     from unittest import mock
 
-    from repro.core.binary_search import BinarySearchCore
+    from repro.core.machine import TokenMachine
 
-    real = BinarySearchCore._forward
+    real = TokenMachine._forward
 
     def broken(self):
         effects = real(self)
@@ -64,7 +64,7 @@ def test_fuzz_failure_writes_counterexample(tmp_path, monkeypatch, capsys):
         return effects
 
     out = tmp_path / "failures"
-    with mock.patch.object(BinarySearchCore, "_forward", broken):
+    with mock.patch.object(TokenMachine, "_forward", broken):
         code = main(["run", "--seed", "99", "--runs", "8",
                      "--profile", "clean", "--out", str(out)])
     assert code == 1

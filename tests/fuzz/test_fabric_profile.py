@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core.binary_search import BinarySearchCore
+from repro.core.machine import TokenMachine
 from repro.errors import ConfigError
 from repro.fuzz import FuzzCase, fuzz_run, generate_case, run_case, shrink
 
@@ -73,14 +73,14 @@ class TestRunDeterminism:
 
 
 def _duplicating_patch():
-    real = BinarySearchCore._forward
+    real = TokenMachine._forward
 
     def broken(self):
         effects = real(self)
         self.has_token = True  # canary: token duplicated
         return effects
 
-    return mock.patch.object(BinarySearchCore, "_forward", broken)
+    return mock.patch.object(TokenMachine, "_forward", broken)
 
 
 def _fat_fabric_case():

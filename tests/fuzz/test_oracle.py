@@ -12,7 +12,8 @@ from unittest import mock
 
 import pytest
 
-from repro.core.binary_search import BinarySearchCore
+from repro.core.machine import TokenMachine
+from repro.core.parts import DelegatedSearch
 from repro.core.effects import Send
 from repro.core.messages import GimmeMsg, TokenMsg
 from repro.fuzz import (
@@ -41,14 +42,14 @@ class TestImplCanaries:
         """Acceptance canary: a core that keeps the token after forwarding
         it must trip the oracle, and the schedule must shrink to <= 20
         events."""
-        real = BinarySearchCore._forward
+        real = TokenMachine._forward
 
         def broken(self):
             effects = real(self)
             self.has_token = True  # canary: token duplicated
             return effects
 
-        with mock.patch.object(BinarySearchCore, "_forward", broken):
+        with mock.patch.object(TokenMachine, "_forward", broken):
             case, result = _first_violation("clean")
             assert case is not None, "canary escaped the oracle"
             assert result.violation["invariant"] in (
@@ -61,7 +62,7 @@ class TestImplCanaries:
     def test_clock_skipping_hop_is_caught(self):
         """A token hop that advances the clock by two fabricates a visit
         the shadow history never saw."""
-        real = BinarySearchCore._forward
+        real = TokenMachine._forward
 
         def broken(self):
             return [
@@ -70,7 +71,7 @@ class TestImplCanaries:
                 for e in real(self)
             ]
 
-        with mock.patch.object(BinarySearchCore, "_forward", broken):
+        with mock.patch.object(TokenMachine, "_forward", broken):
             case, result = _first_violation("clean")
             assert case is not None
             assert result.violation["invariant"] == "hop-clock"
@@ -78,7 +79,7 @@ class TestImplCanaries:
     def test_stamp_mutating_forward_is_caught(self):
         """A forwarded gimme must carry the requester's frozen snapshot;
         rewriting the stamp en route corrupts the rule-6 comparison."""
-        real = BinarySearchCore._on_gimme
+        real = DelegatedSearch._on_gimme
 
         def broken(self, msg, now):
             return [
@@ -87,7 +88,7 @@ class TestImplCanaries:
                 for e in real(self, msg, now)
             ]
 
-        with mock.patch.object(BinarySearchCore, "_on_gimme", broken):
+        with mock.patch.object(DelegatedSearch, "_on_gimme", broken):
             case, result = _first_violation("clean")
             assert case is not None
             assert result.violation["invariant"] in (
@@ -96,7 +97,7 @@ class TestImplCanaries:
     def test_misdirected_search_is_caught(self):
         """Inverting rule 6's direction decision sends the gimme away from
         the token; the differential against the shadow histories fires."""
-        real = BinarySearchCore._on_gimme
+        real = DelegatedSearch._on_gimme
 
         def broken(self, msg, now):
             out = []
@@ -109,7 +110,7 @@ class TestImplCanaries:
                 out.append(e)
             return out
 
-        with mock.patch.object(BinarySearchCore, "_on_gimme", broken):
+        with mock.patch.object(DelegatedSearch, "_on_gimme", broken):
             case, result = _first_violation("clean", runs=40)
             assert case is not None
             assert result.violation["invariant"] == "search-direction"

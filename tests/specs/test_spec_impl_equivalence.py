@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.binary_search import BinarySearchCore
+from repro.core import BinarySearchCore
 from repro.core.config import ProtocolConfig
 from repro.core.messages import GimmeMsg
 from repro.core.effects import Send

@@ -8,7 +8,7 @@ from repro.core.messages import TokenMsg
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.runner import run_case
 from repro.fuzz.shrink import shrink
-from repro.stabilize.core import StabilizingCore
+from repro.core import StabilizingCore
 
 
 def stab_case(**changes):

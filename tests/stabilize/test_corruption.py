@@ -132,7 +132,7 @@ def test_stabilize_layer_never_imports_random():
     # case-supplied argument, so they must not touch `random` at all.
     import repro.faults.corruption as corruption
     import repro.stabilize.bound as bound
-    import repro.stabilize.core as score
+    import repro.core.stabilization as score
     import repro.stabilize.runner as srunner
     for module in (corruption, bound, score, srunner):
         assert "random" not in open(module.__file__).read().split(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fuzz import FuzzCase, generate_case, run_case, skip_reason
-from repro.stabilize.core import StabilizingCore
+from repro.core import StabilizingCore
 from repro.wire.smoke import smoke_case
 
 from .test_canaries import leaky_absorb
