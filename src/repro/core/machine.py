@@ -89,7 +89,9 @@ class TokenMachine(ProtocolCore):
         self._parked = False
         self._serving = False
         self._demand_seen = False
-        self._loan_pending: Optional[Tuple[int, Tuple[Tuple[int, int], ...]]] = None
+        #: The loan we are serving (hold_until_release / service_time),
+        #: kept whole: its return is stamped from it, not from us.
+        self._loan_pending: Optional[LoanMsg] = None
 
     # -- application interface -------------------------------------------------
 
@@ -113,13 +115,11 @@ class TokenMachine(ProtocolCore):
             Deliver("released", (self.node_id, self.granted_seq))
         ]
         if self._loan_pending is not None:
-            # We were serving a loaned token: return it now.
-            lender, carry = self._loan_pending
-            self._loan_pending = None
-            effects.append(Send(lender, LoanReturnMsg(
-                clock=self.clock, round_no=self.round_no, served=carry,
-                epoch=self.epoch)))
-            return effects
+            # We were serving a loaned token: return it now.  A token of
+            # our own that arrived meanwhile (a newer lineage reached us
+            # mid-service) moves on below instead of being stranded.
+            loan, self._loan_pending = self._loan_pending, None
+            effects.append(self._return_loan(loan))
         effects.extend(self._advance(now))
         return effects
 
@@ -313,17 +313,21 @@ class TokenMachine(ProtocolCore):
         self._merge_served(msg.served)
         if not self.ready:
             # Stale loan (already served through rotation): bounce it back.
-            return [Send(msg.lender, LoanReturnMsg(
-                clock=msg.clock, round_no=msg.round_no,
-                served=self._served_carry, epoch=msg.epoch))]
+            return [self._return_loan(msg)]
         effects: List[Effect] = []
         if self._grant(effects):
-            self._loan_pending = (msg.lender, self._served_carry)
-            return effects
-        effects.append(Send(msg.lender, LoanReturnMsg(
-            clock=msg.clock, round_no=msg.round_no,
-            served=self._served_carry, epoch=msg.epoch)))
+            self._loan_pending = msg
+        else:
+            effects.append(self._return_loan(msg))
         return effects
+
+    def _return_loan(self, loan: LoanMsg) -> Send:
+        """Hand ``loan`` back to its lender under the *loan's* epoch: a
+        borrower that has since adopted a newer lineage must not promote
+        the retired one it is returning."""
+        return Send(loan.lender, LoanReturnMsg(
+            clock=loan.clock, round_no=loan.round_no,
+            served=self._served_carry, epoch=loan.epoch))
 
     def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> List[Effect]:
         if self.lent_to is None:

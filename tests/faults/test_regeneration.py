@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.core.parts import DirectedSearch
+from repro.core.protocols import REGISTRY, assemble
+from repro.core.regeneration import Regeneration
 from repro.faults.detector import Census
 from repro.workload.generators import SingleShotWorkload
 
@@ -75,9 +78,15 @@ class TestCensus:
 
 
 class TestRegeneration:
+    #: The core under test — its search part is the parameter: the
+    #: registered row searches by gimme, the subclass below by probe.
+    core = REGISTRY["fault_tolerant"]
+
+    def build(self, n, seed, config):
+        return Cluster(self.core, n, seed=seed, config=config)
+
     def test_holder_crash_recovers_service(self):
-        cluster = Cluster.build("fault_tolerant", n=12, seed=1,
-                                config=ft_config())
+        cluster = self.build(12, 1, ft_config())
         cluster.start()
         cluster.run(until=30)
         victim = next_recipient(cluster)
@@ -92,8 +101,7 @@ class TestRegeneration:
         assert max(epochs) >= 1
 
     def test_service_continues_after_recovery(self):
-        cluster = Cluster.build("fault_tolerant", n=12, seed=2,
-                                config=ft_config())
+        cluster = self.build(12, 2, ft_config())
         cluster.start()
         cluster.run(until=30)
         victim = next_recipient(cluster)
@@ -105,8 +113,7 @@ class TestRegeneration:
         assert cluster.responsiveness.grants() == 6
 
     def test_suspects_are_skipped_by_rotation(self):
-        cluster = Cluster.build("fault_tolerant", n=8, seed=3,
-                                config=ft_config())
+        cluster = self.build(8, 3, ft_config())
         cluster.start()
         cluster.run(until=10)
         victim = next_recipient(cluster)
@@ -119,8 +126,7 @@ class TestRegeneration:
         assert flagged, "no survivor learned about the victim"
 
     def test_no_duplicate_tokens_after_regeneration(self):
-        cluster = Cluster.build("fault_tolerant", n=10, seed=4,
-                                config=ft_config())
+        cluster = self.build(10, 4, ft_config())
         cluster.start()
         cluster.run(until=20)
         victim = next_recipient(cluster)
@@ -134,8 +140,7 @@ class TestRegeneration:
         assert cluster.token_census() <= 1
 
     def test_loan_reclaim_after_borrower_crash(self):
-        cluster = Cluster.build("fault_tolerant", n=8, seed=5,
-                                config=ft_config(loan_timeout=30.0))
+        cluster = self.build(8, 5, ft_config(loan_timeout=30.0))
         cluster.start()
         # Node 4 will request; crash it the moment it is granted, before
         # the zero-time auto-release return can be delivered? The return is
@@ -159,8 +164,7 @@ class TestRegeneration:
 
     def test_false_alarm_rearms_quietly(self):
         """A slow system (token alive) must not regenerate."""
-        cluster = Cluster.build("fault_tolerant", n=8, seed=6,
-                                config=ft_config(regen_timeout=5.0))
+        cluster = self.build(8, 6, ft_config(regen_timeout=5.0))
         cluster.start()
         cluster.request(3)
         cluster.run(until=300, max_events=1_000_000)
@@ -170,8 +174,7 @@ class TestRegeneration:
 
     def test_stale_epoch_token_discarded(self):
         from repro.core.messages import TokenMsg
-        from repro.core import FaultTolerantCore
-        core = FaultTolerantCore(1, ft_config(n=4))
+        core = self.core(1, ft_config(n=4))
         core.epoch = 3
         assert core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=1),
                                0.0) == []
@@ -180,8 +183,7 @@ class TestRegeneration:
     def test_newer_epoch_adopted(self):
         from repro.core.effects import Send
         from repro.core.messages import TokenMsg
-        from repro.core import FaultTolerantCore
-        core = FaultTolerantCore(1, ft_config(n=4))
+        core = self.core(1, ft_config(n=4))
         effects = core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=2),
                                   0.0)
         assert core.epoch == 2
@@ -193,8 +195,7 @@ class TestRegeneration:
     def test_mint_is_idempotent_per_epoch(self):
         from repro.core.effects import Deliver
         from repro.core.messages import RegenerateMsg
-        from repro.core import FaultTolerantCore
-        core = FaultTolerantCore(1, ft_config(n=4))
+        core = self.core(1, ft_config(n=4))
         first = core._mint(RegenerateMsg(new_clock=50, epoch=1), 0.0)
         minted = [e for e in first
                   if isinstance(e, Deliver) and e.kind == "regenerated"]
@@ -202,3 +203,37 @@ class TestRegeneration:
         dup = core._mint(RegenerateMsg(new_clock=60, epoch=1), 1.0)
         assert dup == []
         assert core.clock == 50
+
+    def test_deferred_loan_return_keeps_the_loans_epoch(self):
+        """B serves a loan from A (epoch 0) under hold_until_release when a
+        regenerated epoch-5 token reaches it.  On release the return must
+        carry the *loan's* epoch — stamping B's current one made A adopt
+        epoch 5, take the token back and rotate a second epoch-5 token —
+        and B's own token must move on instead of being stranded."""
+        from repro.core.effects import Send
+        from repro.core.messages import LoanMsg, LoanReturnMsg, TokenMsg
+        config = ft_config(n=4, hold_until_release=True)
+        lender, borrower = self.core(0, config), self.core(1, config)
+        borrower.on_request(0.0)
+        lender.has_token, lender.lent_to = False, 1
+        borrower.on_message(0, LoanMsg(clock=0, round_no=0, lender=0,
+                                       requester=1, req_seq=1), 1.0)
+        assert borrower._serving
+        borrower.on_message(3, TokenMsg(clock=12, round_no=3, epoch=5), 2.0)
+        sent = {type(e.msg): e for e in borrower.on_release(3.0)
+                if isinstance(e, Send)}
+        assert sent[LoanReturnMsg].dst == 0
+        assert sent[LoanReturnMsg].msg.epoch == 0
+        assert sent[TokenMsg].msg.epoch == 5 and not borrower.has_token
+        # The lender's lineage was retired, not promoted: it takes its
+        # epoch-0 token back and the fence kills it at its next hop.
+        lender.on_message(1, sent[LoanReturnMsg].msg, 4.0)
+        assert lender.epoch == 0
+
+
+class TestRegenerationOverDirectedSearch(TestRegeneration):
+    """The same layer over the other search part — directed × regeneration,
+    the combination the class tree could not express — assembled here from
+    the table's parts, not registered under a name."""
+
+    core = assemble("directed_ft", (Regeneration, DirectedSearch))
