@@ -28,8 +28,6 @@ from repro.core.effects import Effect
 
 __all__ = ["ProtocolCore"]
 
-# Imported lazily for typing only; RingView lives in repro.faults.membership.
-
 
 class ProtocolCore:
     """Base class for per-node protocol state machines."""
@@ -58,21 +56,11 @@ class ProtocolCore:
         """``self⁺ᵏ`` on the ring."""
         return self.hop(k)
 
-    def ring_pred(self, k: int = 1) -> int:
-        """``self⁻ᵏ`` on the ring."""
-        return self.hop(-k)
-
     def hop(self, offset: int) -> int:
         """``self⁺ᵒ`` for a signed offset."""
         if self.ring is not None:
             return self.ring.hop(self.node_id, offset)
         return (self.node_id + offset) % self.n
-
-    def ring_distance(self, dst: int) -> int:
-        """Clockwise hops from this node to ``dst``."""
-        if self.ring is not None:
-            return self.ring.distance(self.node_id, dst)
-        return (dst - self.node_id) % self.n
 
     def ring_first(self) -> int:
         """The distinguished member whose visit marks a new round."""

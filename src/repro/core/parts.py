@@ -11,7 +11,7 @@ another as a base; which parts a protocol stacks is a row of
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.effects import Effect, Send, SetTimer
@@ -165,22 +165,23 @@ class DirectedSearch:
                  initial_holder: int = 0) -> None:
         super().__init__(node_id, config, initial_holder)
         self._probe_span = 0
-        self._probe_target = -1
+        #: Where the probe stands, as a ring offset from ourselves — a node
+        #: id could not follow a ring view that changes under the search.
+        self._probe_offset = 0
 
     # -- requester side --------------------------------------------------------
 
     def _launch_search(self) -> List[Effect]:
-        if self.n <= 1:
+        if self.ring_size() <= 1:
             return []
         if self.outstanding and self.config.single_outstanding:
             return []
         self.outstanding = True
-        self._probe_span = self.n // 2
-        self._probe_target = self.hop(self._probe_span)
+        self._probe_span = self._probe_offset = self.ring_size() // 2
         return [self._probe()]
 
     def _probe(self) -> Send:
-        return Send(self._probe_target, ProbeMsg(
+        return Send(self.hop(self._probe_offset), ProbeMsg(
             requester=self.node_id, req_seq=self.req_seq,
             visit_stamp=self.last_visit,
         ))
@@ -194,12 +195,12 @@ class DirectedSearch:
         if half < 1:
             return []  # search exhausted; the laid traps will catch the token
         if msg.last_visit < self.last_visit:
-            self._probe_target = (self._probe_target - half) % self.n
+            self._probe_offset -= half
         else:
-            self._probe_target = (self._probe_target + half) % self.n
+            self._probe_offset += half
         self._probe_span = half
-        if self._probe_target == self.node_id:
-            return []
+        if self._probe_offset % self.ring_size() == 0:
+            return []  # the probe came back to ourselves
         return [self._probe()]
 
     # -- probed side --------------------------------------------------------------
@@ -249,7 +250,7 @@ class DirectSearch:
         self._requested_holder = -1
 
     def _launch_search(self) -> List[Effect]:
-        if self.n <= 1:
+        if self.ring_size() <= 1:
             return []
         if self.outstanding and self.config.single_outstanding:
             return []
@@ -285,18 +286,19 @@ class DirectSearch:
         return effects
 
 
-def advert_fanout(node_id: int, n: int, holder: int, clock: int, span: int) -> List[Send]:
+def advert_fanout(hop: Callable[[int], int], holder: int, clock: int,
+                  span: int) -> List[Send]:
     """Delegate the upper half of the covered ring segment repeatedly:
     the node responsible for ``[x, x+span)`` hands ``[x+k/2, x+k)`` to the
-    node at offset ``k/2`` and recurses on the lower half — n−1 messages
-    total across all nodes, log₂ n depth."""
+    node at offset ``k/2`` (``hop(k/2)``, the sender's ring geometry) and
+    recurses on the lower half — n−1 messages total across all nodes,
+    log₂ n depth."""
     sends: List[Send] = []
     k = span
     while k >= 2:
         half = k // 2
-        target = (node_id + half) % n
-        sends.append(Send(target, AdvertMsg(holder=holder, clock=clock,
-                                            span=k - half)))
+        sends.append(Send(hop(half), AdvertMsg(holder=holder, clock=clock,
+                                               span=k - half)))
         k = half
     return sends
 
@@ -340,8 +342,7 @@ class Advertise:
                     or self._receipts % self.config.advert_every == 0):
                 self._advertised_clock = self.clock
                 effects.extend(advert_fanout(
-                    self.node_id, self.n, self.node_id, self.clock, self.n,
-                ))
+                    self.hop, self.node_id, self.clock, self.ring_size()))
         return effects
 
     def on_timer(self, key: Hashable, now: float) -> List[Effect]:
@@ -376,9 +377,7 @@ class Advertise:
         if msg.clock >= self.known_holder_clock:
             self.known_holder = msg.holder
             self.known_holder_clock = msg.clock
-        return advert_fanout(
-            self.node_id, self.n, msg.holder, msg.clock, msg.span,
-        )
+        return advert_fanout(self.hop, msg.holder, msg.clock, msg.span)
 
     def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
         kind = type(msg)

@@ -225,3 +225,42 @@ class TestColocatedWaiters:
             assert cluster.grant_order.count(2) == 3
 
         run(main())
+
+
+@pytest.mark.parametrize("protocol,finder", [
+    ("directed_search", "ProbeMsg"),
+    ("push", "AdvertMsg"),
+    ("hybrid", "AdvertMsg"),
+])
+def test_search_parts_follow_the_ring_view(protocol, finder):
+    """Probes and adverts take their geometry from the dynamic ring view:
+    after a leave and a join nothing is sent to the departed node, the
+    joined node (an id no ``% n`` can produce) is probed/advertised to,
+    and every member still acquires."""
+    from repro.aio.virtualtime import run_virtual
+
+    async def main():
+        cluster = AioCluster(protocol, n=6, seed=11, delay=0.01,
+                             config=ProtocolConfig(idle_pause=2.0))
+        sent = []
+        cluster.transport.on_send.append(
+            lambda src, dst, msg: sent.append((dst, type(msg).__name__)))
+        await cluster.start()
+        try:
+            async with cluster.lock(0, timeout=5.0):
+                # The token is held here, so none is in flight to 3.
+                await cluster.leave(3)
+                joined = await cluster.join()
+            members = cluster.membership.view.members
+            assert members == (0, 1, 2, 4, 5, joined) and joined >= 6
+            del sent[:]
+            for node in members:
+                async with cluster.lock(node, timeout=5.0):
+                    pass
+                await asyncio.sleep(0.1)  # idle: the token parks
+        finally:
+            await cluster.stop()
+        assert {dst for dst, _ in sent} <= set(members)
+        assert (joined, finder) in sent
+
+    run_virtual(main())

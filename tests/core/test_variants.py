@@ -129,7 +129,7 @@ class TestAdvertFanout:
         total = 0
         while pending:
             node, span = pending.pop()
-            for send in advert_fanout(node, n, 0, 0, span):
+            for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
                 total += 1
                 assert send.dst not in reached, "duplicate advert"
                 reached.add(send.dst)
@@ -144,7 +144,7 @@ class TestAdvertFanout:
         while frontier:
             nxt = []
             for node, span in frontier:
-                for send in advert_fanout(node, n, 0, 0, span):
+                for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
                     nxt.append((send.dst, send.msg.span))
             if nxt:
                 depth += 1
@@ -157,7 +157,7 @@ class TestAdvertFanout:
             reached = set()
             while pending:
                 node, span = pending.pop()
-                for send in advert_fanout(node, n, 0, 0, span):
+                for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
                     reached.add(send.dst)
                     pending.append((send.dst, send.msg.span))
             assert reached == set(range(1, n)), f"n={n} not covered"
