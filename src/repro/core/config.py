@@ -1,7 +1,7 @@
 """Protocol configuration.
 
 One dataclass covers every protocol variant; fields irrelevant to a given
-core are ignored by it.  Defaults reproduce the paper's simulation set-up
+row of the protocol table are ignored by it.  Defaults reproduce the paper's simulation set-up
 (Section 4.3): unit message delay, zero-cost local events, continuous
 token rotation, single outstanding request, rotation-based trap GC.
 """
@@ -50,11 +50,10 @@ class ProtocolConfig:
     - ``hold_until_release`` — grants block the token until the application
       explicitly releases (used by the mutex/broadcast apps); the
       simulation experiments use auto-release.
-    - ``advert_every`` — push-mode: the holder re-advertises its position
-      every this many token receipts (PushCore/HybridCore).
-    - ``hybrid_push_threshold`` — HybridCore enables push advertisements
-      when the number of distinct requesters seen in the last round is at
-      least this.
+    - ``advert_every`` — the ``push`` row only: a holder that parks
+      advertises its position when its token-receipt count is a multiple
+      of this.  The ``hybrid`` row advertises from every parking spot and
+      ignores it (``advert_every_gates`` in the protocol table).
     - ``regen_timeout`` / ``census_window`` / ``loan_timeout`` — token-loss
       detection and regeneration (Section 5): a requester waiting longer
       than ``regen_timeout`` runs a who-has census, waits ``census_window``
@@ -65,7 +64,7 @@ class ProtocolConfig:
       the ring.  A minority partition parks (keeps probing) instead of
       minting a token that epoch fencing would have to retire on heal.
       Off by default to preserve the paper's plain Section 5 behaviour.
-    - ``stabilize_watch`` — StabilizingCore's self-stabilization watchdog
+    - ``stabilize_watch`` — the stabilization layer's watchdog
       period: every node, holder or not, re-censuses the ring on this
       cadence and mints a fenced replacement token after two consecutive
       censuses that show neither a live token nor progress.  0 disables
@@ -89,7 +88,6 @@ class ProtocolConfig:
     retry_timeout: float = 0.0
     hold_until_release: bool = False
     advert_every: int = 1
-    hybrid_push_threshold: int = 2
     regen_timeout: float = 0.0
     census_window: float = 5.0
     loan_timeout: float = 0.0
