@@ -2,16 +2,12 @@
 
 - :class:`RingCore` — circular rotation (the Figures 9/10 baseline);
 - :class:`LinearSearchCore` — System Search, ring-restricted (Lemma 5);
-- :mod:`repro.core.protocols` — the protocol table: every other protocol
-  is a row of search × advertise × layers parts
-  (:mod:`repro.core.parts`, :mod:`repro.core.regeneration`,
-  :mod:`repro.core.stabilization`) over one
-  :class:`~repro.core.machine.TokenMachine`;
 - :class:`BinarySearchCore` (the adaptive ring + binary-search protocol),
   :class:`DirectedSearchCore`, :class:`PushCore`, :class:`HybridCore`
-  (the Section 4.2/4.4 variants), :class:`FaultTolerantCore` and
-  :class:`StabilizingCore` (Section 5 and beyond) — the table's
-  assembled rows, i.e. the registry's values under their class names;
+  (the Section 4.2/4.4 variants), :class:`FaultTolerantCore`,
+  :class:`StabilizingCore` (Section 5 and beyond) — rows of the protocol
+  table (:mod:`repro.core.protocols`): parts stacked over one
+  :class:`~repro.core.machine.TokenMachine`, and the registry's values;
 - :class:`Cluster` — wiring + metrics for simulation experiments.
 """
 

@@ -37,7 +37,7 @@ from repro.core.ring import RingCore
 from repro.core.search import LinearSearchCore
 from repro.core.stabilization import Stabilization
 
-__all__ = ["FUZZ_DRAWN", "PROTOCOLS", "REGISTRY", "ROWS", "Row", "assemble"]
+__all__ = ["PROTOCOLS", "REGISTRY", "ROWS", "Row", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,3 @@ REGISTRY: Dict[str, type] = {
 
 #: Every registered protocol name, in registry order.
 PROTOCOLS: Tuple[str, ...] = tuple(ROWS)
-#: The names the random fuzz profiles draw from, in the same order.
-FUZZ_DRAWN: Tuple[str, ...] = tuple(
-    name for name, row in ROWS.items() if row.fuzz_drawn)

@@ -31,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.protocols import FUZZ_DRAWN, PROTOCOLS, ROWS
+from repro.core.protocols import PROTOCOLS, ROWS
 from repro.core.regeneration import Regeneration
 from repro.errors import ConfigError, FuzzCaseError
 from repro.faults.corruption import CORRUPTION_KINDS
@@ -64,10 +64,9 @@ _CHAOS_SCHEMA = "repro-chaos-case/v1"
 BACKENDS = ("des", "fast", "aio", "wire")
 
 #: Impl-level protocols the random profiles draw from: the protocol
-#: table's fuzz-drawn rows, in table order (the order pins every draw).
-#: Validation accepts every registered name; ``stabilizing`` is replayable
-#: but not drawn, so random clean/faults draws stay pinned.
-IMPL_PROTOCOLS = FUZZ_DRAWN
+#: table's ``fuzz_drawn`` rows, in table order (the order pins every
+#: draw).  Validation accepts every registered name.
+IMPL_PROTOCOLS = tuple(name for name, row in ROWS.items() if row.fuzz_drawn)
 
 #: Spec-level systems eligible for random-reduction fuzzing.
 SPEC_SYSTEMS = ("S", "S1", "Tok", "MP", "Srch", "BS")

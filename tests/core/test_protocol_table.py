@@ -16,13 +16,7 @@ from repro.core.parts import (
     DirectedSearch,
     DirectSearch,
 )
-from repro.core.protocols import (
-    FUZZ_DRAWN,
-    PROTOCOLS,
-    REGISTRY,
-    ROWS,
-    assemble,
-)
+from repro.core.protocols import PROTOCOLS, REGISTRY, ROWS, assemble
 from repro.core.regeneration import Regeneration
 from repro.core.stabilization import Stabilization
 from repro.fuzz import IMPL_PROTOCOLS, FuzzCase
@@ -50,7 +44,7 @@ def test_every_protocol_list_is_a_view_of_the_table():
     assert all(c is PROTOCOLS for c in choices.values())
     default = inspect.signature(run_dynamic).parameters["protocols"].default
     assert default is PROTOCOLS
-    assert IMPL_PROTOCOLS is FUZZ_DRAWN
+    assert IMPL_PROTOCOLS == tuple(n for n in ROWS if ROWS[n].fuzz_drawn)
     # The drawn order pins every random clean/faults case: do not reorder.
     assert IMPL_PROTOCOLS == (
         "ring", "linear_search", "binary_search", "directed_search",
