@@ -28,6 +28,7 @@ Optimizations from Section 4.4 that live here, all config-selectable:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.core.base import ProtocolCore
@@ -301,12 +302,7 @@ class TokenMachine(ProtocolCore):
             # Inverse-GC relay hop: clear our trap and pass the loan along.
             self.traps.remove_for(msg.requester)
             nxt = msg.trail[0] if msg.trail else msg.requester
-            relayed = LoanMsg(
-                clock=msg.clock, round_no=msg.round_no, lender=msg.lender,
-                requester=msg.requester, req_seq=msg.req_seq,
-                served=msg.served, trail=msg.trail[1:], epoch=msg.epoch,
-            )
-            return [Send(nxt, relayed)]
+            return [Send(nxt, replace(msg, trail=msg.trail[1:]))]
         self.last_visit = msg.clock
         self.clock = msg.clock
         self.round_no = msg.round_no
