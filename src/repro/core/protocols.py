@@ -1,23 +1,19 @@
 """The protocol table: search × advertise × layers.
 
 The paper presents Sections 4.2 and 4.4–5 as independent refinements of
-one system.  This module is that matrix written down once: a protocol is
-a **row** naming which parts it stacks over
+one system.  This module is that matrix, written down once: a protocol is
+a **row** of :data:`ROWS` naming the parts it stacks over
 :class:`~repro.core.machine.TokenMachine`, and :func:`assemble` turns a
-row into its core class.  Nothing else in the repo types a protocol name
-list: the registry, the CLI choices, the lint and fuzz tuples and the
-oracle's strict-hop set are all views of :data:`ROWS`.
+row into its core class.  Every other protocol-name list in the repo (the
+registry, CLI choices, the lint and fuzz tuples, the oracle's strict-hop
+set) is a view of it.
 
-The matrix is :data:`ROWS` below (DESIGN §2 draws it as a table).  Its
-``search`` column is an ordered fallback: a part whose knowledge is no
-good hands the request to the next one with ``super()``, and the machine's
-own answer is "the rotation will serve us".  ``layers`` are listed
-innermost first; a layer that needs another names it as its base
-(stabilization → regeneration).
-
-Adding a row: write the part(s) it needs in :mod:`repro.core.parts` (or a
-layer next to :mod:`repro.core.regeneration`) without naming any other
-part as a base, then add one ``Row`` here.  Every consumer picks it up.
+``search`` is an ordered fallback: a part whose knowledge is no good hands
+the request to the next one with ``super()``, and the machine's own answer
+is "the rotation will serve us".  ``layers`` are listed innermost first; a
+layer that needs another names it as its base (stabilization →
+regeneration).  To add a row, write the part it needs without naming any
+other part as a base and add one ``Row`` here.
 """
 
 from __future__ import annotations
