@@ -39,6 +39,7 @@ from repro.core import (
     ProtocolConfig,
     PushCore,
     RingCore,
+    StabilizingCore,
 )
 from repro.fabric import RingOfRings, TokenFabric
 from repro.faults import MembershipService, RingView
@@ -89,6 +90,7 @@ __all__ = [
     "SaturatedWorkload",
     "SimMutex",
     "SingleShotWorkload",
+    "StabilizingCore",
     "TotalOrderBroadcast",
     "UniformIntervalWorkload",
     "__version__",
