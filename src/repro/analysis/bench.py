@@ -433,48 +433,11 @@ def _bench_aio_recovery(rounds: int) -> Dict[str, Any]:
     checksum pins it scaled to microseconds) — while ``wall_s`` tracks how
     long the runtime takes to chew through the scenario for real.
     """
-    import asyncio
-
-    from repro.aio.cluster import AioCluster
-    from repro.aio.reliability import ReliabilityConfig
-    from repro.aio.supervisor import ClusterSupervisor
-    from repro.aio.virtualtime import run_virtual
-    from repro.metrics.tracing import RecoveryTracker
-    from repro.wire.smoke import service_config
+    from repro.analysis.experiments import run_aio_recovery
 
     cycles = max(3, min(rounds // 10, 6))
-    n, delay = 5, 0.01
-
-    async def scenario() -> Dict[str, Any]:
-        cluster = AioCluster(
-            "fault_tolerant", n, seed=2001,
-            config=service_config("fault_tolerant"),
-            delay=delay, reliability=ReliabilityConfig())
-        supervisor = ClusterSupervisor(cluster)
-        tracker = RecoveryTracker()
-        await cluster.start()
-        await supervisor.start()
-        loop = asyncio.get_running_loop()
-        await asyncio.sleep(1.0)  # cadence history for the detectors
-        grants = 0
-        for cycle in range(cycles):
-            victim = cycle % n
-            tracker.fault(("crash", cycle), loop.time())
-            await cluster.crash_node(victim)
-            requester = (victim + 2) % n
-            await cluster.acquire(requester, timeout=30.0)
-            tracker.recovered(("crash", cycle), loop.time())
-            cluster.release(requester)
-            grants += 1
-            await asyncio.sleep(1.0)  # let the supervisor repair the victim
-        restarts = sum(supervisor.restarts.values())
-        await supervisor.stop()
-        await cluster.stop()
-        return {"mttr": tracker.mttr(), "max_ttr": tracker.max_ttr(),
-                "grants": grants, "restarts": restarts}
-
     start = time.perf_counter()
-    outcome = run_virtual(scenario())
+    outcome = run_aio_recovery(cycles)
     wall = time.perf_counter() - start
     return {
         "name": "aio_recovery_n5",

@@ -10,6 +10,7 @@ import zlib
 
 import pytest
 
+from repro.core.config import ProtocolConfig
 from repro.errors import FastSimUnsupportedError, SimulationError
 from repro.fabric import FastFabric, TokenFabric
 from repro.workload.keyed import ClosedLoopKeyedWorkload, ZipfKeyedWorkload
@@ -65,6 +66,23 @@ class TestBackendEquivalence:
     def test_lane_seeds_agree_across_backends(self):
         assert (TokenFabric(seed=5).lane_seed("k")
                 == FastFabric(seed=5).lane_seed("k"))
+
+
+def test_2048_lane_zipf_run_pinned():
+    """The compiled backend's own behaviour at scale, release over
+    release: 2,048 lanes under a compiled open-loop Zipf stream,
+    ~half a million events, pinned by counts and the fabric digest."""
+    fabric = FastFabric(seed=2001)
+    config = ProtocolConfig(idle_pause=8.0)
+    for k in range(2_048):
+        fabric.add_key(f"lock/{k:04d}", protocol="binary_search", n=4,
+                       config=config, digest=True)
+    fabric.add_workload(ZipfKeyedWorkload(mean_interval=0.05, s=1.1,
+                                          home_bias=0.7))
+    fabric.run(until=1_000.0)
+    assert (fabric.executed_total, fabric.sent_total,
+            fabric.metrics.total_grants) == (521849, 283889, 13832)
+    assert fabric.checksum() == "2238b961"
 
 
 class TestFastFabricLimits:

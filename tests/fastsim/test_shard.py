@@ -70,6 +70,19 @@ def test_worker_processes_match_inline(reference):
     assert forked.grants == reference.grants
 
 
+def test_100k_ring_on_four_worker_processes_pinned():
+    """The mega-ring at full size: 100,000 nodes, four forked workers
+    under conservative windows, a bit over one circulation.  Events,
+    sends, grants and the order-insensitive digest are exact, so the
+    fork/pipe choreography is pinned at the scale it exists for, not
+    only at n = 600."""
+    n, horizon = 100_000, 120_000.0
+    result = _sharded(
+        4, processes=True, n=n, horizon=horizon,
+        requests=mega_requests(n, seed=2001, count=256, horizon=horizon))
+    assert result.checksum == "120256-120001-173-0000ea71837a84cd"
+
+
 def test_request_after_token_passage_waits_a_full_circulation():
     """The window-cut regression: a request arriving just after the
     token left its segment must not be granted until the next visit,

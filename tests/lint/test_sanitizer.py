@@ -150,6 +150,18 @@ class TestClusterSanitizer:
         assert cluster.sanitizer.checked > 0
         cluster.sanitizer.check()  # quiescent full rescan, still clean
 
+    def test_sanitized_and_bare_runs_send_the_same_messages(self):
+        # The checker must not perturb the run it watches.
+        totals = []
+        for sanitize in (True, False):
+            cluster = Cluster.build("binary_search", n=32, seed=11,
+                                    sanitize=sanitize)
+            cluster.add_workload(FixedRateWorkload(mean_interval=5.0))
+            cluster.run(rounds=30, max_events=1_000_000)
+            assert (cluster.sanitizer is not None) == sanitize
+            totals.append(cluster.messages.total)
+        assert totals[0] == totals[1] > 1000
+
     def test_injected_duplicate_token_is_caught(self):
         config = ProtocolConfig(hold_until_release=True)
         cluster = Cluster.build("ring", n=4, seed=2, config=config,

@@ -173,6 +173,21 @@ class TestCompaction:
         assert fired == len(survivors)
         assert log == survivors  # still in time order after heapify
 
+    def test_interleaved_schedule_cancel_storm(self):
+        """Cancel nine in ten timers as they are scheduled (the A4 pattern
+        under load): compaction runs repeatedly *between* schedules, and
+        exactly the survivors fire."""
+        sim = Simulator()
+        survivors = 0
+        for i in range(2000):
+            event = sim.schedule(float(i % 97) + 1.0, int)
+            if i % 10 != 0:
+                event.cancel()
+            else:
+                survivors += 1
+        assert survivors == sim.pending() == 200
+        assert sim.run() == 200
+
     def test_compaction_mid_run_keeps_local_alias_valid(self):
         """run() holds a local alias of the queue; in-place compaction
         triggered by a handler cancelling en masse must stay visible."""

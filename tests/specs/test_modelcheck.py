@@ -194,6 +194,15 @@ class TestGraphCountsPinned:
         assert (len(graph.states), graph.transitions,
                 graph.complete) == (492, 1764, True)
 
+    def test_system_token_n4_graph(self):
+        # Successive states differ in one component, so this size leans
+        # on the matcher's partial-product cache under heavy sharing.
+        rw, init = system_token.make_system(4)
+        rules = bound_data(rw.ruleset, 1)
+        graph = explore_graph(Rewriter(rules, rw.ctx), init)
+        assert (len(graph.states), graph.transitions,
+                graph.complete) == (11456, 53248, True)
+
     def test_binary_search_n3_graph(self):
         rw, init = bs.make_system(3)
         rules = bound_data(rw.ruleset, 1, nodes=[2])

@@ -94,6 +94,24 @@ class TestMeasurement:
         assert doc["stabilization_p99"] <= doc["bound"]
         assert doc["grants"] > 0
 
+    def test_n9_alternating_corruptions_pinned(self):
+        """Ten injections on n = 9, alternating the epoch-fenced reduction
+        path (a second token conjured at a rotating victim) with the
+        local-repair path (scrambled round/grant stamps).  Virtual-time
+        samples are bit-exact across hosts, so the percentiles are pinned
+        to the microsecond: a convergence-speed change fails loudly."""
+        corruptions = [
+            ("duplicate_token" if i % 2 == 0 else "scramble_stamp",
+             (i * 4 + 2) % 9, 101 + i * 37)
+            for i in range(10)
+        ]
+        doc = measure_convergence(9, corruptions, seed=2001)
+        assert (doc["episodes"], doc["injections"], doc["grants"]) \
+            == (11, 10, 197)
+        assert [round(doc[key] * 1e6) for key in (
+            "stabilization_p50", "stabilization_p99",
+            "max_stabilization_time")] == [0, 7_600_000, 8_000_000]
+
     def test_bound_scales_with_ring_and_delay(self):
         config = default_stabilize_config()
         assert convergence_bound(config, 9, 1.0) \

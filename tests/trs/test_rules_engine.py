@@ -146,6 +146,10 @@ class TestRewriter:
         states = rw.reachable(struct("c", atom(0)), max_states=10)
         assert struct("c", atom(3)) in states
         assert struct("c", atom(4)) not in states
+        # An unbounded system stops exactly at the cap.
+        unbounded = Rewriter(counter_rules())
+        assert len(unbounded.reachable(struct("c", atom(0)),
+                                       max_states=300)) == 300
 
     def test_can_reach_within_depth(self):
         rw = Rewriter(counter_rules())

@@ -83,6 +83,11 @@ class TestPersistentModeReduction:
         assert reduced.complete
         assert reduced.state_set <= frozenset(graph.states)
         assert graph.transitions >= 5 * reduced.executed
+        # Exact counts on both sides: an exploration-count drift or a
+        # reduction regression shows here first.
+        assert (len(graph.states), graph.transitions) == (40486, 91882)
+        assert (reduced.states, reduced.executed) == (2187, 2430)
+        assert int(graph.transitions / reduced.executed * 10) == 378
         for check in (prefix_property, token_uniqueness,
                       search_direction_sound):
             assert all(check(s) for s in reduced.state_set)
