@@ -11,9 +11,8 @@ minutes.  Set ``REPRO_BENCH_ROUNDS=1000`` for the full-fidelity runs.
 
 The transition sanitizer (``repro.lint.sanitizer``) is on by default in
 the sim layer, but benchmarks measure the *protocols*, not the checker —
-so the suite forces it off unless ``REPRO_BENCH_SANITIZE`` is set.  The
-dedicated overhead benchmark (``test_bench_sanitizer.py``) opts back in
-explicitly to quantify the cost of leaving it on.
+so the suite forces it off unless ``REPRO_BENCH_SANITIZE`` is set.  (Its
+cost is a ledger row, ``lint.sanitizer.check_self_us_per_event``.)
 """
 
 import os
@@ -34,9 +33,8 @@ def bench_sanitize() -> bool:
 def _benchmark_sanitizer_default(monkeypatch):
     """Pin the sanitizer off for benchmark runs unless explicitly opted in.
 
-    Clusters built with an explicit ``sanitize=`` argument (the overhead
-    benchmark) are unaffected — the env default only governs implicit
-    construction.
+    Clusters built with an explicit ``sanitize=`` argument are unaffected
+    — the env default only governs implicit construction.
     """
     if not bench_sanitize():
         monkeypatch.setenv("REPRO_SANITIZE", "0")

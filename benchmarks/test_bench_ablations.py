@@ -21,11 +21,9 @@ from repro.analysis.experiments import (
 from repro.analysis.tables import format_series, format_table
 
 
-def test_a1_trap_gc(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_gc_ablation(n=64, mean_interval=20.0,
-                                rounds=bench_rounds(200), seed=2001),
-        rounds=1, iterations=1)
+def test_a1_trap_gc(results_dir):
+    rows = run_gc_ablation(n=64, mean_interval=20.0,
+                           rounds=bench_rounds(200), seed=2001)
     text = format_table(
         rows,
         ["trap_gc", "grants", "loans", "dummy_loans", "dummy_per_grant",
@@ -47,11 +45,9 @@ def test_a1_trap_gc(benchmark, results_dir):
         assert r["avg_responsiveness"] < 64 / 2
 
 
-def test_a2_directed_search(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_directed_ablation(sizes=(16, 32, 64, 128, 256),
-                                      rounds=bench_rounds(150), seed=2001),
-        rounds=1, iterations=1)
+def test_a2_directed_search(results_dir):
+    rows = run_directed_ablation(sizes=(16, 32, 64, 128, 256),
+                                 rounds=bench_rounds(150), seed=2001)
     text = format_series(
         rows, index="n", series="protocol", value="search_per_grant",
         title="A2 — search messages per request: delegated vs directed",
@@ -68,12 +64,9 @@ def test_a2_directed_search(benchmark, results_dir):
             assert r["search_per_grant"] <= 2 * math.log2(n) + 3
 
 
-def test_a3_push_pull(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_push_pull_ablation(n=64,
-                                       intervals=(5.0, 20.0, 100.0, 500.0),
-                                       rounds=bench_rounds(150), seed=2001),
-        rounds=1, iterations=1)
+def test_a3_push_pull(results_dir):
+    rows = run_push_pull_ablation(n=64, intervals=(5.0, 20.0, 100.0, 500.0),
+                                  rounds=bench_rounds(150), seed=2001)
     resp = format_series(
         rows, index="mean_interval", series="protocol",
         value="avg_responsiveness",
@@ -94,11 +87,9 @@ def test_a3_push_pull(benchmark, results_dir):
         by[("binary_search", 500.0)]["messages_expensive"]
 
 
-def test_a4_throttle(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_throttle_ablation(n=64, mean_interval=5.0,
-                                      rounds=bench_rounds(100), seed=2001),
-        rounds=1, iterations=1)
+def test_a4_throttle(results_dir):
+    rows = run_throttle_ablation(n=64, mean_interval=5.0,
+                                 rounds=bench_rounds(100), seed=2001)
     text = format_table(
         rows,
         ["single_outstanding", "grants", "issued_gimmes", "search_messages",
@@ -116,12 +107,10 @@ def test_a4_throttle(benchmark, results_dir):
     assert by[True]["search_messages"] <= 1.5 * by[True]["token_passes"]
 
 
-def test_a5_adaptive_speed(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: run_adaptive_speed_ablation(
-            n=64, pauses=(0.0, 1.0, 5.0, 20.0), mean_interval=200.0,
-            rounds=bench_rounds(100), seed=2001),
-        rounds=1, iterations=1)
+def test_a5_adaptive_speed(results_dir):
+    rows = run_adaptive_speed_ablation(
+        n=64, pauses=(0.0, 1.0, 5.0, 20.0), mean_interval=200.0,
+        rounds=bench_rounds(100), seed=2001)
     text = format_table(
         rows,
         ["idle_pause", "grants", "avg_responsiveness",

@@ -25,8 +25,8 @@ def _run():
     )
 
 
-def test_figure10_fixed_processors(benchmark, results_dir):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure10_fixed_processors(results_dir):
+    rows = _run()
     text = format_series(
         rows, index="mean_interval", series="protocol",
         value="avg_responsiveness",

@@ -24,8 +24,8 @@ def _run():
     )
 
 
-def test_figure9_fixed_load(benchmark, results_dir):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure9_fixed_load(results_dir):
+    rows = _run()
     text = format_series(
         rows, index="n", series="protocol", value="avg_responsiveness",
         title=("Figure 9 — avg responsiveness vs processors "

@@ -43,9 +43,8 @@ def run_sweep(rounds: int):
     return ring_resp, rows
 
 
-def test_loss_degradation(benchmark, results_dir):
-    ring_resp, rows = benchmark.pedantic(
-        lambda: run_sweep(bench_rounds(150)), rounds=1, iterations=1)
+def test_loss_degradation(results_dir):
+    ring_resp, rows = run_sweep(bench_rounds(150))
     text = format_table(
         rows,
         ["cheap_loss", "grants", "outstanding", "avg_responsiveness",

@@ -10,6 +10,7 @@ latter should stay small and roughly size-independent.
 
 from conftest import emit
 
+from repro.analysis.experiments import run_aio_recovery
 from repro.analysis.tables import format_table
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
@@ -52,11 +53,8 @@ def crash_and_recover(n: int, seed: int) -> dict:
     }
 
 
-def test_recovery_time_sweep(benchmark, results_dir):
-    def run():
-        return [crash_and_recover(n, seed=7) for n in (8, 16, 32, 64)]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_recovery_time_sweep(results_dir):
+    rows = [crash_and_recover(n, seed=7) for n in (8, 16, 32, 64)]
     text = format_table(
         rows,
         ["n", "time_to_service", "detection (configured)",
@@ -73,21 +71,17 @@ def test_recovery_time_sweep(benchmark, results_dir):
         assert row["recovery_work"] <= CENSUS_WINDOW + 4 * row["n"] + 20
 
 
-def test_aio_mttr_under_supervision(benchmark, results_dir):
+def test_aio_mttr_under_supervision(results_dir):
     """MTTR of the *runtime* (asyncio + supervisor + phi detection), the
     counterpart of the DES sweep above: adaptive detection should recover
     in a couple of virtual seconds, not the 100-unit configured fallback.
     """
-    from repro.analysis.bench import _bench_aio_recovery
-
-    record = benchmark.pedantic(lambda: _bench_aio_recovery(rounds=40),
-                                rounds=1, iterations=1)
-    checksum = record["checksum"]
+    row = run_aio_recovery(cycles=4)
     text = format_table(
-        [{"cycles": checksum["cycles"],
-          "mttr_virtual_s": record["value"],
-          "max_ttr_virtual_s": checksum["max_ttr_us"] / 1e6,
-          "restarts": checksum["restarts"]}],
+        [{"cycles": row["cycles"],
+          "mttr_virtual_s": row["mttr"],
+          "max_ttr_virtual_s": row["max_ttr"],
+          "restarts": row["restarts"]}],
         ["cycles", "mttr_virtual_s", "max_ttr_virtual_s", "restarts"],
         title="Runtime MTTR — supervised crash-to-grant (virtual clock)",
     )
@@ -95,7 +89,7 @@ def test_aio_mttr_under_supervision(benchmark, results_dir):
     # Every crash cycle recovered, the supervisor repaired every victim,
     # and adaptive phi detection kept recovery well under the 8 s SLO the
     # chaos harness enforces (and far under the 30-delay regen fallback).
-    assert checksum["grants"] == checksum["cycles"]
-    assert checksum["restarts"] >= checksum["cycles"]
-    assert 0.0 < record["value"] < 4.0
-    assert checksum["max_ttr_us"] / 1e6 < 8.0
+    assert row["grants"] == row["cycles"]
+    assert row["restarts"] >= row["cycles"]
+    assert 0.0 < row["mttr"] < 4.0
+    assert row["max_ttr"] < 8.0

@@ -9,10 +9,8 @@ Usage (also available as ``python -m repro``):
     python -m repro figure10 [--rounds 300]
     python -m repro ablations [--rounds 200]
     python -m repro refinement [-n 4 --steps 200]
+    python -m repro report [--out report.md --seeds 1 2 3]
     python -m repro lint [--json --strict --max-states 300]
-    python -m repro bench [--json --rounds 40 --out DIR --profile --mem]
-    python -m repro bench --validate --compare benchmarks/baselines/BENCH_<stamp>.json
-    python -m repro bench --compare benchmarks/baselines --regression-threshold 30
     python -m repro fabric [--keys 256 --grants 6400 --json]
     python -m repro fabric --keys 256 --expect-checksum <hex>
     python -m repro run [--backend des --profile mixed --seed 2001 --runs 50]
@@ -20,6 +18,7 @@ Usage (also available as ``python -m repro``):
     python -m repro run --backend wire --profile smoke --runs 1
     python -m repro run --replay tests/fuzz/corpus/<case>.json [--backend aio]
     python -m repro run --profile stabilize --measure 9 [--episodes 20]
+    python -m repro verify [--system binary_search --strict --check FILE]
     python -m repro serve [-n 3 --protocol fault_tolerant --port 7700]
     python -m repro loadgen --port 7700 [--ops 1000 --clients 4]
 
@@ -34,7 +33,6 @@ and returns a process exit code of 0 on success.
 from __future__ import annotations
 
 import argparse
-import glob
 import math
 import os
 import sys
@@ -121,45 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(rep)
     _add_jobs(rep)
 
-    ben = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suite and persist a BENCH_<stamp>.json "
-             "baseline")
-    ben.add_argument("--rounds", type=int, default=40,
-                     help="workload rounds per benchmark (default 40)")
-    ben.add_argument("--out", default=".", metavar="DIR",
-                     help="directory for BENCH_<stamp>.json (default .)")
-    ben.add_argument("--json", action="store_true",
-                     help="print the baseline document as JSON")
-    ben.add_argument("--validate", metavar="FILE", nargs="?", const=True,
-                     default=None,
-                     help="validate an existing baseline file and exit "
-                          "(nothing is run); bare --validate combined with "
-                          "--compare additionally schema-checks the fresh "
-                          "run's document")
-    ben.add_argument("--compare", metavar="FILE", default=None,
-                     help="run the suite at the baseline's recorded rounds "
-                          "and print per-workload deltas against FILE (a "
-                          "directory picks its newest BENCH_*.json); exits "
-                          "non-zero on checksum mismatch (behaviour drift) "
-                          "— value regressions are informational unless "
-                          "--regression-threshold is set")
-    ben.add_argument("--regression-threshold", metavar="PCT", type=float,
-                     default=None,
-                     help="with --compare: also exit non-zero when a "
-                          "workload's metric regresses by more than PCT "
-                          "percent (throughput drop or wall-time increase)")
-    ben.add_argument("--profile", action="store_true",
-                     help="run the suite under cProfile and write the "
-                          "hotspot report as PROFILE_<stamp>.txt next to "
-                          "the BENCH json (profiling overhead makes the "
-                          "recorded values slower than a plain run)")
-    ben.add_argument("--mem", action="store_true",
-                     help="wrap each workload in tracemalloc and record "
-                          "exact peak allocation per workload (slows the "
-                          "run; peak-RSS and object counts are always "
-                          "recorded)")
-
     lint = sub.add_parser(
         "lint",
         help="statically analyze every registered TRS system (rule lint, "
@@ -191,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="protocol core per lane (default binary_search)")
     fab.add_argument("--clients", type=int, default=None,
                      help="closed-loop client population "
-                          "(default: 2.4 x keys, the bench's saturation "
-                          "ratio)")
+                          "(default: 2.4 x keys, the saturation ratio)")
     fab.add_argument("--think-time", type=float, default=2.0,
                      help="virtual think time between a client's release "
                           "and next request (default 2.0)")
@@ -555,113 +513,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.analysis import bench
-    from repro.errors import BenchSchemaError
-
-    if args.validate is not None and args.compare is None:
-        if args.validate is True:
-            print("error: bare --validate needs --compare (or pass a "
-                  "baseline file to validate)", file=sys.stderr)
-            return 2
-        try:
-            with open(args.validate) as handle:
-                doc = json.load(handle)
-            bench.validate(doc)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        except BenchSchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid {bench.SCHEMA} baseline "
-              f"({len(doc['results'])} results)")
-        return 0
-
-    if args.compare is not None:
-        baseline_path = args.compare
-        if os.path.isdir(baseline_path):
-            candidates = sorted(
-                glob.glob(os.path.join(baseline_path, "BENCH_*.json")))
-            if not candidates:
-                print(f"error: no BENCH_*.json under {baseline_path}",
-                      file=sys.stderr)
-                return 2
-            baseline_path = candidates[-1]
-        try:
-            with open(baseline_path) as handle:
-                baseline = json.load(handle)
-            bench.validate(baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        except BenchSchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"baseline file: {baseline_path} "
-              f"(commit {baseline.get('commit', 'unknown')[:12]}, "
-              f"rounds {baseline['rounds']})")
-        # Checksums are rounds-dependent, so the comparison run must use
-        # the baseline's recorded rounds, not the CLI default.
-        doc = bench.collect(rounds=baseline["rounds"])
-        if args.validate is not None:
-            bench.validate(doc)
-        lines, ok = bench.compare(doc, baseline,
-                                  regression_pct=args.regression_threshold)
-        for line in lines:
-            print(line)
-        if not ok:
-            print(f"bench compare vs {baseline_path}: FAILED "
-                  "(checksum mismatch, regression beyond threshold, or "
-                  "no shared workloads)", file=sys.stderr)
-            return 1
-        suffix = ("value deltas are informational"
-                  if args.regression_threshold is None else
-                  f"within the {args.regression_threshold:.1f}% threshold")
-        print(f"bench compare vs {baseline_path}: OK ({suffix})")
-        return 0
-
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        doc = bench.collect(rounds=args.rounds, trace_memory=args.mem)
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        buffer.write("Top 30 by cumulative time\n")
-        stats.sort_stats("cumulative").print_stats(30)
-        buffer.write("\nTop 30 by internal time\n")
-        stats.sort_stats("tottime").print_stats(30)
-        stamp = bench.default_stamp()
-        path = bench.write_baseline(doc, out_dir=args.out, stamp=stamp)
-        profile_path = bench.write_profile(buffer.getvalue(),
-                                           out_dir=args.out, stamp=stamp)
-        print(f"wrote {profile_path}", file=sys.stderr)
-    else:
-        doc = bench.collect(rounds=args.rounds, trace_memory=args.mem)
-        path = bench.write_baseline(doc, out_dir=args.out)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(format_table(
-            [{"name": r["name"], "metric": r["metric"],
-              "value": f"{r['value']:.1f}", "unit": r["unit"],
-              "wall_s": f"{r['wall_s']:.3f}"}
-             for r in doc["results"]],
-            ["name", "metric", "value", "unit", "wall_s"],
-            title=f"benchmark baseline (rounds={doc['rounds']}, "
-                  f"sanitize={doc['sanitize']})",
-        ))
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.lint.registry import run_all, targets
 
@@ -715,8 +566,8 @@ def _cmd_fabric(args) -> int:
     lane_crc = 0
     for stat in metrics.stats:
         lane_crc = zlib.crc32(b"%d|" % stat.grants, lane_crc)
-    # Same counters the fabric_10k bench pins; folded to one hex word so a
-    # CI job can carry the pin as a single --expect-checksum argument.
+    # The counters of the fabric_10k pin (tests/test_pins.py), folded to one
+    # hex word so a CI job can carry them as one --expect-checksum argument.
     counters = {
         "keys": args.keys,
         "events": fabric.executed_total,
@@ -1067,7 +918,6 @@ _COMMANDS = {
     "refinement": _cmd_refinement,
     "report": _cmd_report,
     "lint": _cmd_lint,
-    "bench": _cmd_bench,
     "fabric": _cmd_fabric,
     "run": _cmd_run,
     "verify": _cmd_verify,

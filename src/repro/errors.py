@@ -81,10 +81,6 @@ class ExperimentCellError(ReproError):
         self.key = key
 
 
-class BenchSchemaError(ReproError):
-    """A persisted benchmark baseline does not match the expected schema."""
-
-
 class LintError(ReproError):
     """The protocol static analyzer found a defect, or was misused.
 

@@ -1,7 +1,7 @@
 """Executing cases: one runner, four backends, one result.
 
 ``run_case`` is the single entry point the run loop, replay, the shrinker
-and the benches use: it validates a :class:`~repro.fuzz.case.FuzzCase`,
+and the convergence measurement use: it validates a :class:`~repro.fuzz.case.FuzzCase`,
 asks :func:`skip_reason` whether the case's backend can run it, and
 dispatches —
 

@@ -16,7 +16,7 @@ Three pieces:
   :func:`~repro.fuzz.oracle.convergence` verdict (bounded convergence +
   closure over the token-unit census) judges a run against;
 - :func:`~repro.stabilize.runner.measure_convergence` — the
-  deterministic episode schedule behind the ``stabilize_n9`` bench.
+  deterministic episode schedule behind ``repro run --measure``.
 
 The corruption injector itself lives in :mod:`repro.faults.corruption`
 (it is a fault model, not a protocol), and ``repro run --profile

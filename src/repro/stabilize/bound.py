@@ -16,7 +16,7 @@ the worst recovery chain the corruption injector can set up:
   and demand-driven detection adds ``regen_timeout``.
 
 The result is deliberately generous — the bound certifies *eventual*
-convergence, the ``stabilize_n9`` bench pins the actual percentiles.
+convergence, ``tests/stabilize/test_convergence.py`` pins the percentiles.
 """
 
 from __future__ import annotations

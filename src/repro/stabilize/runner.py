@@ -1,13 +1,13 @@
-"""Stabilization episodes as a case: the bench/CLI measurement schedule.
+"""Stabilization episodes as a case: the CLI measurement schedule.
 
 :func:`measure_case` lays out one stabilizing cluster's run through a
 series of corruption injections spaced far enough apart that each episode
 closes before the next begins; :func:`measure_convergence` runs it through
 :func:`repro.fuzz.run_case` and reports the convergence-time distribution
-the ``stabilize_n9`` bench pins.  Everything is deterministic: corruption
-arguments are explicit, background requests follow an arithmetic schedule,
-and network delays are constant — two calls with the same arguments
-produce the same samples bit-for-bit.
+that ``tests/stabilize/test_convergence.py`` pins.  Everything is
+deterministic: corruption arguments are explicit, background requests
+follow an arithmetic schedule, and network delays are constant — two calls
+with the same arguments produce the same samples bit-for-bit.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def measure_case(n: int, corruptions: Sequence[Tuple[str, int, int]],
 def measure_convergence(n: int, corruptions: Sequence[Tuple[str, int, int]],
                         seed: int = 0) -> Dict[str, object]:
     """Convergence-time distribution over a corruption series: the episode
-    samples plus the percentiles the bench records."""
+    samples plus their percentiles."""
     result = run_case(measure_case(n, corruptions, seed))
     if result.violation is not None:
         raise OracleViolation(result.violation["invariant"],

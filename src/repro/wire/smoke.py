@@ -2,7 +2,7 @@
 
 :func:`service_config` is the one spelling of the protocol configuration
 the supervised asyncio runtime runs — ``repro serve``, every ``aio`` and
-``wire`` case of :func:`repro.fuzz.run_case`, the recovery bench.
+``wire`` case of :func:`repro.fuzz.run_case`, ``run_aio_recovery``.
 :func:`smoke_case` is the closed-loop run behind ``repro run --backend
 wire --profile smoke``: a :class:`~repro.wire.transport.WireTransport`
 cluster (every node on its own TCP listener) with ARQ, supervision and the

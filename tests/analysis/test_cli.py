@@ -78,6 +78,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_usage_block_parser_and_dispatch_agree(self):
+        import argparse
+        import re
+
+        from repro import cli
+
+        [sub] = [action for action in cli._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        documented = set(re.findall(r"python -m repro (\w+)", cli.__doc__))
+        assert set(sub.choices) == set(cli._COMMANDS) == documented
+        assert len(documented) == 13 and "bench" not in documented
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -93,31 +105,3 @@ class TestReport:
         assert "Figure 9" in text and "Figure 10" in text
         assert "±" in text
         assert "wrote" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_writes_and_validates_baseline(self, tmp_path, capsys):
-        assert main(["bench", "--rounds", "2", "--out", str(tmp_path)]) == 0
-        baselines = list(tmp_path.glob("BENCH_*.json"))
-        assert len(baselines) == 1
-        out = capsys.readouterr().out
-        assert "des_cluster_64" in out
-
-        assert main(["bench", "--validate", str(baselines[0])]) == 0
-        assert "valid" in capsys.readouterr().out
-
-    def test_bench_json_mode(self, tmp_path, capsys):
-        import json
-
-        assert main(["bench", "--rounds", "2", "--out", str(tmp_path),
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro-bench/1"
-        assert {r["name"] for r in doc["results"]} >= {
-            "des_cluster_64", "kernel_timer_churn"}
-
-    def test_validate_rejects_schema_drift(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"schema": "repro-bench/999", "results": []}')
-        assert main(["bench", "--validate", str(bad)]) == 1
-        assert "error" in capsys.readouterr().err
