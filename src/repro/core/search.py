@@ -65,7 +65,8 @@ class LinearSearchCore(ProtocolCore):
                 effects.append(CancelTimer(_FWD))
             effects.extend(self._advance(now))
             return effects
-        if self.n <= 1 or (self.outstanding and self.config.single_outstanding):
+        if self.ring_size() <= 1 or (
+                self.outstanding and self.config.single_outstanding):
             return []
         self.outstanding = True
         return [Send(self.ring_succ(), AskMsg(
@@ -118,7 +119,7 @@ class LinearSearchCore(ProtocolCore):
         self.round_no = msg.round_no
         self.last_visit = msg.clock
         if self.config.trap_gc == GC_ROTATION:
-            self.traps.expire(self.clock, self.n)
+            self.traps.expire(self.clock, self.ring_size())
         effects: List[Effect] = [Deliver("token_visit", (self.node_id, self.clock))]
         effects.extend(self._advance(now))
         return effects
@@ -186,10 +187,12 @@ class LinearSearchCore(ProtocolCore):
             ))
 
     def _forward(self) -> List[Effect]:
-        if self.n == 1:
+        if self.ring_size() == 1:
             return []
         self.has_token = False
         self._demand_seen = False
         successor = self.ring_succ()
-        next_round = self.round_no + 1 if successor == 0 else self.round_no
+        next_round = (
+            self.round_no + 1 if successor == self.ring_first() else self.round_no
+        )
         return [Send(successor, TokenMsg(clock=self.clock + 1, round_no=next_round))]

@@ -7,6 +7,7 @@ import pytest
 from repro.aio.cluster import AioCluster
 from repro.aio.transport import AioTransport
 from repro.core.config import ProtocolConfig
+from repro.core.messages import TokenMsg
 from repro.errors import ConfigError, MembershipError, NetworkError
 
 
@@ -262,5 +263,53 @@ def test_search_parts_follow_the_ring_view(protocol, finder):
             await cluster.stop()
         assert {dst for dst, _ in sent} <= set(members)
         assert (joined, finder) in sent
+
+    run_virtual(main())
+
+
+def test_linear_search_follows_the_ring_view():
+    """Rotation GC and the round counter read the dynamic ring view, not
+    the configured ``n``: on a ring grown past ``n`` a trap is kept for a
+    full circulation of the *grown* ring, and after node 0 leaves the
+    round still advances once per circulation (at the new first member)."""
+    from repro.aio.virtualtime import run_virtual
+
+    async def main():
+        cluster = AioCluster("linear_search", n=4, seed=11, delay=0.01,
+                             config=ProtocolConfig(trap_gc="rotation"))
+        hops = []
+        cluster.transport.on_send.append(
+            lambda src, dst, msg: hops.append((src, dst, msg.round_no))
+            if isinstance(msg, TokenMsg) else None)
+        await cluster.start()
+        try:
+            await cluster.join()
+            assert cluster.membership.view.members == (0, 1, 2, 3, 4)
+            await asyncio.sleep(0.3)  # every node gets a visit stamp
+            async with cluster.lock(0, timeout=5.0):
+                # Node 2 was visited 3 hops ago; its ask traps 3, 4 and 0.
+                waiter = asyncio.ensure_future(cluster.acquire(2, timeout=5.0))
+                await asyncio.sleep(0.1)
+                del hops[:]
+            await waiter
+            cluster.release(2)
+            await asyncio.sleep(0.1)
+            # The token jumps to 2, serves it and moves on to 3, where the
+            # trap is now 4 ticks old: under one circulation of the five
+            # members, so it is still honoured (measured on n = 4 it was
+            # dropped one hop early).
+            assert [hop[:2] for hop in hops[:3]] == [(0, 2), (2, 3), (3, 2)]
+
+            async with cluster.lock(1, timeout=5.0):
+                await cluster.leave(0)
+                del hops[:]
+            await asyncio.sleep(0.5)
+            first = cluster.membership.view.members[0]
+            assert first == 1
+            rounds = [round_no for _, dst, round_no in hops if dst == first]
+            assert len(rounds) >= 10
+            assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
+        finally:
+            await cluster.stop()
 
     run_virtual(main())
