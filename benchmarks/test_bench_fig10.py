@@ -16,17 +16,13 @@ from repro.analysis.tables import format_series
 N = 100
 
 
-def _run():
-    return run_figure10(
+def test_figure10_fixed_processors(results_dir):
+    rows = run_figure10(
         intervals=(1, 2, 5, 10, 20, 50, 100, 200, 500),
         n=N,
         rounds=bench_rounds(),
         seed=2001,
     )
-
-
-def test_figure10_fixed_processors(results_dir):
-    rows = _run()
     text = format_series(
         rows, index="mean_interval", series="protocol",
         value="avg_responsiveness",

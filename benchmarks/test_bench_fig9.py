@@ -15,17 +15,13 @@ from repro.analysis.experiments import run_figure9
 from repro.analysis.tables import format_series
 
 
-def _run():
-    return run_figure9(
+def test_figure9_fixed_load(results_dir):
+    rows = run_figure9(
         sizes=(8, 16, 32, 64, 128, 256),
         mean_interval=10.0,
         rounds=bench_rounds(),
         seed=2001,
     )
-
-
-def test_figure9_fixed_load(results_dir):
-    rows = _run()
     text = format_series(
         rows, index="n", series="protocol", value="avg_responsiveness",
         title=("Figure 9 — avg responsiveness vs processors "

@@ -288,7 +288,7 @@ def test_linear_search_follows_the_ring_view():
             await asyncio.sleep(0.3)  # every node gets a visit stamp
             async with cluster.lock(0, timeout=5.0):
                 # Node 2 was visited 3 hops ago; its ask traps 3, 4 and 0.
-                waiter = asyncio.ensure_future(cluster.acquire(2, timeout=5.0))
+                waiter = asyncio.create_task(cluster.acquire(2, timeout=5.0))
                 await asyncio.sleep(0.1)
                 del hops[:]
             await waiter
