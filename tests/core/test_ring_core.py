@@ -1,12 +1,12 @@
-"""Sans-IO unit tests for RingCore: the effects are inspected directly,
-no scheduler involved."""
+"""Sans-IO unit tests for RingCore (the ``ring`` row): the effects are
+inspected directly, no scheduler involved."""
 
 import pytest
 
+from repro.core import RingCore
 from repro.core.config import ProtocolConfig
 from repro.core.effects import CancelTimer, Deliver, Send, SetTimer
 from repro.core.messages import TokenMsg
-from repro.core.ring import RingCore
 from repro.errors import ProtocolError
 
 
@@ -97,6 +97,15 @@ class TestRequests:
         core.on_request(2.0)
         assert core.req_seq == 2
 
+    def test_grant_is_not_recorded_on_the_token(self):
+        # No trap exists anywhere on a ring, so there is nothing for a
+        # served carry to retire: the token travels bare.
+        core = RingCore(1, cfg())
+        core.on_request(0.0)
+        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        assert Deliver("granted", (1, 1)) in effects
+        assert [e.msg.served for e in sends(effects)] == [()]
+
 
 class TestHoldAndService:
     def test_hold_until_release_blocks_forwarding(self):
@@ -137,6 +146,17 @@ class TestAdaptiveSpeed:
         effects = core.on_timer("forward", 5.0)
         assert sends(effects)[0].dst == 2
         assert not core.has_token
+
+    def test_serving_a_local_request_re_parks(self):
+        # Rule 3' has no remote-demand signal: a request of our own says
+        # nothing about the rest of the ring, so the pause still applies.
+        core = RingCore(0, cfg(idle_pause=4.0))
+        core.on_start(0.0)
+        effects = core.on_request(1.0)
+        assert Deliver("granted", (0, 1)) in effects
+        assert sends(effects) == []
+        assert [e.delay for e in effects if isinstance(e, SetTimer)] == [4.0]
+        assert core.has_token
 
     def test_stale_forward_timer_ignored(self):
         core = RingCore(1, cfg(idle_pause=4.0))
