@@ -1,20 +1,30 @@
 """The token machine — what every row of the protocol table does alike.
 
-The token circulates the logical ring exactly as in :class:`RingCore`.  A
-holder (or a node the rotating token reaches) with traps serves them in
+The token circulates the logical ring (System Message-Passing, rule 3').
+A holder (or a node the rotating token reaches) with traps serves them in
 FIFO order by **loaning** the token (rule 7's decorated ``ŷ``): the
 requester uses it and returns it, and the rotation resumes where it was
 intercepted (rule 8).  How a request *finds* the token is not here: a row
 of :mod:`repro.core.protocols` stacks a search part
 (:mod:`repro.core.parts`) and optional layers over this class, filling
 :meth:`_launch_search`, :meth:`_on_sighting` and, chained with
-``super()``, ``on_message``/``on_timer`` for the part's own types.
+``super()``, ``on_message``/``on_timer`` for the part's own types.  A row
+whose hand-over is not loan-and-return names a hand-over part, which
+replaces :meth:`_hand_over` (and :meth:`_record_served`, if nothing it
+hands over can go stale); :meth:`_idle` is the parking rule's notion of
+"no demand".
 
-The machine owns possession (``has_token``, ``lent_to``, ``epoch``), the
-clock/round/visit stamps, request and grant sequence numbers, traps with
-the served carry and their GC, rotation and parking, loans, and routing
-around ``suspected``.  Epoch and suspects stay ``0`` and empty unless a
-layer writes them, so on a row without layers that code is inert.
+The machine owns the **possession record**, declared once in
+``__init__`` so that every consumer (sanitizer, oracle, corruption
+injector, supervisor snapshot, the clusters' census) reads it off any
+registered core without probing: ``has_token``, ``lent_to``, ``epoch``,
+``suspected``, ``clock``, ``round_no``, ``last_visit``, ``req_seq``,
+``granted_seq``, ``outstanding``, ``_serving``, ``_parked``,
+``_loan_pending``.  It also owns traps with the served carry and their GC,
+rotation and parking, loans, and routing around ``suspected``.  Epoch and
+suspects stay ``0`` and empty unless a layer writes them, and the traps
+stay empty unless a search part lays one, so on a row without those parts
+that code is inert.
 
 Optimizations from Section 4.4 that live here, all config-selectable:
 
@@ -202,11 +212,11 @@ class TokenMachine(ProtocolCore):
         effects: List[Effect] = []
         if self.ready and self._grant(effects):
             return effects
-        loan = self._next_loan()
-        if loan is not None:
-            effects.extend(loan)
+        handed = self._hand_over()
+        if handed is not None:
+            effects.extend(handed)
             return effects
-        if self.config.idle_pause > 0 and not self._demand_seen:
+        if self.config.idle_pause > 0 and self._idle():
             self._parked = True
             effects.append(SetTimer(_FWD, self.config.idle_pause))
             return effects
@@ -231,7 +241,12 @@ class TokenMachine(ProtocolCore):
             effects.append(Deliver("released", (self.node_id, self.req_seq)))
         return self._serving
 
-    def _next_loan(self) -> Optional[List[Effect]]:
+    def _idle(self) -> bool:
+        """Nothing has asked for the token since it came to rest here (a
+        request of our own, an incoming search), so it may slow down."""
+        return not self._demand_seen
+
+    def _hand_over(self) -> Optional[List[Effect]]:
         """Pop the next live trap and loan the token to its requester,
         returning the effects, or None when no live trap remains."""
         while True:

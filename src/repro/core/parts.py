@@ -1,12 +1,13 @@
-"""Search and advertise parts — how a request finds the token
-(Sections 4.2, 4.4), each answer written once.
+"""Search, advertise and hand-over parts — how a request finds the token
+(Sections 4.2, 4.4) and how the token then reaches it, each answer written
+once.
 
 A part is an ordinary class whose methods run with the assembled core as
-``self``: it keeps its own fields, fills the
-:class:`~repro.core.machine.TokenMachine` search seam and hands every
-message or timer that is not its own down with ``super()``.  No part names
-another as a base; which parts a protocol stacks is a row of
-:mod:`repro.core.protocols`.
+``self``: it keeps its own fields, fills a seam of the
+:class:`~repro.core.machine.TokenMachine` (search, hand-over, idleness)
+and hands every message or timer that is not its own down with
+``super()``.  No part names another as a base; which parts a protocol
+stacks is a row of :mod:`repro.core.protocols`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.effects import Effect, Send, SetTimer
 from repro.core.messages import (
     AdvertMsg,
+    AskMsg,
     GimmeMsg,
     ProbeMsg,
     ProbeReplyMsg,
@@ -24,11 +26,54 @@ from repro.core.messages import (
     TokenMsg,
 )
 
-__all__ = ["Advertise", "DelegatedSearch", "DirectSearch", "DirectedSearch",
-           "advert_fanout"]
+__all__ = ["Advertise", "DelegatedSearch", "DirectHandOver", "DirectSearch",
+           "DirectedSearch", "LinearSearch", "RotationOnly", "advert_fanout"]
 
 _FWD = "forward"
 _RETRY = "retry"
+
+
+class LinearSearch:
+    """System Search under the Lemma 5 ring restriction — the *linear*
+    ancestor of the delegated search: a ready node sends an ``ask`` to its
+    ring successor, and each node the ask reaches lays a FIFO trap and
+    relays it to *its* successor, so the request walks the ring node by
+    node until it meets the token or is one hop short of coming home.
+    Responsiveness is O(N) (Lemma 5), the plain ring's bound with search
+    traffic on top: the stepping stone the figures compare the binary
+    refinement against.
+    """
+
+    def _launch_search(self) -> List[Effect]:
+        if self.ring_size() <= 1:
+            return []
+        if self.outstanding and self.config.single_outstanding:
+            return []
+        self.outstanding = True
+        return [Send(self.hop(1), AskMsg(
+            requester=self.node_id, req_seq=self.req_seq,
+            visit_stamp=self.last_visit,
+        ))]
+
+    def _on_ask(self, msg: AskMsg, now: float) -> List[Effect]:
+        self._demand_seen = True
+        if msg.requester == self.node_id:
+            return []  # our ask completed a full circuit
+        self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp)
+        if self.has_token or self.lent_to is not None:
+            # The ask found the token('s owner): serve FIFO when free.
+            if self.has_token and not self._serving:
+                return self._unpark_and_advance(now)
+            return []
+        successor = self.hop(1)
+        if successor == msg.requester:
+            return []  # the ask is about to complete its circuit
+        return [Send(successor, msg)]
+
+    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+        if type(msg) is AskMsg:
+            return self._on_ask(msg, now)
+        return super().on_message(src, msg, now)
 
 
 class DelegatedSearch:
@@ -284,6 +329,55 @@ class DirectSearch:
                 visit_stamp=self.last_visit,
             )))
         return effects
+
+
+class DirectHandOver:
+    """Rule 7 undecorated — the hand-over of System Search, before the
+    paper decorates it into a loan: a holder with a trap sends the token
+    *itself* to the oldest trapped requester, and the rotation resumes
+    from there.  Nothing is lent, so nothing is returned.
+    """
+
+    def _hand_over(self) -> Optional[List[Effect]]:
+        while True:
+            t = self.traps.pop()
+            if t is None:
+                return None
+            if t.requester == self.node_id:
+                continue
+            self.has_token = False
+            # Not a circulation hop: the clock is not advanced (in the spec
+            # rule 7 appends no event), which is why the row cannot promise
+            # the oracle ``strict_hop``.
+            return [Send(t.requester, TokenMsg(
+                clock=self.clock, round_no=self.round_no, epoch=self.epoch,
+            ))]
+
+    def _record_served(self, z: int, seq: int) -> None:
+        """Nothing is loaned, so no trap is served-stale in the sense the
+        carry retires (a dummy loan and its return); the token travels
+        bare, and rotation GC is clock expiry alone."""
+
+
+class RotationOnly:
+    """System Message-Passing with rule 3' and nothing on top — the
+    Figures 9/10 baseline: a request never leaves its node, the token
+    serves it when the rotation brings it round, O(N) (Lemma 4).  With no
+    search nothing lays a trap, so the machine's hand-over never finds one
+    and only what follows from that is written here.
+    """
+
+    def _record_served(self, z: int, seq: int) -> None:
+        """No trap exists for a served carry to retire: the token travels
+        bare."""
+
+    def _idle(self) -> bool:
+        """Rule 3' has no remote-demand signal, and a request of our own
+        says nothing about the rest of the ring: the holder is always idle,
+        so the token parks whenever ``idle_pause`` asks, also right after
+        serving us.  Slowing the rotation here trades responsiveness for
+        messages, which the adaptive-speed ablation (A5) quantifies."""
+        return True
 
 
 def advert_fanout(hop: Callable[[int], int], holder: int, clock: int,

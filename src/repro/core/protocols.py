@@ -1,4 +1,4 @@
-"""The protocol table: search × advertise × layers.
+"""The protocol table: search × advertise × hand-over × layers.
 
 The paper presents Sections 4.2 and 4.4–5 as independent refinements of
 one system.  This module is that matrix, written down once: a protocol is
@@ -10,7 +10,9 @@ set) is a view of it.
 
 ``search`` is an ordered fallback: a part whose knowledge is no good hands
 the request to the next one with ``super()``, and the machine's own answer
-is "the rotation will serve us".  ``layers`` are listed innermost first; a
+is "the rotation will serve us".  ``handover`` is how a trapped request
+then gets the token: the machine's own rule is loan-and-return, and a row
+that differs names its part.  ``layers`` are listed innermost first; a
 layer that needs another names it as its base (stabilization →
 regeneration).  To add a row, write the part it needs without naming any
 other part as a base and add one ``Row`` here.
@@ -26,11 +28,12 @@ from repro.core.parts import (
     Advertise,
     DelegatedSearch,
     DirectedSearch,
+    DirectHandOver,
     DirectSearch,
+    LinearSearch,
+    RotationOnly,
 )
 from repro.core.regeneration import Regeneration
-from repro.core.ring import RingCore
-from repro.core.search import LinearSearchCore
 from repro.core.stabilization import Stabilization
 
 __all__ = ["PROTOCOLS", "REGISTRY", "ROWS", "Row", "assemble"]
@@ -42,12 +45,12 @@ class Row:
 
     search: Tuple[type, ...] = ()
     advertise: Optional[type] = None
+    #: The hand-over rule, where it is not the machine's loan-and-return.
+    handover: Optional[type] = None
     layers: Tuple[type, ...] = ()
     #: Attributes the row's parts read off the core (the push/hybrid
     #: differences); assembly sets them on the class.
     traits: Mapping[str, object] = field(default_factory=dict)
-    #: A hand-written comparator core instead of an assembled one.
-    comparator: Optional[type] = None
     #: Every TokenMsg is a circulation hop (clock advances by exactly one).
     strict_hop: bool = True
     #: Drawn by the random ``clean``/``faults`` fuzz profiles.
@@ -56,8 +59,8 @@ class Row:
     @property
     def parts(self) -> Tuple[type, ...]:
         """The row's parts in method-resolution order, outermost first."""
-        advertise = (self.advertise,) if self.advertise else ()
-        return tuple(reversed(self.layers)) + self.search + advertise
+        inner = tuple(p for p in (self.advertise, self.handover) if p)
+        return tuple(reversed(self.layers)) + self.search + inner
 
     def has(self, part: type) -> bool:
         """Does the row stack ``part``?  The capability question callers
@@ -82,9 +85,11 @@ def assemble(protocol_name: str, parts: Tuple[type, ...],
 
 
 ROWS: Dict[str, Row] = {
-    "ring": Row(comparator=RingCore),
+    # Rule 3' alone: no search lays a trap, so nothing is ever handed over.
+    "ring": Row(handover=RotationOnly),
     # System Search's direct hand-over is "not a circulation hop".
-    "linear_search": Row(comparator=LinearSearchCore, strict_hop=False),
+    "linear_search": Row(search=(LinearSearch,), handover=DirectHandOver,
+                         strict_hop=False),
     "binary_search": Row(search=(DelegatedSearch,)),
     "directed_search": Row(search=(DirectedSearch,)),
     "push": Row(search=(DirectSearch,), advertise=Advertise, traits={
@@ -123,7 +128,7 @@ ROWS: Dict[str, Row] = {
 
 #: name -> core class; what ``Cluster.build`` and every runtime look up.
 REGISTRY: Dict[str, type] = {
-    name: row.comparator or assemble(name, row.parts, **row.traits)
+    name: assemble(name, row.parts, **row.traits)
     for name, row in ROWS.items()
 }
 

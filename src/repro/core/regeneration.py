@@ -95,8 +95,8 @@ class Regeneration:
         stride = max(self.n, 1)
         return (self.epoch // stride + 1) * stride + minter
 
-    def _next_loan(self) -> Optional[List[Effect]]:
-        effects = super()._next_loan()
+    def _hand_over(self) -> Optional[List[Effect]]:
+        effects = super()._hand_over()
         if effects is not None and self.config.loan_timeout > 0:
             # The borrower may crash with our token: arm the reclaim.
             effects.append(SetTimer((_LOANBACK, self.lent_to),

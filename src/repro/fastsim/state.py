@@ -1,8 +1,9 @@
 """Flat column-oriented node state for the array-compiled engine.
 
-The object cores (:mod:`repro.core.ring`, :mod:`repro.core.machine`)
-keep one Python object per node with ~15 attributes; every handler pays
-attribute-dictionary lookups and allocates effect/message dataclasses.
+The object cores (the rows of :mod:`repro.core.protocols` over
+:mod:`repro.core.machine`) keep one Python object per node with ~15
+attributes; every handler pays attribute-dictionary lookups and
+allocates effect/message dataclasses.
 The fast engine replaces all of that with *columns*: one ``bytearray``
 per boolean flag, one flat int list per integer register, and plain
 Python lists/dicts for the few per-node structures that hold tuples

@@ -14,7 +14,10 @@ from repro.core.parts import (
     Advertise,
     DelegatedSearch,
     DirectedSearch,
+    DirectHandOver,
     DirectSearch,
+    LinearSearch,
+    RotationOnly,
 )
 from repro.core.protocols import PROTOCOLS, REGISTRY, ROWS, assemble
 from repro.core.regeneration import Regeneration
@@ -23,8 +26,8 @@ from repro.fuzz import IMPL_PROTOCOLS, FuzzCase
 from repro.lint.registry import run_dynamic
 from repro.workload.generators import SingleShotWorkload
 
-PARTS = {DelegatedSearch, DirectedSearch, DirectSearch, Advertise,
-         Regeneration, Stabilization}
+PARTS = {LinearSearch, DelegatedSearch, DirectedSearch, DirectSearch,
+         Advertise, DirectHandOver, RotationOnly, Regeneration, Stabilization}
 
 
 def _protocol_choices():
@@ -64,9 +67,6 @@ def test_cli_accepts_every_registered_protocol(capsys):
 def test_a_row_is_data_over_shared_parts():
     for name, row in ROWS.items():
         cls = REGISTRY[name]
-        if row.comparator is not None:
-            assert cls is row.comparator
-            continue
         own = {k: v for k, v in vars(cls).items()
                if k not in ("__module__", "__doc__")}
         assert own == {"protocol_name": name, **row.traits}

@@ -6,7 +6,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
 from repro.core.parts import DirectedSearch
-from repro.core.protocols import REGISTRY, assemble
+from repro.core.protocols import REGISTRY, ROWS, assemble
 from repro.core.regeneration import Regeneration
 from repro.faults.detector import Census
 from repro.workload.generators import SingleShotWorkload
@@ -237,3 +237,10 @@ class TestRegenerationOverDirectedSearch(TestRegeneration):
     the table's parts, not registered under a name."""
 
     core = assemble("directed_ft", (Regeneration, DirectedSearch))
+
+
+class TestRegenerationOverTheRing(TestRegeneration):
+    """The same layer over the rotation-only row: a fault-tolerant ring,
+    which a hand-written ``RingCore`` could not be given."""
+
+    core = assemble("ring_ft", (Regeneration,) + ROWS["ring"].parts)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core.machine import TokenMachine
+from repro.core import BinarySearchCore
 from repro.errors import ConfigError
 from repro.fuzz import FuzzCase, fuzz_run, generate_case, run_case, shrink
 
@@ -73,14 +73,17 @@ class TestRunDeterminism:
 
 
 def _duplicating_patch():
-    real = TokenMachine._forward
+    """Seeded on the binary_search row alone: every row forwards through
+    the machine's one ``_forward``, so patching it there would break all
+    four lanes and leave the shrinker nothing innocent to drop."""
+    real = BinarySearchCore._forward
 
     def broken(self):
         effects = real(self)
         self.has_token = True  # canary: token duplicated
         return effects
 
-    return mock.patch.object(TokenMachine, "_forward", broken)
+    return mock.patch.object(BinarySearchCore, "_forward", broken)
 
 
 def _fat_fabric_case():
