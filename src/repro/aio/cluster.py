@@ -324,8 +324,7 @@ class AioCluster:
         loop = asyncio.get_running_loop()
         started = loop.time()
         poll = max(self.transport.delay, 1e-4)
-        while (getattr(core, "has_token", False)
-               or getattr(core, "lent_to", None) is not None):
+        while core.has_token or core.lent_to is not None:
             elapsed = loop.time() - started
             if elapsed >= timeout:
                 raise MembershipError(

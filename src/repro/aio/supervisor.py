@@ -42,11 +42,6 @@ from repro.faults.detector import PhiAccrualDetector
 
 __all__ = ["RestartPolicy", "ClusterSupervisor"]
 
-#: Durable core attributes worth carrying across a restart.  ``has_token``
-#: is deliberately absent: resurrecting a crashed holder's token would
-#: duplicate it whenever regeneration already ran.
-_SNAPSHOT_ATTRS = ("epoch", "last_visit", "clock", "round_no")
-
 
 @dataclass
 class RestartPolicy:
@@ -173,11 +168,14 @@ class ClusterSupervisor:
         if driver is None or driver.crashed:
             return
         core = driver.core
-        snap = {attr: getattr(core, attr)
-                for attr in _SNAPSHOT_ATTRS if hasattr(core, attr)}
-        if hasattr(core, "suspected"):
-            snap["suspected"] = set(core.suspected)
-        self._snapshots[node] = snap
+        # The durable part of the possession record.  ``has_token`` is
+        # deliberately absent: resurrecting a crashed holder's token would
+        # duplicate it whenever regeneration already ran.
+        self._snapshots[node] = {
+            "epoch": core.epoch, "last_visit": core.last_visit,
+            "clock": core.clock, "round_no": core.round_no,
+            "suspected": set(core.suspected),
+        }
 
     def snapshot_of(self, node: int) -> Optional[dict]:
         """The latest durable-state snapshot taken for ``node``."""
@@ -205,7 +203,7 @@ class ClusterSupervisor:
                 continue
             beat = HeartbeatMsg(
                 sender=node, seq=self._hb_seq,
-                last_visit=getattr(driver.core, "last_visit", -1))
+                last_visit=driver.core.last_visit)
             for dst in {view.succ(node), view.pred(node)} - {node}:
                 self.cluster.transport.send(node, dst, beat)
 

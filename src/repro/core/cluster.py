@@ -202,16 +202,10 @@ class Cluster:
         """Count live tokens among non-crashed nodes (held or on loan).
         In-flight tokens are *not* visible here; call at quiescent points
         or accept over-approximation only on the low side."""
-        count = 0
-        for driver in self.drivers.values():
-            if driver.crashed:
-                continue
-            core = driver.core
-            if getattr(core, "has_token", False):
-                count += 1
-            elif getattr(core, "lent_to", None) is not None:
-                count += 1
-        return count
+        return sum(
+            1 for driver in self.drivers.values()
+            if not driver.crashed and (driver.core.has_token
+                                       or driver.core.lent_to is not None))
 
     def assert_single_token(self) -> None:
         """Raise :class:`TokenSafetyError` when more than one token is

@@ -16,12 +16,14 @@ cases carrying ``corrupt`` faults replay bit-for-bit.  It mutates the
 core object directly (no messages, no timers): exactly what a stray
 cosmic ray or a restored-from-stale-snapshot process would do.
 
-The injector is deliberately *protocol-agnostic*: it targets the state
-fields of the :class:`~repro.core.machine.TokenMachine` and its parts
-(every assembled row of the protocol table) and silently skips fields a
-given core lacks, so the same schedule can corrupt any
-registered core — including non-stabilizing ones, for demonstrating
-*why* the stabilizing variant exists.
+The injector is deliberately *protocol-agnostic*: it targets the
+possession record and caches that the
+:class:`~repro.core.machine.TokenMachine` declares for every row of the
+protocol table, so the same schedule can corrupt any registered core —
+including non-stabilizing ones, for demonstrating *why* the stabilizing
+variant exists.  Only the gimme queue belongs to a part
+(:class:`~repro.core.parts.DelegatedSearch`) and is skipped on rows that
+do not stack it.
 """
 
 from __future__ import annotations
@@ -58,83 +60,70 @@ def corrupt_core(core, what: str, arg: int,
                  n: Optional[int] = None) -> List[str]:
     """Apply corruption ``what`` (seeded by ``arg``) to one node's core.
 
-    Returns a list of human-readable mutation descriptions for tracing;
-    empty when the core lacks every field the kind targets (e.g.
-    ``scramble_epoch`` on an epoch-less core).  Raises
-    :class:`ConfigError` for unknown kinds — callers validate against
-    :data:`CORRUPTION_KINDS` first, so hitting this is a schema bug.
+    Returns a list of human-readable mutation descriptions for tracing.
+    Raises :class:`ConfigError` for unknown kinds — callers validate
+    against :data:`CORRUPTION_KINDS` first, so hitting this is a schema
+    bug.
     """
     if what not in CORRUPTION_KINDS:
         raise ConfigError(f"unknown corruption kind {what!r}; "
                           f"known kinds: {CORRUPTION_KINDS}")
-    ring = n if n is not None else max(getattr(core, "n", 1), 1)
+    ring = n if n is not None else max(core.n, 1)
     mutations: List[str] = []
 
     def note(field: str, old, new) -> None:
         mutations.append(f"{field}: {old!r} -> {new!r}")
 
     if what == "duplicate_token":
-        note("has_token", getattr(core, "has_token", None), True)
+        note("has_token", core.has_token, True)
         core.has_token = True
         core.lent_to = None
         # A conjured token's clock drifts a little from the live one so
         # the duplicate is not a perfect clone (the harder case).
         skew = _mix(arg, 1) % (ring + 1)
-        if skew and hasattr(core, "clock"):
+        if skew:
             note("clock", core.clock, core.clock + skew)
             core.clock += skew
             core.last_visit = core.clock
 
     elif what == "delete_token":
-        note("has_token", getattr(core, "has_token", None), False)
+        note("has_token", core.has_token, False)
         core.has_token = False
         core.lent_to = None
-        if hasattr(core, "_loan_pending"):
-            core._loan_pending = None
-        if hasattr(core, "_serving"):
-            core._serving = False
-        if hasattr(core, "_parked"):
-            core._parked = False
+        core._loan_pending = None
+        core._serving = False
+        core._parked = False
 
     elif what == "scramble_clock":
-        if hasattr(core, "clock"):
-            delta = _mix(arg, 2) % (4 * ring + 1) - 2 * ring
-            note("clock", core.clock, max(0, core.clock + delta))
-            core.clock = max(0, core.clock + delta)
-        if hasattr(core, "last_visit"):
-            delta = _mix(arg, 3) % (4 * ring + 1) - 2 * ring
-            note("last_visit", core.last_visit,
-                 max(-1, core.last_visit + delta))
-            core.last_visit = max(-1, core.last_visit + delta)
+        delta = _mix(arg, 2) % (4 * ring + 1) - 2 * ring
+        note("clock", core.clock, max(0, core.clock + delta))
+        core.clock = max(0, core.clock + delta)
+        delta = _mix(arg, 3) % (4 * ring + 1) - 2 * ring
+        note("last_visit", core.last_visit, max(-1, core.last_visit + delta))
+        core.last_visit = max(-1, core.last_visit + delta)
 
     elif what == "scramble_epoch":
-        if not hasattr(core, "epoch"):
-            return mutations
         delta = _mix(arg, 4) % (8 * ring + 1) - 4 * ring
         new_epoch = max(0, core.epoch + delta)
         note("epoch", core.epoch, new_epoch)
         core.epoch = new_epoch
 
     elif what == "scramble_stamp":
-        if hasattr(core, "round_no"):
-            delta = _mix(arg, 5) % (2 * ring + 1) - ring
-            note("round_no", core.round_no, max(0, core.round_no + delta))
-            core.round_no = max(0, core.round_no + delta)
-        if hasattr(core, "granted_seq"):
-            # granted_seq racing ahead of req_seq is the illegal grant
-            # ordering the sanitizer would flag at rest.
-            bump = _mix(arg, 6) % 3 + 1
-            note("granted_seq", core.granted_seq, core.req_seq + bump)
-            core.granted_seq = core.req_seq + bump
-        if hasattr(core, "outstanding"):
-            core.outstanding = bool(_mix(arg, 7) & 1)
+        delta = _mix(arg, 5) % (2 * ring + 1) - ring
+        note("round_no", core.round_no, max(0, core.round_no + delta))
+        core.round_no = max(0, core.round_no + delta)
+        # granted_seq racing ahead of req_seq is the illegal grant
+        # ordering the sanitizer would flag at rest.
+        bump = _mix(arg, 6) % 3 + 1
+        note("granted_seq", core.granted_seq, core.req_seq + bump)
+        core.granted_seq = core.req_seq + bump
+        core.outstanding = bool(_mix(arg, 7) & 1)
 
     elif what == "corrupt_queue":
-        if hasattr(core, "traps"):
-            phantom = _mix(arg, 8) % ring
-            bogus_seq = 1_000 + _mix(arg, 9) % 100
-            core.traps.add(phantom, bogus_seq, -(_mix(arg, 10) % 50) - 1)
-            note("traps", "…", f"+phantom trap z={phantom} seq={bogus_seq}")
+        phantom = _mix(arg, 8) % ring
+        bogus_seq = 1_000 + _mix(arg, 9) % 100
+        core.traps.add(phantom, bogus_seq, -(_mix(arg, 10) % 50) - 1)
+        note("traps", "…", f"+phantom trap z={phantom} seq={bogus_seq}")
         if hasattr(core, "_gimme_queue"):
             ghost = _mix(arg, 11) % ring
             core._gimme_queue.append(GimmeMsg(
@@ -145,10 +134,9 @@ def corrupt_core(core, what: str, arg: int,
             core._gimme_inflight = bool(_mix(arg, 14) & 1)
 
     elif what == "corrupt_served":
-        if hasattr(core, "_served_carry"):
-            z = _mix(arg, 15) % ring
-            bogus = ((z, 500 + _mix(arg, 16) % 100),)
-            note("_served_carry", core._served_carry, bogus)
-            core._served_carry = bogus
+        z = _mix(arg, 15) % ring
+        bogus = ((z, 500 + _mix(arg, 16) % 100),)
+        note("_served_carry", core._served_carry, bogus)
+        core._served_carry = bogus
 
     return mutations

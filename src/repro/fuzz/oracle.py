@@ -242,7 +242,7 @@ class InvariantOracle:
         # (Re)sync the shadow history with the core we now observe: a
         # restarted node's restored ``last_visit`` *is* its observable
         # history (the pre-crash tail is genuinely forgotten).
-        self._seen[node] = getattr(driver.core, "last_visit", -1)
+        self._seen[node] = driver.core.last_visit
 
     def _terminal(self, msg: object, lost: bool) -> None:
         """The core fully handled a payload, or the channel gave it up."""
@@ -298,7 +298,7 @@ class InvariantOracle:
         it first.  Returns False so it can sit in ``on_control`` as an
         observer that never consumes."""
         if isinstance(msg, LoanMsg) and msg.requester == node:
-            if getattr(msg, "epoch", 0) >= getattr(self._core(node), "epoch", 0):
+            if msg.epoch >= self._core(node).epoch:
                 self._seen[node] = msg.clock
         return False
 
@@ -317,11 +317,10 @@ class InvariantOracle:
         if src not in self._seen:
             # Initial condition: the holder's H starts with visit(clock=0),
             # everyone else is empty (last_visit convention: -1).
-            core = self._core(src)
-            self._seen[src] = 0 if getattr(core, "has_token", False) else -1
+            self._seen[src] = 0 if self._core(src).has_token else -1
         shadow = self._seen[src]
-        impl = getattr(self._core(src), "last_visit", None)
-        if impl is not None and impl != shadow:
+        impl = self._core(src).last_visit
+        if impl != shadow:
             self._fail(
                 "shadow-divergence",
                 f"node {src} {doing} with last_visit={impl} but its "
@@ -378,10 +377,9 @@ class InvariantOracle:
         # Rule 6 differential: the spec steers by ⊂_C on full histories,
         # the impl by comparing visit counts.  Recompute the direction from
         # the shadow counts and require the impl's target to match.
-        core = self._core(src)
-        hop = getattr(core, "hop", None)
-        if hop is None or msg.span < 1:
+        if msg.span < 1:
             return
+        hop = self._core(src).hop
         ccw, cw = hop(-msg.span), hop(msg.span)
         if ccw == cw:
             return
@@ -405,11 +403,10 @@ class InvariantOracle:
             if driver.crashed:
                 continue
             core = driver.core
-            epoch = getattr(core, "epoch", 0)
-            if getattr(core, "has_token", False):
-                units.setdefault(epoch, []).append(f"held@{node}")
-            elif getattr(core, "_loan_pending", None) is not None:
-                units.setdefault(epoch, []).append(f"loan@{node}")
+            if core.has_token:
+                units.setdefault(core.epoch, []).append(f"held@{node}")
+            elif core._loan_pending is not None:
+                units.setdefault(core.epoch, []).append(f"loan@{node}")
         for epoch, count in self._inflight.items():
             units.setdefault(epoch, []).extend(["inflight"] * count)
         return units
@@ -451,9 +448,7 @@ class InvariantOracle:
         self._pending = now
         self._legit_since = None
         for node, driver in self.cluster.drivers.items():
-            last = getattr(driver.core, "last_visit", None)
-            if last is not None:
-                self._seen[node] = last
+            self._seen[node] = driver.core.last_visit
         self._observe(now)
 
     def _unit_total(self) -> int:

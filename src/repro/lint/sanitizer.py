@@ -230,12 +230,6 @@ class ClusterSanitizer:
         self._holder_epochs: Dict[int, int] = {}
         #: epoch -> number of observable tokens (inverse of the above)
         self._epoch_counts: Dict[int, int] = {}
-        #: node -> (has_token?, lent_to?, epoch?, clock?, req/granted_seq?)
-        #: attribute-presence flags, probed once per core: every audited
-        #: attribute is assigned in the cores' ``__init__``, so presence
-        #: never changes after registration and the hot path can use direct
-        #: attribute access instead of ``getattr`` chains.
-        self._flags: Dict[int, tuple] = {}
         self._events = 0
         self.checked = 0
 
@@ -251,7 +245,6 @@ class ClusterSanitizer:
         self._set_holder(node_id, None)
         self._cores.pop(node_id, None)
         self._clocks.pop(node_id, None)
-        self._flags.pop(node_id, None)
         self._crashed.discard(node_id)
 
     def mark_crashed(self, node_id: int) -> None:
@@ -282,30 +275,13 @@ class ClusterSanitizer:
             self._holder_epochs[node_id] = epoch
             self._epoch_counts[epoch] = self._epoch_counts.get(epoch, 0) + 1
 
-    def _core_flags(self, core) -> tuple:
-        node_id = core.node_id
-        flags = self._flags.get(node_id)
-        if flags is None:
-            flags = (
-                hasattr(core, "has_token"),
-                hasattr(core, "lent_to"),
-                hasattr(core, "epoch"),
-                hasattr(core, "clock"),
-                hasattr(core, "req_seq") and hasattr(core, "granted_seq"),
-            )
-            self._flags[node_id] = flags
-        return flags
-
     def _update_core(self, core) -> None:
+        # Every registered core is a TokenMachine, which declares the
+        # possession record audited here and below.
         node_id = core.node_id
-        flags = self._core_flags(core)
-        if node_id in self._crashed:
-            holds = False
-        else:
-            holds = (flags[0] and core.has_token) or (
-                flags[1] and core.lent_to is not None
-            )
-        epoch = (core.epoch if flags[2] else 0) if holds else None
+        holds = node_id not in self._crashed and (
+            core.has_token or core.lent_to is not None)
+        epoch = core.epoch if holds else None
         # Fast path: the holder view is unchanged (the overwhelmingly
         # common case — most events do not move the token).
         if self._holder_epochs.get(node_id) != epoch:
@@ -372,41 +348,32 @@ class ClusterSanitizer:
 
     def _check_core(self, core, origin: str, node: Optional[int],
                     payload: object) -> None:
-        flags = self._core_flags(core)
-        if flags[3]:
-            clock = core.clock
-            if clock is not None:
-                node_id = core.node_id
-                last = self._clocks.get(node_id)
-                if last is not None and clock < last:
-                    raise LintViolation(
-                        invariant="clock-monotonicity",
-                        rule=origin,
-                        binding={"node": node, "payload": payload},
-                        state={"node": node_id, "clock": clock,
-                               "previous": last},
-                        detail=(
-                            f"node {node_id} visit clock went backwards "
-                            f"({last} -> {clock})"
-                        ),
-                    )
-                self._clocks[node_id] = clock
-        if flags[4]:
-            req_seq = core.req_seq
-            granted_seq = core.granted_seq
-            if (
-                req_seq is not None
-                and granted_seq is not None
-                and granted_seq > req_seq
-            ):
-                raise LintViolation(
-                    invariant="grant-sequencing",
-                    rule=origin,
-                    binding={"node": node, "payload": payload},
-                    state={"node": core.node_id, "granted_seq": granted_seq,
-                           "req_seq": req_seq},
-                    detail=(
-                        f"node {core.node_id} granted_seq {granted_seq} "
-                        f"exceeds req_seq {req_seq}"
-                    ),
-                )
+        node_id = core.node_id
+        clock = core.clock
+        last = self._clocks.get(node_id)
+        if last is not None and clock < last:
+            raise LintViolation(
+                invariant="clock-monotonicity",
+                rule=origin,
+                binding={"node": node, "payload": payload},
+                state={"node": node_id, "clock": clock, "previous": last},
+                detail=(
+                    f"node {node_id} visit clock went backwards "
+                    f"({last} -> {clock})"
+                ),
+            )
+        self._clocks[node_id] = clock
+        req_seq = core.req_seq
+        granted_seq = core.granted_seq
+        if granted_seq > req_seq:
+            raise LintViolation(
+                invariant="grant-sequencing",
+                rule=origin,
+                binding={"node": node, "payload": payload},
+                state={"node": node_id, "granted_seq": granted_seq,
+                       "req_seq": req_seq},
+                detail=(
+                    f"node {node_id} granted_seq {granted_seq} "
+                    f"exceeds req_seq {req_seq}"
+                ),
+            )

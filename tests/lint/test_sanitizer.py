@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.cluster import Cluster
+from repro.core.protocols import REGISTRY
 from repro.lint.findings import LintViolation
 from repro.lint.sanitizer import (
     ClusterSanitizer,
@@ -139,6 +140,13 @@ class TestMinimizeState:
         assert len(list(minimized.args[0])) == 2  # never shrank into errors
 
 
+def ring_core(node_id, **fields):
+    """A real core with the audited fields set by hand."""
+    core = REGISTRY["ring"](node_id, ProtocolConfig(n=4))
+    vars(core).update(fields)
+    return core
+
+
 class TestClusterSanitizer:
     def test_small_figure9_style_run_is_clean(self):
         # The acceptance run: a Figure-9-style small-n binary-search
@@ -179,15 +187,8 @@ class TestClusterSanitizer:
 
     def test_crashed_nodes_leave_the_census(self):
         sanitizer = ClusterSanitizer()
-
-        class FakeCore:
-            def __init__(self, node_id, has_token):
-                self.node_id = node_id
-                self.has_token = has_token
-                self.lent_to = None
-
-        holder = FakeCore(0, True)
-        phantom = FakeCore(1, True)
+        holder = ring_core(0, has_token=True)
+        phantom = ring_core(1, has_token=True)
         sanitizer.register(holder)
         sanitizer.register(phantom)
         with pytest.raises(LintViolation):
@@ -197,20 +198,12 @@ class TestClusterSanitizer:
 
     def test_epoch_fencing_tolerates_stale_old_epoch_tokens(self):
         sanitizer = ClusterSanitizer()
-
-        class EpochCore:
-            def __init__(self, node_id, epoch, has_token):
-                self.node_id = node_id
-                self.epoch = epoch
-                self.has_token = has_token
-                self.lent_to = None
-
-        stale = EpochCore(0, epoch=1, has_token=True)
-        fresh = EpochCore(1, epoch=2, has_token=True)
+        stale = ring_core(0, epoch=1, has_token=True)
+        fresh = ring_core(1, epoch=2, has_token=True)
         sanitizer.register(stale)
         sanitizer.register(fresh)
         sanitizer.check()  # one token per epoch: regeneration in progress
-        second = EpochCore(2, epoch=2, has_token=True)
+        second = ring_core(2, epoch=2, has_token=True)
         sanitizer.register(second)
         with pytest.raises(LintViolation) as err:
             sanitizer.check()
@@ -219,15 +212,7 @@ class TestClusterSanitizer:
 
     def test_clock_rollback_is_caught(self):
         sanitizer = ClusterSanitizer()
-
-        class ClockCore:
-            def __init__(self):
-                self.node_id = 0
-                self.has_token = True
-                self.lent_to = None
-                self.clock = 5
-
-        core = ClockCore()
+        core = ring_core(0, has_token=True, clock=5)
         sanitizer.register(core)
         sanitizer.after_apply(core, "on_message", None, 0.0)
         core.clock = 3
