@@ -52,10 +52,6 @@ class ProtocolCore:
         """Number of nodes on the (possibly dynamic) ring."""
         return len(self.ring) if self.ring is not None else self.n
 
-    def ring_succ(self, k: int = 1) -> int:
-        """``self⁺ᵏ`` on the ring."""
-        return self.hop(k)
-
     def hop(self, offset: int) -> int:
         """``self⁺ᵒ`` for a signed offset."""
         if self.ring is not None:

@@ -58,9 +58,6 @@ __all__ = [
 
 SCHEMA = "repro-fuzz-case/v1"
 
-#: The pre-merge chaos dialect; :meth:`FuzzCase.load` upgrades it on read.
-_CHAOS_SCHEMA = "repro-chaos-case/v1"
-
 BACKENDS = ("des", "fast", "aio", "wire")
 
 #: Impl-level protocols the random profiles draw from: the protocol
@@ -271,13 +268,7 @@ class FuzzCase:
     def from_dict(cls, doc: Dict) -> "FuzzCase":
         doc = dict(doc)
         schema = doc.pop("schema", SCHEMA)
-        if schema == _CHAOS_SCHEMA:
-            # The chaos dialect was this schema with a scalar delay, its
-            # own profile tag, and the asyncio runtime implied.
-            doc.pop("profile", None)
-            doc["delay"] = {"kind": "constant", "delay": doc.get("delay", 0.01)}
-            doc["backend"] = "aio"
-        elif schema != SCHEMA:
+        if schema != SCHEMA:
             raise ConfigError(f"unsupported case schema {schema!r}")
         doc.pop("outcome", None)  # replay files carry the recorded outcome
         doc["requests"] = [(float(t), int(node)) for t, node in
@@ -299,16 +290,10 @@ class FuzzCase:
 
     @classmethod
     def load(cls, path: str) -> Tuple["FuzzCase", Optional[Dict]]:
-        """Load a case file; returns ``(case, recorded_outcome_or_None)``.
-        A ``repro-chaos-case/v1`` file's outcome is dropped: it pinned
-        that harness's own result shape, so such a file replays for its
-        verdict alone."""
+        """Load a case file; returns ``(case, recorded_outcome_or_None)``."""
         with open(path) as handle:
             doc = json.load(handle)
-        outcome = doc.get("outcome")
-        if doc.get("schema") == _CHAOS_SCHEMA:
-            outcome = None
-        return cls.from_dict(doc), outcome
+        return cls.from_dict(doc), doc.get("outcome")
 
     def with_(self, **changes) -> "FuzzCase":
         return replace(self, **changes)

@@ -1,15 +1,14 @@
 """Runtime-shaped cases on the ``aio`` backend: targeted fault scenarios
 with bounded recovery, bit-exact determinism, case generation and
-serialization (including the pre-merge chaos dialect), CLI plumbing, and
-the shrinker's first run on a runtime counterexample."""
+serialization, CLI plumbing, and the shrinker's first run on a runtime
+counterexample."""
 
-import json
 import subprocess
 import sys
 
 import pytest
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.fuzz import (
     PROFILES,
     FuzzCase,
@@ -151,30 +150,6 @@ class TestCaseSchema:
         loaded, recorded = FuzzCase.load(path)
         assert loaded == case
         assert recorded == outcome
-
-    def test_chaos_dialect_is_upgraded_on_read(self, tmp_path):
-        # A counterexample file written by the pre-merge chaos harness.
-        doc = {
-            "schema": "repro-chaos-case/v1", "seed": 11, "profile": "crash",
-            "protocol": "fault_tolerant", "n": 4, "delay": 0.01,
-            "loss_rate": 0.0, "recovery_window": 0.05,
-            "requests": [[1.2, 2]],
-            "faults": [{"t": 1.0, "op": "crash", "a": 0}],
-            "horizon": 20.0, "label": "handmade",
-            "outcome": {"ok": False, "checksum": "0", "grants": 0,
-                        "unrecovered": 1},
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc))
-        case, recorded = FuzzCase.load(str(path))
-        assert case == scenario(recovery_window=0.05, requests=[(1.2, 2)],
-                                faults=doc["faults"])
-        assert recorded is None  # another harness's result shape
-        assert run_case(case).violation["invariant"] == "bounded-recovery"
-        doc["schema"] = "repro-chaos-case/v9"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ReproError):
-            FuzzCase.load(str(path))
 
     def test_validate_rejects_bad_cases(self):
         with pytest.raises(ConfigError):

@@ -34,7 +34,7 @@ def leaky_absorb(self, msg, now):
     self.has_token = True
     self.lent_to = None
     if isinstance(msg, TokenMsg):
-        return [Send(self.ring_succ(), msg)]
+        return [Send(self.hop(1), msg)]
     return []
 
 
