@@ -8,11 +8,12 @@ intercepted (rule 8).  How a request *finds* the token is not here: a row
 of :mod:`repro.core.protocols` stacks a search part
 (:mod:`repro.core.parts`) and optional layers over this class, filling
 :meth:`_launch_search`, :meth:`_on_sighting` and, chained with
-``super()``, ``on_message``/``on_timer`` for the part's own types.  A row
+``super()``, ``on_message``/``on_timer`` for the part's own types.  Which
+trap is served next is the machine's choice (:meth:`_hand_over`); a row
 whose hand-over is not loan-and-return names a hand-over part, which
-replaces :meth:`_hand_over` (and :meth:`_record_served`, if nothing it
-hands over can go stale); :meth:`_idle` is the parking rule's notion of
-"no demand".
+replaces :meth:`_hand_to` (and :meth:`_record_served`, if nothing it hands
+over can go stale).  :meth:`_idle` is the parking rule's notion of "no
+demand".
 
 The machine owns the **possession record**, declared once in
 ``__init__`` so that every consumer (sanitizer, oracle, corruption
@@ -45,7 +46,7 @@ from repro.core.base import ProtocolCore
 from repro.core.config import GC_INVERSE, GC_ROTATION, ProtocolConfig
 from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.core.messages import LoanMsg, LoanReturnMsg, TokenMsg
-from repro.core.traps import TrapStore
+from repro.core.traps import Trap, TrapStore
 from repro.errors import ProtocolError
 
 __all__ = ["TokenMachine"]
@@ -247,7 +248,7 @@ class TokenMachine(ProtocolCore):
         return not self._demand_seen
 
     def _hand_over(self) -> Optional[List[Effect]]:
-        """Pop the next live trap and loan the token to its requester,
+        """Pop the next live trap and hand the token to its requester,
         returning the effects, or None when no live trap remains."""
         while True:
             t = self.traps.pop()
@@ -259,23 +260,27 @@ class TokenMachine(ProtocolCore):
                 continue
             if self.suspected and t.requester in self._live_suspects():
                 continue  # suspected dead: a loan to it would never return
-            self.has_token = False
-            self.lent_to = t.requester
-            trail: Tuple[int, ...] = ()
-            target = t.requester
-            if self.config.trap_gc == GC_INVERSE and t.trail:
-                # Retrace the search path backwards, clearing traps en route.
-                back = tuple(h for h in reversed(t.trail)
-                             if h not in (self.node_id, t.requester))
-                if back:
-                    target = back[0]
-                    trail = back[1:]
-            return [Send(target, LoanMsg(
-                clock=self.clock, round_no=self.round_no,
-                lender=self.node_id, requester=t.requester,
-                req_seq=t.req_seq, served=self._served_carry, trail=trail,
-                epoch=self.epoch,
-            ))]
+            return self._hand_to(t)
+
+    def _hand_to(self, t: Trap) -> List[Effect]:
+        """The hand-over rule: loan the token to ``t``'s requester."""
+        self.has_token = False
+        self.lent_to = t.requester
+        trail: Tuple[int, ...] = ()
+        target = t.requester
+        if self.config.trap_gc == GC_INVERSE and t.trail:
+            # Retrace the search path backwards, clearing traps en route.
+            back = tuple(h for h in reversed(t.trail)
+                         if h not in (self.node_id, t.requester))
+            if back:
+                target = back[0]
+                trail = back[1:]
+        return [Send(target, LoanMsg(
+            clock=self.clock, round_no=self.round_no,
+            lender=self.node_id, requester=t.requester,
+            req_seq=t.req_seq, served=self._served_carry, trail=trail,
+            epoch=self.epoch,
+        ))]
 
     def _forward(self) -> List[Effect]:
         if self.ring_size() == 1:

@@ -25,6 +25,7 @@ from repro.core.messages import (
     RequestMsg,
     TokenMsg,
 )
+from repro.core.traps import Trap
 
 __all__ = ["Advertise", "DelegatedSearch", "DirectHandOver", "DirectSearch",
            "DirectedSearch", "LinearSearch", "RotationOnly", "advert_fanout"]
@@ -338,20 +339,14 @@ class DirectHandOver:
     from there.  Nothing is lent, so nothing is returned.
     """
 
-    def _hand_over(self) -> Optional[List[Effect]]:
-        while True:
-            t = self.traps.pop()
-            if t is None:
-                return None
-            if t.requester == self.node_id:
-                continue
-            self.has_token = False
-            # Not a circulation hop: the clock is not advanced (in the spec
-            # rule 7 appends no event), which is why the row cannot promise
-            # the oracle ``strict_hop``.
-            return [Send(t.requester, TokenMsg(
-                clock=self.clock, round_no=self.round_no, epoch=self.epoch,
-            ))]
+    def _hand_to(self, t: Trap) -> List[Effect]:
+        self.has_token = False
+        # Not a circulation hop: the clock is not advanced (in the spec
+        # rule 7 appends no event), which is why the row cannot promise
+        # the oracle ``strict_hop``.
+        return [Send(t.requester, TokenMsg(
+            clock=self.clock, round_no=self.round_no, epoch=self.epoch,
+        ))]
 
     def _record_served(self, z: int, seq: int) -> None:
         """Nothing is loaned, so no trap is served-stale in the sense the

@@ -5,7 +5,7 @@ registry, so the tests hold however the row is built."""
 
 from repro.core.config import GC_NONE, GC_ROTATION, ProtocolConfig
 from repro.core.effects import Deliver, Send
-from repro.core.messages import AskMsg, LoanMsg, TokenMsg
+from repro.core.messages import AskMsg, TokenMsg
 from repro.core.protocols import REGISTRY
 
 LinearSearchCore = REGISTRY["linear_search"]
@@ -65,7 +65,7 @@ class TestDirectHandOver:
         msg = out[0].msg
         # Rule 7 undecorated: the token, not a loan, and not a circulation
         # hop — the clock is the one it arrived with.
-        assert type(msg) is TokenMsg and not isinstance(msg, LoanMsg)
+        assert type(msg) is TokenMsg
         assert (msg.clock, msg.round_no, msg.served) == (9, 1, ())
         assert not core.has_token
         assert trapped(core) == []
