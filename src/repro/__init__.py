@@ -8,9 +8,9 @@ Three layers:
    machine-checked safety (prefix property, token uniqueness) and
    refinement mappings (Lemmas 1-3, Theorem 1).
 2. :mod:`repro.core` + :mod:`repro.sim` — the executable protocols
-   (ring baseline, linear search, and the protocol table: the adaptive
-   binary search and its directed / push / hybrid / fault-tolerant /
-   stabilizing rows over one token machine) over a deterministic
+   (the eight rows of the protocol table over one token machine: ring
+   baseline, linear search, the adaptive binary search and its directed /
+   push / hybrid / fault-tolerant / stabilizing variants) over a deterministic
    discrete-event simulator, with :mod:`repro.faults` adding failure
    detectors, the corruption fault model and dynamic membership.
 3. :mod:`repro.apps` + :mod:`repro.aio` — mutual exclusion, totally
