@@ -93,7 +93,46 @@ def fabric_10k():
     }
 
 
+def _fig10_cell_counts(engine, seed):
+    """One engine's counts at the check point of the ledger's Figure-10
+    cell, built as ``benchmarks/ledger/sim_child.py`` builds it."""
+    from repro import Cluster, FixedRateWorkload
+    from repro.fastsim import FastCluster
+
+    cluster = (Cluster if engine == "object" else FastCluster).build(
+        "binary_search", n=100, seed=seed)
+    cluster.add_workload(FixedRateWorkload(mean_interval=10.0))
+    cluster.run(rounds=300)
+    if engine == "object":
+        events, messages = cluster.sim.executed_total, cluster.messages.total
+        grants = cluster.responsiveness.grants()
+    else:
+        events, messages = cluster.executed_total, cluster.sent_total
+        grants = cluster.grants
+    return (events, messages, grants, cluster.rounds,
+            cluster.responsiveness.average_responsiveness())
+
+
+def fig10_cell_n100():
+    """The ledger's Figure-10 cell (``binary_search``, n = 100, Poisson
+    arrivals every 10 delays, 300 circulations) on both engines: seed 2001
+    is the ledger's pinned check point (``run.py::PINNED``), seed 7 a
+    second seed the engines must agree on.  Average responsiveness is a
+    float compared exactly."""
+    return {f"{engine}@{seed}": _fig10_cell_counts(engine, seed)
+            for seed in (2001, 7) for engine in ("object", "fast")}
+
+
+_FIG10_2001 = (116880, 109911, 6858, 300, 7.753074617219832)
+_FIG10_7 = (131760, 123754, 7844, 300, 8.079530691604285)
+
+
 @pytest.mark.parametrize("scenario, expected", [
+    pytest.param(
+        fig10_cell_n100,
+        {"object@2001": _FIG10_2001, "fast@2001": _FIG10_2001,
+         "object@7": _FIG10_7, "fast@7": _FIG10_7},
+        id="fig10_cell_n100"),
     pytest.param(
         trs_reduction_n5, {"steps": 50, "trace_md5": "1caa3e2107f2dccf"},
         id="trs_reduction_n5"),
