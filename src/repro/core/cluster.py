@@ -119,8 +119,9 @@ class Cluster:
                 for workload in self._workloads:
                     workload.on_grant(node, waited_seq, now)
         elif kind == "token_visit":
-            _, clock = payload
-            self._rounds_seen = max(self._rounds_seen, clock // max(self.n, 1))
+            rounds = payload[1] // self.n
+            if rounds > self._rounds_seen:
+                self._rounds_seen = rounds
             if self.fairness is not None:
                 self.fairness.on_visit(node, now)
 

@@ -4,13 +4,17 @@ Protocol cores (:mod:`repro.core.base`) are pure state machines: every
 handler returns a list of effects instead of performing IO.  A driver — the
 discrete-event one in :mod:`repro.sim.driver` or the asyncio one in
 :mod:`repro.aio` — interprets them.  This keeps protocol logic identical
-across runtimes and directly unit-testable.
+across runtimes and directly unit-testable.  The three effects
+drivers handle most (``Send``, ``SetTimer``, ``Deliver``) take
+:func:`~repro.core.records.fast_init`'s constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Hashable, Tuple
+
+from repro.core.records import fast_init
 
 __all__ = ["Effect", "Send", "SetTimer", "CancelTimer", "Deliver", "Trace"]
 
@@ -21,6 +25,7 @@ class Effect:
     __slots__ = ()
 
 
+@fast_init
 @dataclass(frozen=True)
 class Send(Effect):
     """Send ``msg`` to node ``dst``."""
@@ -29,6 +34,7 @@ class Send(Effect):
     msg: Any
 
 
+@fast_init
 @dataclass(frozen=True)
 class SetTimer(Effect):
     """(Re)arm the timer ``key`` to fire ``delay`` from now.
@@ -47,6 +53,7 @@ class CancelTimer(Effect):
     key: Hashable
 
 
+@fast_init
 @dataclass(frozen=True)
 class Deliver(Effect):
     """Deliver an application-level event (e.g. token granted, broadcast

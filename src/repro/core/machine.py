@@ -87,12 +87,9 @@ class TokenMachine(ProtocolCore):
         self.outstanding = False
         self.traps = TrapStore()
         self._served_carry: Tuple[Tuple[int, int], ...] = ()
-        # Memo of the last _merge_served inputs/output: between grants the
-        # token's piggyback and each node's carry are stable, so most merges
-        # repeat the previous one verbatim.
-        self._ms_in: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._ms_base: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._ms_out: Tuple[Tuple[int, int], ...] = ()
+        #: The last carry _merge_served built (sorted by id and trimmed):
+        #: when it comes back unchanged, there is nothing to merge.
+        self._merged: Tuple[Tuple[int, int], ...] = ()
         # Lazily-rebuilt {z: seq} view of _served_carry (ids are unique in
         # the carry).  Keyed by tuple identity so direct writes to
         # _served_carry (tests, layers) invalidate it automatically.
@@ -372,9 +369,10 @@ class TokenMachine(ProtocolCore):
         if self.config.trap_gc != GC_ROTATION:
             return
         carry = self._served_carry
-        if served == self._ms_in and carry == self._ms_base:
-            # Same inputs as last time: reuse the identical result.
-            self._served_carry = self._ms_out
+        if carry is self._merged and served == carry:
+            # Our own last result coming back (a loan's return, a token that
+            # met nothing new): it is sorted and trimmed, so merging it with
+            # itself gives it back.
             return
         merged = dict(carry)
         for z, seq in served:
@@ -384,9 +382,7 @@ class TokenMachine(ProtocolCore):
         keep = self.config.served_piggyback
         if keep and len(entries) > keep:
             entries = entries[-keep:]
-        out = tuple(entries)
-        self._served_carry = out
-        self._ms_in, self._ms_base, self._ms_out = served, carry, out
+        self._served_carry = self._merged = tuple(entries)
 
     def _served_lookup(self) -> dict:
         """The carry as a ``{z: seq}`` dict, rebuilt only when the carry
@@ -401,6 +397,6 @@ class TokenMachine(ProtocolCore):
         return self._served_lookup().get(z, -1) >= seq
 
     def _gc_traps(self) -> None:
-        if self.config.trap_gc == GC_ROTATION:
+        if self.traps and self.config.trap_gc == GC_ROTATION:
             self.traps.expire(self.clock, self.ring_size())
             self.traps.drop_served(self._served_lookup())

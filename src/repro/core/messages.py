@@ -1,9 +1,12 @@
 """Wire messages of the executable token-passing protocols.
 
-Each message is a frozen dataclass.  ``reliable`` encodes the paper's
-expensive/cheap duality (Section 1): the token and its loan are
-*expensive* (the network never drops them); every search / trap / probe
-message is *cheap* — the protocols stay safe if all of them are lost.
+Each message is a frozen dataclass; the four sent on nearly every
+simulated event (token, loan, return, gimme) take
+:func:`~repro.core.records.fast_init`'s constructor.  ``reliable``
+encodes the paper's expensive/cheap duality (Section 1): the token and
+its loan are *expensive* (the network never drops them); every search /
+trap / probe message is *cheap* — the protocols stay safe if all of them
+are lost.
 
 Histories are not shipped in full: following the Section 4.4
 bounded-history optimization, the token carries a **visit clock** (one
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from repro.core.records import fast_init
 
 __all__ = [
     "Message",
@@ -48,6 +53,7 @@ class Message:
     reliable = True
 
 
+@fast_init
 @dataclass(frozen=True)
 class TokenMsg(Message):
     """The rotating token (expensive).
@@ -68,6 +74,7 @@ class TokenMsg(Message):
     reliable = True
 
 
+@fast_init
 @dataclass(frozen=True)
 class LoanMsg(Message):
     """Rule 7's decorated token ``ŷ``: must be returned to the lender.
@@ -88,6 +95,7 @@ class LoanMsg(Message):
     reliable = True
 
 
+@fast_init
 @dataclass(frozen=True)
 class LoanReturnMsg(Message):
     """Rule 8's return of a loaned token to the lender."""
@@ -100,6 +108,7 @@ class LoanReturnMsg(Message):
     reliable = True
 
 
+@fast_init
 @dataclass(frozen=True)
 class GimmeMsg(Message):
     """Binary-search request (cheap): ``span`` halves at each forward.

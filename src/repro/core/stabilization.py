@@ -129,8 +129,6 @@ class Stabilization(Regeneration):
             self._gimme_queue = []
             self._gimme_inflight = False
             self._served_carry = ()
-            self._ms_in = self._ms_base = None
-            self._ms_out = ()
             self._census = None
             self._watch_census = None
         return True

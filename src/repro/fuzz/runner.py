@@ -365,8 +365,7 @@ def _run_spec(case: FuzzCase, system_factory: Optional[Callable] = None) -> Fuzz
         rewriter, initial = system_factory(case)
     else:
         rewriter, initial = _system_module(case.system).make_system(case.n)
-    # Re-wrap so every single transition is audited, whatever the ambient
-    # REPRO_SANITIZE_EVERY setting says.
+    # Re-wrap so every single transition is audited.
     sanitized = SanitizedRewriter(rewriter.ruleset, rewriter.ctx, every=1)
 
     violation: Optional[Dict] = None

@@ -24,7 +24,6 @@ from repro.lint.sanitizer import (
     ClusterSanitizer,
     SanitizedRewriter,
     sanitize_enabled,
-    sanitize_every,
 )
 
 __all__ = [
@@ -42,6 +41,5 @@ __all__ = [
     "run_static",
     "sample_states",
     "sanitize_enabled",
-    "sanitize_every",
     "targets",
 ]

@@ -1,8 +1,10 @@
 """Message accounting, split along the paper's expensive/cheap axis.
 
-Every derived figure (totals, token passes, search traffic) is maintained
-incrementally on :meth:`MessageCounters.on_send` so result-row assembly is
-O(1) — no re-scan of the per-type table after a multi-million-message run.
+:meth:`MessageCounters.on_send` counts each sent message under its class
+and nothing else: one dict update per message.  Every figure (totals, the
+expensive/cheap split, token passes, search traffic) is read off that
+table, which has one row per message class however long the run, so
+result-row assembly stays O(1) in the number of messages.
 """
 
 from __future__ import annotations
@@ -25,46 +27,57 @@ class MessageCounters:
     """Counts sent messages by concrete type and by reliability class."""
 
     def __init__(self) -> None:
-        self.by_type: Dict[str, int] = {}
-        self.expensive = 0
-        self.cheap = 0
-        self._token_passes = 0
-        self._search_messages = 0
+        #: message class -> messages sent.
+        self._sent: Dict[type, int] = {}
 
     def on_send(self, src: int, dst: int, msg: object) -> None:
         """Network ``on_send`` hook."""
-        name = type(msg).__name__
-        by_type = self.by_type
-        by_type[name] = by_type.get(name, 0) + 1
-        if getattr(msg, "reliable", True):
-            self.expensive += 1
-        else:
-            self.cheap += 1
-        if name in _TOKEN_PASS_TYPES:
-            self._token_passes += 1
-        elif name in _SEARCH_TYPES:
-            self._search_messages += 1
+        sent = self._sent
+        kind = type(msg)
+        sent[kind] = sent.get(kind, 0) + 1
+
+    @property
+    def by_type(self) -> Dict[str, int]:
+        """Messages sent per concrete type (by class name)."""
+        out: Dict[str, int] = {}
+        for kind, count in self._sent.items():
+            out[kind.__name__] = out.get(kind.__name__, 0) + count
+        return out
+
+    @property
+    def expensive(self) -> int:
+        """Messages of a ``reliable`` class (the token and its loans)."""
+        return sum(count for kind, count in self._sent.items()
+                   if getattr(kind, "reliable", True))
+
+    @property
+    def cheap(self) -> int:
+        """Messages of an unreliable class (search, probes, hints)."""
+        return self.total - self.expensive
 
     @property
     def total(self) -> int:
         """All messages sent."""
-        return self.expensive + self.cheap
+        return sum(self._sent.values())
 
     def count(self, type_name: str) -> int:
         """Messages of one concrete type (by class name)."""
-        return self.by_type.get(type_name, 0)
+        return sum(count for kind, count in self._sent.items()
+                   if kind.__name__ == type_name)
 
     def token_passes(self) -> int:
         """Rotation hops plus loans and returns — every token movement."""
-        return self._token_passes
+        return sum(count for kind, count in self._sent.items()
+                   if kind.__name__ in _TOKEN_PASS_TYPES)
 
     def search_messages(self) -> int:
         """All search/hint traffic (gimme, ask, adverts, probes)."""
-        return self._search_messages
+        return sum(count for kind, count in self._sent.items()
+                   if kind.__name__ in _SEARCH_TYPES)
 
     def as_dict(self) -> Dict[str, int]:
         """Snapshot for reporting."""
-        out = dict(self.by_type)
+        out = self.by_type
         out["_expensive"] = self.expensive
         out["_cheap"] = self.cheap
         out["_total"] = self.total

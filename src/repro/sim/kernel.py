@@ -63,7 +63,6 @@ class Simulator:
         self._queue: List[_Entry] = []
         # seq -> Event for handle-bearing entries still in the heap.
         self._handles: dict = {}
-        self._live = 0  # non-cancelled entries in the heap
         self._dead = 0  # cancelled entries still in the heap
         self._running = False
         self._stopped = False
@@ -76,7 +75,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued — O(1)."""
-        return self._live
+        return len(self._queue) - self._dead
 
     def post(self, delay: float, fn: Callable, *args: Any, priority: int = 0) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
@@ -90,7 +89,6 @@ class Simulator:
             self._queue, (self._now + delay, priority, self._seq, fn, args)
         )
         self._seq += 1
-        self._live += 1
 
     def schedule(self, delay: float, fn: Callable, *args: Any, priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now.
@@ -106,7 +104,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, priority, seq, fn, args))
         handle = Event(self, seq, time)
         self._handles[seq] = handle
-        self._live += 1
         return handle
 
     def schedule_at(self, time: float, fn: Callable, *args: Any, priority: int = 0) -> Event:
@@ -120,10 +117,9 @@ class Simulator:
     # -- cancellation bookkeeping -------------------------------------------------
 
     def _on_cancel(self, seq: int) -> None:
-        """Called by :meth:`Event.cancel`; adjusts live/dead accounting and
+        """Called by :meth:`Event.cancel`; counts the dead entry and
         compacts the heap when dead entries outnumber live ones."""
         if seq in self._handles:  # still queued (not yet fired)
-            self._live -= 1
             self._dead += 1
             if self._dead * 2 > len(self._queue):
                 self._compact()
@@ -188,7 +184,6 @@ class Simulator:
                         f"event at t={time} is in the past (now={self._now})"
                     )
                 self._now = time
-                self._live -= 1
                 entry[3](*entry[4])
                 executed += 1
             else:

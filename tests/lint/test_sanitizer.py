@@ -12,7 +12,6 @@ from repro.lint.sanitizer import (
     SanitizedRewriter,
     minimize_state,
     sanitize_enabled,
-    sanitize_every,
 )
 from repro.specs import system_message_passing as mp
 from repro.specs import system_s
@@ -37,14 +36,6 @@ class TestEnvironmentSwitches:
     def test_truthy_values_enable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitize_enabled() is True
-
-    def test_every_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE_EVERY", raising=False)
-        assert sanitize_every() == 1
-        monkeypatch.setenv("REPRO_SANITIZE_EVERY", "16")
-        assert sanitize_every() == 16
-        monkeypatch.setenv("REPRO_SANITIZE_EVERY", "junk")
-        assert sanitize_every() == 1
 
     def test_cluster_respects_disable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
@@ -147,6 +138,16 @@ def ring_core(node_id, **fields):
     return core
 
 
+class _EveryCheckInFull(ClusterSanitizer):
+    """The per-event audit with no shortcut in front of any invariant."""
+
+    def after_apply(self, core, origin, payload, now):
+        self.checked += 1
+        self._update_core(core)
+        self._check_census(origin, core.node_id, payload)
+        self._check_core(core, origin, core.node_id, payload)
+
+
 class TestClusterSanitizer:
     def test_small_figure9_style_run_is_clean(self):
         # The acceptance run: a Figure-9-style small-n binary-search
@@ -219,3 +220,75 @@ class TestClusterSanitizer:
         with pytest.raises(LintViolation) as err:
             sanitizer.after_apply(core, "on_message", None, 1.0)
         assert err.value.invariant == "clock-monotonicity"
+
+    @pytest.mark.parametrize("cores, steps, expected", [
+        pytest.param(
+            # Two tokens in the newest epoch while an older epoch also holds
+            # one: the census a "single holder" shortcut must not skip.
+            [dict(epoch=1, has_token=True), dict(epoch=2, has_token=True),
+             dict(epoch=2)],
+            [(1, {}, "on_message"), (0, {}, "on_timer"),
+             (2, dict(has_token=True), "on_message")],
+            (2, "single-token-census", "on_message",
+             {"epoch": 2, "holders": [1, 2]}),
+            id="census-newest-epoch-twice-beside-an-older-one"),
+        pytest.param(
+            [dict(epoch=2, has_token=True), dict(epoch=2)],
+            [(1, dict(lent_to=0), "on_request")],
+            (0, "single-token-census", "on_request",
+             {"epoch": 2, "holders": [0, 1]}),
+            id="census-second-token-on-loan"),
+        pytest.param(
+            [dict(epoch=1, has_token=True), dict(epoch=2)],
+            [(1, dict(has_token=True), "on_message"),
+             (0, dict(has_token=False), "on_message"),
+             (1, dict(clock=4), "on_timer")],
+            None,
+            id="census-one-token-per-epoch-is-clean"),
+        pytest.param(
+            [dict(clock=5), dict()],
+            [(0, {}, "on_message"), (1, dict(clock=9), "on_message"),
+             (0, dict(clock=3), "on_timer")],
+            (2, "clock-monotonicity", "on_timer",
+             {"node": 0, "clock": 3, "previous": 5}),
+            id="clock-rollback"),
+        pytest.param(
+            [dict(req_seq=2, granted_seq=1), dict()],
+            [(0, dict(granted_seq=2), "on_message"),
+             (0, dict(granted_seq=3), "on_message")],
+            (1, "grant-sequencing", "on_message",
+             {"node": 0, "granted_seq": 3, "req_seq": 2}),
+            id="grant-past-request"),
+        pytest.param(
+            [dict(clock=5, req_seq=1, granted_seq=1)],
+            [(0, {}, "on_release"),
+             (0, dict(clock=4, granted_seq=2), "on_release")],
+            (1, "clock-monotonicity", "on_release",
+             {"node": 0, "clock": 4, "previous": 5}),
+            id="clock-and-grant-on-one-event-report-the-clock"),
+        pytest.param(
+            [dict(has_token=True, clock=5), dict(clock=5)],
+            [(1, dict(has_token=True, clock=2), "on_message")],
+            (0, "single-token-census", "on_message",
+             {"epoch": 0, "holders": [0, 1]}),
+            id="census-and-clock-on-one-event-report-the-census"),
+    ])
+    def test_each_invariant_raises_on_the_same_event_as_a_full_check(
+            self, cores, steps, expected):
+        outcomes = []
+        for sanitizer in (ClusterSanitizer(), _EveryCheckInFull()):
+            nodes = [ring_core(i, **fields) for i, fields in enumerate(cores)]
+            for core in nodes:
+                sanitizer.register(core)
+            outcome = None
+            for index, (node, fields, origin) in enumerate(steps):
+                vars(nodes[node]).update(fields)
+                payload = ("event", index)
+                try:
+                    sanitizer.after_apply(nodes[node], origin, payload, 0.0)
+                except LintViolation as err:
+                    assert err.binding == {"node": node, "payload": payload}
+                    outcome = (index, err.invariant, err.rule, err.state)
+                    break
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1] == expected
