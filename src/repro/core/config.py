@@ -32,7 +32,11 @@ class ProtocolConfig:
       recent serves on the token; ``"inverse"`` routes loans back along the
       search trail, clearing traps en route.
     - ``served_piggyback`` — how many recent serves the token carries under
-      rotation GC (bounded so token messages stay O(1)-ish).
+      rotation GC (bounded so token messages stay O(1)-ish).  Known
+      divergence: when two carries merge, the trim keeps the *highest node
+      ids*, not the most recent serves, so a serve by a low id rarely
+      outlives one hop (a strict xfail in
+      ``tests/core/test_binary_search_core.py`` states the intended rule).
     - ``single_outstanding`` — at most one *own* gimme in flight per node
       (Section 4.4); further requests wait for the first to be satisfied.
     - ``forward_throttle`` — the strong form of the Section 4.4 remark:

@@ -275,3 +275,38 @@ class TestTrapGc:
         for z in (1, 2, 3):
             core._record_served(z, 1)
         assert len(core._served_carry) == 2
+
+    def test_merging_its_own_result_back_changes_nothing(self):
+        core = BinarySearchCore(0, cfg(n=100, trap_gc=GC_ROTATION))
+        core._served_carry = ((40, 2), (7, 1))
+        core._merge_served(((9, 4), (7, 3)))
+        merged = core._served_carry
+        assert merged == ((7, 3), (9, 4), (40, 2))
+        core._merge_served(tuple(merged))          # equal, not identical
+        assert core._served_carry is merged
+
+    def test_a_recorded_carry_coming_back_is_still_sorted(self):
+        # _record_served appends, so its carry is not in merge order: the
+        # shortcut for a merge's own result must not take it.
+        core = BinarySearchCore(0, cfg(n=100, trap_gc=GC_ROTATION))
+        core._record_served(5, 1)
+        core._record_served(2, 1)
+        assert core._served_carry == ((5, 1), (2, 1))
+        core._merge_served(((5, 1), (2, 1)))
+        assert core._served_carry == ((2, 1), (5, 1))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_merge_served trims the merged carry to the highest node ids, not "
+        "the most recent serves; fixing it moves the ledger's pinned check "
+        "point, the golden rows, the corpus digests and the compiled twin"))
+    def test_a_merge_keeps_the_most_recent_serve(self):
+        carry = tuple((z, 1) for z in range(90, 98))
+        server = BinarySearchCore(3, cfg(n=100, trap_gc=GC_ROTATION))
+        server._served_carry = carry
+        server._record_served(3, 5)                # evicts (90, 1)
+        assert server._served_carry == carry[1:] + ((3, 5),)
+        peer = BinarySearchCore(50, cfg(n=100, trap_gc=GC_ROTATION))
+        peer._served_carry = carry
+        peer._merge_served(server._served_carry)
+        assert (3, 5) in peer._served_carry        # today: dropped ...
+        assert (90, 1) not in peer._served_carry   # ... and (90, 1) is back
