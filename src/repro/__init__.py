@@ -25,40 +25,49 @@ Quickstart::
     cluster.add_workload(FixedRateWorkload(mean_interval=10.0))
     cluster.run(rounds=1000)
     print(cluster.responsiveness.average_responsiveness())
+
+The names below resolve on first use (:mod:`repro._lazy`): importing
+:mod:`repro` loads none of the subpackages, and ``from repro import
+Cluster`` loads the simulator but not the asyncio runtime, the TRS
+engine or the fuzzer.
 """
 
-from repro.aio import AioCluster, AioFabric
-from repro.apps import RoundRobinScheduler, SimMutex, TotalOrderBroadcast
-from repro.core import (
-    BinarySearchCore,
-    Cluster,
-    DirectedSearchCore,
-    FaultTolerantCore,
-    HybridCore,
-    LinearSearchCore,
-    ProtocolConfig,
-    PushCore,
-    RingCore,
-    StabilizingCore,
-)
-from repro.fabric import RingOfRings, TokenFabric
-from repro.faults import MembershipService, RingView
-from repro.metrics import (
-    FairnessAuditor,
-    KeyedMetricsRegistry,
-    MessageCounters,
-    ResponsivenessTracker,
-)
-from repro.workload import (
-    BurstyWorkload,
-    ClosedLoopKeyedWorkload,
-    FixedRateWorkload,
-    HotspotWorkload,
-    SaturatedWorkload,
-    SingleShotWorkload,
-    UniformIntervalWorkload,
-    ZipfKeyedWorkload,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.aio": ["AioCluster", "AioFabric"],
+    "repro.apps": ["RoundRobinScheduler", "SimMutex", "TotalOrderBroadcast"],
+    "repro.core": [
+        "BinarySearchCore",
+        "Cluster",
+        "DirectedSearchCore",
+        "FaultTolerantCore",
+        "HybridCore",
+        "LinearSearchCore",
+        "ProtocolConfig",
+        "PushCore",
+        "RingCore",
+        "StabilizingCore",
+    ],
+    "repro.fabric": ["RingOfRings", "TokenFabric"],
+    "repro.faults": ["MembershipService", "RingView"],
+    "repro.metrics": [
+        "FairnessAuditor",
+        "KeyedMetricsRegistry",
+        "MessageCounters",
+        "ResponsivenessTracker",
+    ],
+    "repro.workload": [
+        "BurstyWorkload",
+        "ClosedLoopKeyedWorkload",
+        "FixedRateWorkload",
+        "HotspotWorkload",
+        "SaturatedWorkload",
+        "SingleShotWorkload",
+        "UniformIntervalWorkload",
+        "ZipfKeyedWorkload",
+    ],
+})
 
 __version__ = "1.0.0"
 

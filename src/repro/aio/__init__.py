@@ -1,15 +1,21 @@
 """Asyncio runtime: the same sans-IO protocol cores driven in real time,
 with awaitable mutual exclusion, dynamic membership, and (since the
 fault-tolerance PR) supervised crash-restart, reliable delivery over a
-lossy transport, and deterministic virtual-time execution."""
+lossy transport, and deterministic virtual-time execution.
 
-from repro.aio.cluster import AioCluster
-from repro.aio.driver import AioNodeDriver
-from repro.aio.fabric import AioFabric
-from repro.aio.reliability import ReliabilityConfig, ReliableChannel
-from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
-from repro.aio.transport import AioTransport
-from repro.aio.virtualtime import VirtualClock, run_virtual
+The names below resolve on first use (:mod:`repro._lazy`)."""
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.aio.cluster": ["AioCluster"],
+    "repro.aio.driver": ["AioNodeDriver"],
+    "repro.aio.fabric": ["AioFabric"],
+    "repro.aio.reliability": ["ReliabilityConfig", "ReliableChannel"],
+    "repro.aio.supervisor": ["ClusterSupervisor", "RestartPolicy"],
+    "repro.aio.transport": ["AioTransport"],
+    "repro.aio.virtualtime": ["VirtualClock", "run_virtual"],
+})
 
 __all__ = [
     "AioCluster",

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 from repro.aio.reliability import ReliableChannel
 from repro.aio.transport import AioTransport
 from repro.core.base import ProtocolCore
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer, Trace
+from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.core.messages import HeartbeatMsg
 from repro.errors import SimulationError
 from repro.lint.sanitizer import ClusterSanitizer
@@ -182,8 +182,6 @@ class AioNodeDriver:
             elif isinstance(effect, Deliver):
                 for callback in self._subscribers:
                     callback(self.node_id, effect.kind, effect.payload, self._now())
-            elif isinstance(effect, Trace):
-                pass
             else:
                 raise SimulationError(f"unknown effect {effect!r}")
         if self.sanitizer is not None:

@@ -827,6 +827,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.aio.cluster import AioCluster
     from repro.aio.reliability import ReliabilityConfig
@@ -856,9 +857,18 @@ def _cmd_serve(args) -> int:
               f"{server.address} (delay={args.delay:g}s, "
               f"reliability={'on' if args.reliability else 'off'}, "
               f"supervision={'on' if supervisor else 'off'})")
-        print("Ctrl-C to stop")
+        print("Ctrl-C to stop", flush=True)
+        # SIGTERM (kill, a service manager) stops the service the way
+        # Ctrl-C does.  Where the loop cannot install signal handlers
+        # (Windows), SIGTERM keeps its default action.
+        stopped = asyncio.Event()
         try:
-            await asyncio.Event().wait()
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stopped.set)
+        except NotImplementedError:
+            pass
+        try:
+            await stopped.wait()
         finally:
             if supervisor is not None:
                 await supervisor.stop()
@@ -867,7 +877,8 @@ def _cmd_serve(args) -> int:
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("\nstopped")
+        pass
+    print("\nstopped")
     return 0
 
 

@@ -12,15 +12,22 @@ value of the registry:
 - :class:`FaultTolerantCore`, :class:`StabilizingCore` — Section 5 and
   beyond.
 
-:class:`Cluster` is the wiring + metrics for simulation experiments.
+:class:`Cluster` is the wiring + metrics for simulation experiments.  It
+resolves on first use (:mod:`repro._lazy`): the cluster imports the
+simulator, whose driver imports this package, so the cores and their
+runtimes load in either order.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.base import ProtocolCore
-from repro.core.cluster import Cluster
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer, Trace
+from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.core.protocols import REGISTRY
 from repro.core.traps import Trap, TrapStore
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.cluster": ["Cluster"],
+})
 
 RingCore = REGISTRY["ring"]
 LinearSearchCore = REGISTRY["linear_search"]
@@ -51,7 +58,6 @@ __all__ = [
     "Send",
     "SetTimer",
     "StabilizingCore",
-    "Trace",
     "Trap",
     "TrapStore",
 ]

@@ -16,7 +16,7 @@ from typing import Any, Hashable, Tuple
 
 from repro.core.records import fast_init
 
-__all__ = ["Effect", "Send", "SetTimer", "CancelTimer", "Deliver", "Trace"]
+__all__ = ["Effect", "Send", "SetTimer", "CancelTimer", "Deliver"]
 
 
 class Effect:
@@ -58,14 +58,6 @@ class CancelTimer(Effect):
 class Deliver(Effect):
     """Deliver an application-level event (e.g. token granted, broadcast
     delivered) to whoever is driving the core."""
-
-    kind: str
-    payload: Tuple = ()
-
-
-@dataclass(frozen=True)
-class Trace(Effect):
-    """Emit a debug/trace record; drivers may log or ignore it."""
 
     kind: str
     payload: Tuple = ()

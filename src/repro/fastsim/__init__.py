@@ -13,13 +13,21 @@ on top of it.
 Anything outside the support matrix raises
 :class:`repro.errors.FastSimUnsupportedError`; callers fall back to the
 object cluster.
+
+The names below resolve on first use (:mod:`repro._lazy`):
+``FastCluster`` does not load the differential harness, which runs the
+fuzzer.
 """
 
-from repro.fastsim.cluster import FastCluster
-from repro.fastsim.compiled import Engine, compile_engine
-from repro.fastsim.diff import DiffReport, diff_case, diff_corpus
-from repro.fastsim.shard import MegaResult, ShardedRingSim, mega_requests
-from repro.fastsim.state import ArrayState, unsupported_reason
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fastsim.cluster": ["FastCluster"],
+    "repro.fastsim.compiled": ["Engine", "compile_engine"],
+    "repro.fastsim.diff": ["DiffReport", "diff_case", "diff_corpus"],
+    "repro.fastsim.shard": ["MegaResult", "ShardedRingSim", "mega_requests"],
+    "repro.fastsim.state": ["ArrayState", "unsupported_reason"],
+})
 
 __all__ = [
     "ArrayState",

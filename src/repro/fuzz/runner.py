@@ -58,7 +58,7 @@ from repro.fuzz.oracle import (
 )
 from repro.fuzz.rng import derive_seed
 from repro.lint import LintViolation
-from repro.lint.sanitizer import SanitizedRewriter
+from repro.lint.rewriter import SanitizedRewriter
 
 __all__ = ["FuzzResult", "run_case", "skip_reason", "fuzz_run"]
 

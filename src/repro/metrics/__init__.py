@@ -1,19 +1,20 @@
 """Metrics: responsiveness (Definition 3), message counters, fairness
-auditing (Theorem 3), per-key fabric aggregation, and summary statistics."""
+auditing (Theorem 3), per-key fabric aggregation, and summary statistics.
 
-from repro.metrics.counters import MessageCounters, WireCounters
-from repro.metrics.fairness import FairnessAuditor
-from repro.metrics.keyed import KeyedMetricsRegistry, KeyStats, LatencyHistogram
-from repro.metrics.responsiveness import ResponsivenessTracker
-from repro.metrics.tracing import TraceEvent, TraceRecorder
-from repro.metrics.stats import (
-    confidence_interval,
-    mean,
-    median,
-    percentile,
-    stdev,
-    summarize,
-)
+The names below resolve on first use (:mod:`repro._lazy`)."""
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.counters": ["MessageCounters", "WireCounters"],
+    "repro.metrics.fairness": ["FairnessAuditor"],
+    "repro.metrics.keyed": ["KeyedMetricsRegistry", "KeyStats",
+                            "LatencyHistogram"],
+    "repro.metrics.responsiveness": ["ResponsivenessTracker"],
+    "repro.metrics.tracing": ["TraceEvent", "TraceRecorder"],
+    "repro.metrics.stats": ["confidence_interval", "mean", "median",
+                            "percentile", "stdev", "summarize"],
+})
 
 __all__ = [
     "FairnessAuditor",

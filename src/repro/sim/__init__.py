@@ -1,6 +1,10 @@
-"""Discrete-event simulation substrate: kernel, network, node driver."""
+"""Discrete-event simulation substrate: kernel, network, node driver.
 
-from repro.sim.driver import NodeDriver
+:class:`NodeDriver` resolves on first use (:mod:`repro._lazy`): the
+driver imports the protocol cores, so the kernel and the network load
+without them."""
+
+from repro._lazy import lazy_exports
 from repro.sim.kernel import Event, Simulator
 from repro.sim.network import (
     ConstantDelay,
@@ -9,6 +13,10 @@ from repro.sim.network import (
     Network,
     UniformDelay,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.driver": ["NodeDriver"],
+})
 
 __all__ = [
     "ConstantDelay",

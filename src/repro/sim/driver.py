@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.core.base import ProtocolCore
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer, Trace
+from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.errors import SimulationError
 from repro.lint.sanitizer import ClusterSanitizer
 from repro.sim.kernel import Event, Simulator
@@ -136,32 +136,7 @@ class NodeDriver:
             elif kind is Deliver:
                 for callback in self._subscribers:
                     callback(node_id, effect.kind, effect.payload, self.sim.now)
-            elif kind is Trace:
-                pass  # tracing is a no-op in the DES driver
             else:
-                self._apply_slow(effect)
+                raise SimulationError(f"unknown effect {effect!r}")
         if self.sanitizer is not None:
             self.sanitizer.after_apply(self.core, origin, payload, self.sim.now)
-
-    def _apply_slow(self, effect: Effect) -> None:
-        """isinstance fallback for subclassed effect types."""
-        if isinstance(effect, Send):
-            self.network.send(self.node_id, effect.dst, effect.msg)
-        elif isinstance(effect, SetTimer):
-            previous = self._timers.pop(effect.key, None)
-            if previous is not None:
-                previous.cancel()
-            self._timers[effect.key] = self.sim.schedule(
-                effect.delay, self._on_timer, effect.key
-            )
-        elif isinstance(effect, CancelTimer):
-            event = self._timers.pop(effect.key, None)
-            if event is not None:
-                event.cancel()
-        elif isinstance(effect, Deliver):
-            for callback in self._subscribers:
-                callback(self.node_id, effect.kind, effect.payload, self.sim.now)
-        elif isinstance(effect, Trace):
-            pass
-        else:
-            raise SimulationError(f"unknown effect {effect!r}")

@@ -9,29 +9,36 @@ reliability, phi-accrual supervision, and the invariant oracle attach
 without modification.  On top of it, :class:`LockServiceServer` exposes
 acquire/release/status as a network API and :class:`LockClient` /
 :class:`LoadGenerator` drive it with open/closed-loop workloads.
+
+The names below resolve on first use (:mod:`repro._lazy`): a load
+generator does not load the server, and neither loads the fuzzer.
 """
 
-from repro.wire.client import LoadGenerator, LoadReport, LockClient
-from repro.wire.codec import (
-    MAX_FRAME,
-    WIRE_VERSION,
-    decode_body,
-    encode_frame,
-    read_frame,
-    register_message,
-    registered_messages,
-)
-from repro.wire.server import LockServiceServer
-from repro.wire.service import (
-    AcquireReply,
-    AcquireRequest,
-    ReleaseReply,
-    ReleaseRequest,
-    StatusReply,
-    StatusRequest,
-)
-from repro.wire.smoke import service_config, smoke_case
-from repro.wire.transport import WireConfig, WireTransport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.wire.client": ["LoadGenerator", "LoadReport", "LockClient"],
+    "repro.wire.codec": [
+        "MAX_FRAME",
+        "WIRE_VERSION",
+        "decode_body",
+        "encode_frame",
+        "read_frame",
+        "register_message",
+        "registered_messages",
+    ],
+    "repro.wire.server": ["LockServiceServer"],
+    "repro.wire.service": [
+        "AcquireReply",
+        "AcquireRequest",
+        "ReleaseReply",
+        "ReleaseRequest",
+        "StatusReply",
+        "StatusRequest",
+    ],
+    "repro.wire.smoke": ["service_config", "smoke_case"],
+    "repro.wire.transport": ["WireConfig", "WireTransport"],
+})
 
 __all__ = [
     "MAX_FRAME",

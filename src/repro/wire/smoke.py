@@ -17,13 +17,15 @@ CI runs the 3-node/2k-op default; the soak tier runs 5 nodes and 10k ops.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocols import ROWS
 from repro.core.regeneration import Regeneration
 from repro.core.stabilization import Stabilization
-from repro.fuzz.case import FuzzCase
+
+if TYPE_CHECKING:
+    from repro.fuzz.case import FuzzCase
 
 __all__ = ["service_config", "smoke_case"]
 
@@ -67,7 +69,11 @@ def smoke_case(
     p99_budget: float = 2.0,
     faults: Optional[List[Dict]] = None,
 ) -> FuzzCase:
-    """The closed-loop service run as a case (fault times in seconds)."""
+    """The closed-loop service run as a case (fault times in seconds).
+    The fuzzer is imported here, not with the module: ``repro serve``
+    needs :func:`service_config` only."""
+    from repro.fuzz.case import FuzzCase
+
     return FuzzCase(
         seed=seed,
         protocol=protocol,

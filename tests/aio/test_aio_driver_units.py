@@ -9,7 +9,12 @@ from repro.aio.driver import AioNodeDriver
 from repro.aio.transport import AioTransport
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Send, SetTimer
+from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.errors import SimulationError
+
+
+class Unknown(Effect):
+    """An effect no driver knows."""
 
 
 class TimerCore(ProtocolCore):
@@ -31,6 +36,8 @@ class TimerCore(ProtocolCore):
             return [SetTimer("t", 3.0), CancelTimer("t")]
         if msg == "echo":
             return [Send(src, "echoed")]
+        if msg == "unknown":
+            return [Unknown()]
         return []
 
     def on_timer(self, key, now):
@@ -122,6 +129,21 @@ class TestAioDriver:
             await asyncio.sleep(0.05)
             await b.stop()
             assert a.core.fired == []
+
+        run(main())
+
+    def test_unknown_effect_raises(self):
+        async def main():
+            transport, a, b = make_pair()
+            await a.start()
+            await b.start()
+            transport.send(1, 0, "unknown")
+            await asyncio.sleep(0.03)
+            failure = a.failure()
+            await a.stop()
+            await b.stop()
+            assert isinstance(failure, SimulationError)
+            assert "unknown effect" in str(failure)
 
         run(main())
 

@@ -7,12 +7,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.cluster import Cluster
 from repro.core.protocols import REGISTRY
 from repro.lint.findings import LintViolation
-from repro.lint.sanitizer import (
-    ClusterSanitizer,
-    SanitizedRewriter,
-    minimize_state,
-    sanitize_enabled,
-)
+from repro.lint.rewriter import SanitizedRewriter, minimize_state
+from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
 from repro.specs import system_message_passing as mp
 from repro.specs import system_s
 from repro.specs.common import datum

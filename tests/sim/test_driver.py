@@ -6,10 +6,15 @@ import pytest
 
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Send, SetTimer, Trace
+from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.errors import SimulationError
 from repro.sim.driver import NodeDriver
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
+
+
+class Unknown(Effect):
+    """An effect no driver knows."""
 
 
 class EchoCore(ProtocolCore):
@@ -35,8 +40,8 @@ class EchoCore(ProtocolCore):
             return [SetTimer("t", 10.0)]
         if msg == "disarm":
             return [CancelTimer("t")]
-        if msg == "trace":
-            return [Trace("debug", (1,))]
+        if msg == "unknown":
+            return [Unknown()]
         return []
 
     def on_timer(self, key, now):
@@ -98,10 +103,11 @@ class TestDriver:
         drivers[0].request()
         assert (0, "requested") in events
 
-    def test_trace_is_silent(self, rig):
+    def test_unknown_effect_raises(self, rig):
         sim, net, drivers, events = rig
-        net.send(1, 0, "trace")
-        sim.run()  # must not raise
+        net.send(1, 0, "unknown")
+        with pytest.raises(SimulationError, match="unknown effect"):
+            sim.run()
 
     def test_crash_stops_delivery_and_timers(self, rig):
         sim, net, drivers, events = rig

@@ -3,6 +3,11 @@ hygiene (a dead client's grants come back), timeouts, and status."""
 
 import asyncio
 import random
+import re
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -281,3 +286,39 @@ class TestLoadGenerator:
                     mean_interval=0.005, ops=1, n=-1)
 
         asyncio.run(main())
+
+
+class TestServeCommand:
+    def test_sigterm_stops_the_service_cleanly(self):
+        """``repro serve`` treats SIGTERM like Ctrl-C: it stops the
+        supervisor and the server, prints ``stopped`` and exits 0."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "-n", "3", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        # A service that never prints its banner must not hang the suite.
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stdout.readline()
+            address = re.search(r" on [^ ]+:(\d+) ", banner)
+            assert address, (banner, proc.stderr.read() if proc.poll() else "")
+            port = int(address.group(1))
+
+            async def lock_once():
+                client = await LockClient("127.0.0.1", port).connect()
+                reply = await asyncio.wait_for(
+                    client.acquire(timeout=20.0), timeout=25)
+                assert reply.ok
+                assert (await client.release(reply.node)).ok
+                await client.aclose()
+
+            asyncio.run(lock_once())
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "stopped" in out
