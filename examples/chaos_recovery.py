@@ -39,9 +39,12 @@ SEED = 7
 
 async def main() -> None:
     loop = asyncio.get_running_loop()
-    # service_config: rotation trap GC, quorum-gated regeneration, and a
+    # service_config: rotation trap GC, quorum-gated regeneration, a
     # 30-delay regen timeout that is only the fallback -- phi-accrual
-    # adapts below it.
+    # adapts below it -- and an idle token that parks for 2 delays
+    # between hops.  The token-sighting detector learns that slower
+    # cadence, so node 4 is granted ~3 s after the crash below, where a
+    # token rotating at full speed had it granted after ~0.7 s.
     cluster = AioCluster(
         "fault_tolerant", N, seed=SEED,
         config=service_config("fault_tolerant"),

@@ -2,12 +2,13 @@
 :class:`repro.core.cluster.Cluster`, plus dynamic membership and the
 crash/restart surface the fault-tolerant runtime is built on.
 
-Nodes run as coroutines on one event loop.  ``acquire``/``release`` give
-awaitable token access (the mutual-exclusion surface the apps build on),
-``join``/``leave`` exercise the paper's Section 5 dynamic-membership
-sketch, and ``crash_node``/``restart_node`` are the crash-stop/rebirth
-primitives the :class:`~repro.aio.supervisor.ClusterSupervisor` drives:
-a crashed node loses its volatile state and its inbox; a restarted node
+Nodes run on one event loop, each core behind the transport handler
+of its driver.  ``acquire``/``release`` give awaitable token access (the
+mutual-exclusion surface the apps build on), ``join``/``leave`` exercise
+the paper's Section 5 dynamic-membership sketch, and
+``crash_node``/``restart_node`` are the crash-stop/rebirth primitives the
+:class:`~repro.aio.supervisor.ClusterSupervisor` drives: a crashed node
+loses its volatile state and its in-flight messages; a restarted node
 comes back under a fresh core (optionally restored from a supervisor
 snapshot) and a bumped reliability incarnation, and immediately re-arms
 any acquires that were pending across the outage.
@@ -246,8 +247,8 @@ class AioCluster:
     # -- crash / restart -----------------------------------------------------------
 
     async def crash_node(self, node: int) -> None:
-        """Crash-stop ``node``: its volatile core state, timers, channel
-        and inbox are lost; in-flight messages to it are dropped.  The node
+        """Crash-stop ``node``: its volatile core state, timers and channel
+        are lost; in-flight messages to it are dropped.  The node
         stays a ring member (a crash is not a leave)."""
         driver = self.drivers.get(node)
         if driver is None:

@@ -1,9 +1,17 @@
 """Asyncio driver for sans-IO protocol cores.
 
-Runs one core as a coroutine: messages are awaited from the transport
-inbox, timers are ``loop.call_later`` handles, and application events are
-fanned out to subscribers — the same contract as the discrete-event driver,
-so every core runs unchanged in real time.
+Runs one core on the event loop: the transport calls the driver's
+handler with each delivered message, as the simulator's network does,
+timers are ``loop.call_later`` handles, and application events are fanned
+out to subscribers — the same contract as the discrete-event driver, so
+every core runs unchanged in real time.  A message is handled in the
+callback that delivers it: no queue and no task stand between the socket
+(or the in-memory delay) and the core.
+
+An exception out of a handler (a sanitizer violation, a core bug) kills
+the node, not whoever delivered the message: the driver records it,
+:meth:`AioNodeDriver.failure` reports it, and the node handles no further
+message or timer.
 
 The driver is also the seam where the fault-tolerant runtime plugs in:
 
@@ -57,7 +65,6 @@ class AioNodeDriver:
         self.crashed = False
         if sanitizer is not None:
             sanitizer.register(core)
-        self._inbox = transport.attach(self.node_id)
         self._timers: Dict[Hashable, asyncio.TimerHandle] = {}
         self._subscribers: List[Callable[[int, str, tuple, float], None]] = []
         #: ``hook(src, msg) -> bool`` — True consumes the message before
@@ -67,8 +74,9 @@ class AioNodeDriver:
         self.on_send_msg: List[Callable[[int, int, object], None]] = []
         #: ``hook(src, msg)`` — a delivered payload was fully processed.
         self.on_handled: List[Callable[[int, object], None]] = []
-        self._task: Optional[asyncio.Task] = None
+        self._failure: Optional[Exception] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        transport.attach(self.node_id, self._on_message)
 
     def subscribe(self, callback: Callable[[int, str, tuple, float], None]) -> None:
         """Register ``callback(node_id, kind, payload, now)`` for
@@ -76,37 +84,25 @@ class AioNodeDriver:
         self._subscribers.append(callback)
 
     async def start(self) -> None:
-        """Run the core's start handler and begin consuming the inbox."""
+        """Run the core's start handler."""
         self._loop = asyncio.get_running_loop()
         self._apply(self.core.on_start(self._now()), "on_start")
-        self._task = asyncio.create_task(self._run(), name=f"node-{self.node_id}")
 
     async def stop(self) -> None:
-        """Cancel the consumer task, all timers, and any retransmissions."""
+        """Detach from the transport and cancel all timers and any
+        retransmissions."""
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
         if self.channel is not None:
             self.channel.stop()
-        if self._task is not None and self.failure() is None:
-            # (A task that already died stays put: awaiting it would
-            # re-raise here, and failure() is how it gets reported.)
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
         self.transport.detach(self.node_id)
 
-    def failure(self) -> Optional[BaseException]:
-        """The exception that killed this node's consumer task (a
-        sanitizer violation, a core bug) — None while the task runs and
-        once a live task has been stopped."""
-        task = self._task
-        if task is None or not task.done() or task.cancelled():
-            return None
-        return task.exception()
+    def failure(self) -> Optional[Exception]:
+        """The exception that killed this node (a sanitizer violation, a
+        core bug), or None while it is alive.  A stopped node keeps its
+        failure."""
+        return self._failure
 
     def request(self) -> None:
         """The application at this node asks for the token."""
@@ -126,20 +122,24 @@ class AioNodeDriver:
         loop = self._loop or asyncio.get_event_loop()
         return loop.time()
 
-    async def _run(self) -> None:
-        while True:
-            src, raw = await self._inbox.get()
+    def _on_message(self, src: int, raw: object) -> None:
+        """The transport's delivery callback."""
+        if self._failure is not None:
+            return
+        try:
             msg = raw
             if self.channel is not None:
                 msg = self.channel.on_frame(src, raw)
                 if msg is None:
-                    continue  # ack, or a deduplicated retransmission
+                    return  # ack, or a deduplicated retransmission
             if self._consume_control(src, msg):
-                continue
+                return
             self._apply(self.core.on_message(src, msg, self._now()),
                         "on_message", msg)
             for hook in self.on_handled:
                 hook(src, msg)
+        except Exception as exc:
+            self._failure = exc
 
     def _consume_control(self, src: int, msg: object) -> bool:
         for hook in self.on_control:
@@ -151,7 +151,12 @@ class AioNodeDriver:
 
     def _on_timer(self, key: Hashable) -> None:
         self._timers.pop(key, None)
-        self._apply(self.core.on_timer(key, self._now()), "on_timer", key)
+        if self._failure is not None:
+            return
+        try:
+            self._apply(self.core.on_timer(key, self._now()), "on_timer", key)
+        except Exception as exc:
+            self._failure = exc
 
     def _send(self, dst: int, msg: object) -> None:
         for hook in self.on_send_msg:

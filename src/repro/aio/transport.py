@@ -6,14 +6,16 @@ delay and the same fault surface the discrete-event network exposes —
 cheap-message loss and duplication, crashed destinations, and (new for the
 fault-tolerant runtime) **directed link partitions**: a blocked link drops
 cheap messages and *parks* expensive ones, flushing them when the link
-heals, exactly like the simulator.  Every node owns an inbox queue;
-``send`` schedules the enqueue after the delay on the running event loop.
+heals, exactly like the simulator.  Every node attaches a delivery
+handler, as on :meth:`repro.sim.network.Network.attach`; ``send``
+schedules the call after the delay on the running event loop.
 
 Observability hooks (all synchronous, fired in registration order):
 
 - ``on_send(src, dst, msg)`` — every send attempt, **including** ones that
   are subsequently dropped (so counters see the true offered load);
-- ``on_deliver(src, dst, msg)`` — a message enqueued into a live inbox;
+- ``on_deliver(src, dst, msg)`` — a message about to reach a live node's
+  handler;
 - ``on_drop(src, dst, msg, reason)`` — a message that will never arrive;
   reasons: ``"loss"``, ``"partition"``, ``"down"``, ``"detached"``.
 """
@@ -21,12 +23,20 @@ Observability hooks (all synchronous, fired in registration order):
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 
 __all__ = ["AioTransport"]
+
+#: ``handler(src, msg)`` — how a node receives a delivered message.
+Handler = Callable[[int, object], None]
+
+
+def _enqueue(queue: asyncio.Queue, src: int, msg: object) -> None:
+    queue.put_nowait((src, msg))
 
 
 class AioTransport:
@@ -49,7 +59,7 @@ class AioTransport:
         self.loss_rate = loss_rate
         self.dup_rate = dup_rate
         self.rng = rng if rng is not None else random.Random(0)
-        self._inboxes: Dict[int, asyncio.Queue] = {}
+        self._handlers: Dict[int, Handler] = {}
         self._down: Set[int] = set()
         self._blocked: Set[Tuple[int, int]] = set()     # directed (src, dst)
         self._parked: List[Tuple[int, int, object]] = []
@@ -62,17 +72,25 @@ class AioTransport:
 
     # -- membership of the bus ----------------------------------------------------
 
-    def attach(self, node_id: int) -> asyncio.Queue:
-        """Create and return the inbox queue for ``node_id``."""
-        if node_id in self._inboxes:
+    def attach(self, node_id: int, handler: Optional[Handler] = None,
+               ) -> Optional[asyncio.Queue]:
+        """Register ``handler(src, msg)`` as ``node_id``'s delivery callback.
+
+        Without a handler the node gets an inbox queue, returned here,
+        whose ``put`` is the handler: every delivery lands in it as a
+        ``(src, msg)`` pair."""
+        if node_id in self._handlers:
             raise NetworkError(f"node {node_id} already attached")
-        queue: asyncio.Queue = asyncio.Queue()
-        self._inboxes[node_id] = queue
+        queue: Optional[asyncio.Queue] = None
+        if handler is None:
+            queue = asyncio.Queue()
+            handler = functools.partial(_enqueue, queue)
+        self._handlers[node_id] = handler
         return queue
 
     def detach(self, node_id: int) -> None:
-        """Remove a node's inbox; in-flight messages to it are dropped."""
-        self._inboxes.pop(node_id, None)
+        """Remove a node's handler; in-flight messages to it are dropped."""
+        self._handlers.pop(node_id, None)
 
     # -- fault injection -----------------------------------------------------------
 
@@ -160,14 +178,14 @@ class AioTransport:
         if dst in self._down:
             self._drop(src, dst, msg, "down")
             return
-        inbox = self._inboxes.get(dst)
-        if inbox is None:
+        handler = self._handlers.get(dst)
+        if handler is None:
             self._drop(src, dst, msg, "detached")
             return
         self.delivered_count += 1
         for hook in self.on_deliver:
             hook(src, dst, msg)
-        inbox.put_nowait((src, msg))
+        handler(src, msg)
 
     def _drop(self, src: int, dst: int, msg: object, reason: str) -> None:
         self.dropped_count += 1

@@ -21,7 +21,7 @@ messages (``TokenMsg``/``LoanMsg``/``LoanReturnMsg``), bucketed by epoch.
   events only: the core fully handled the payload (``on_handled``), the
   reliability channel surrendered it (``on_give_up``), or the transport
   dropped an unframed reliable message (``on_drop``).  The hooks run deep
-  inside node coroutines, where a raise would kill one node task
+  inside a node's handlers, where a raise would kill that one node
   asymmetrically, so a breach is *captured* in :attr:`violation` (first
   one wins) for the runner to read.  Known over-count: a lineage payload
   whose frame evaporates after its sender crashed (channel stopped, no

@@ -16,7 +16,7 @@ dispatches —
 
 always with the invariant oracle attached, and always into one
 :class:`FuzzResult`: outcome, violation details (an oracle breach, a dead
-node task, an unrecovered acquire or a missed service level alike), and on
+node, an unrecovered acquire or a missed service level alike), and on
 the deterministic backends a CRC32 checksum over the full logical send
 stream, so two runs of the same case must produce identical results, byte
 for byte.  An unsupported (case, backend) pair comes back ``skipped`` with
@@ -459,7 +459,7 @@ async def _execute(case: FuzzCase) -> FuzzResult:
     """One case on the supervised runtime.  Every scheduled acquire must
     be granted within ``recovery_window`` of the later of its issue time
     and the last injected fault (when the case sets one); the run fails on
-    an oracle violation, a dead node coroutine, an unrecovered acquire, or
+    an oracle violation, a dead node, an unrecovered acquire, or
     — with a load block — an op not granted or a p99 over budget."""
     from repro.stabilize.bound import convergence_bound
     from repro.wire.client import LoadGenerator
@@ -580,8 +580,8 @@ async def _execute(case: FuzzCase) -> FuzzResult:
         if oracle.violation is not None:
             violation = _violation_dict(oracle.violation)
         else:
-            # A node coroutine that died (sanitizer violation, core bug)
-            # is a finding too — it surfaces as a dead task, not a raise.
+            # A node that died (sanitizer violation, core bug) is a
+            # finding too — it surfaces through failure(), not a raise.
             for node, driver in cluster.drivers.items():
                 exc = driver.failure()
                 if exc is not None:

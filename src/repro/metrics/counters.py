@@ -128,7 +128,8 @@ class WireCounters:
     - ``frames_sent`` / ``frames_received`` — codec frames that crossed a
       TCP connection (after fault injection; a dropped message never
       reaches the wire);
-    - ``bytes_sent`` / ``bytes_received`` — encoded frame volume;
+    - ``bytes_sent`` / ``bytes_received`` — encoded frame volume written,
+      and bytes read off inbound connections;
     - ``connects`` — successful outbound connection establishments
       (initial dials and reconnects alike);
     - ``connect_failures`` — dial attempts that failed and went back to

@@ -54,6 +54,11 @@ has no reliable resynchronization point):
 - ``asyncio.IncompleteReadError`` — the peer closed mid-frame (surfaced
   by :func:`read_frame`; treated as a connection reset, not a protocol
   error).
+
+Two readers share the length-prefix checks: :func:`read_frame` awaits one
+frame from a stream (the lock-service sessions), and :class:`FrameReader`
+cuts frames out of whatever bytes a protocol callback was handed (the
+node transport's inbound connections).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import dataclasses
 import struct
 import typing
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import CodecError, FrameError
 
@@ -76,6 +81,7 @@ __all__ = [
     "encode_frame",
     "decode_body",
     "read_frame",
+    "FrameReader",
 ]
 
 WIRE_VERSION = 2
@@ -383,6 +389,17 @@ def decode_body(payload: bytes) -> Tuple[int, int, object]:
     return src, dst, msg
 
 
+def _body_length(prefix: bytes, max_frame: int, pos: int = 0) -> int:
+    """The body length a frame's prefix at ``prefix[pos:]`` announces,
+    refused before any of the body is waited for."""
+    (length,) = _LEN.unpack_from(prefix, pos)
+    if length == 0:
+        raise FrameError("zero-length frame")
+    if length > max_frame:
+        raise FrameError(f"frame of {length} bytes exceeds max {max_frame}")
+    return length
+
+
 async def read_frame(
     reader: asyncio.StreamReader,
     max_frame: int = MAX_FRAME,
@@ -396,16 +413,44 @@ async def read_frame(
     peer closes mid-frame.  Never returns partial data and never blocks
     past the bytes one frame needs — a garbage prefix fails immediately
     instead of waiting for gigabytes that will never arrive."""
-    prefix = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(prefix)
-    if length == 0:
-        raise FrameError("zero-length frame")
-    if length > max_frame:
-        raise FrameError(f"frame of {length} bytes exceeds max {max_frame}")
+    length = _body_length(await reader.readexactly(_LEN.size), max_frame)
     payload = await reader.readexactly(length)
     if on_bytes is not None:
         on_bytes(_LEN.size + length)
     return decode_body(payload)
+
+
+class FrameReader:
+    """Cuts frames out of a byte stream handed over in arbitrary pieces.
+
+    :meth:`feed` takes the next bytes of one connection and yields every
+    frame they complete, in stream order, as ``(src, dst, message)``;
+    the bytes of an unfinished frame wait for the next call.  A framing
+    or body violation raises where the bad frame starts, after the
+    frames before it have been yielded, with the same errors as
+    :func:`read_frame`; the stream is unusable from there on."""
+
+    __slots__ = ("max_frame", "_buf")
+
+    def __init__(self, max_frame: int = MAX_FRAME) -> None:
+        self.max_frame = max_frame
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> Iterator[Tuple[int, int, object]]:
+        buf = self._buf
+        buf += data
+        size = len(buf)
+        pos = 0
+        try:
+            while size - pos >= _LEN.size:
+                start = pos + _LEN.size
+                end = start + _body_length(buf, self.max_frame, pos)
+                if end > size:
+                    break
+                pos = end
+                yield decode_body(buf[start:end])
+        finally:
+            del buf[:pos]
 
 
 _register_builtins()

@@ -36,7 +36,18 @@ def service_config(protocol: str) -> ProtocolConfig:
     trap GC, quorum-gated regeneration, timers in message-delay units
     that the driver scales by the transport delay — ``regen_timeout`` is
     the *fallback*; once the ring has cadence history, the supervisor's
-    phi provider overrides it."""
+    phi provider overrides it.
+
+    The token parks when idle (``idle_pause``, the paper's demand-adaptive
+    token speed, Section 4.4): a holder that has seen no demand waits two
+    delays before forwarding, so an idle ring makes a third of the hops it
+    would at full speed.  The pause stays at 2 because the supervisor's
+    token-cadence detector learns its timeout from sightings, and a parked
+    circulation stretches that timeout with it.  Measured in virtual time
+    (crash the holder of a parked token, acquire at its successor):
+    0.174 s at pause 2 and 0.616 s at pause 10 for n = 3, 1 ms; 2.84 s
+    and 10.2 s for n = 5, 10 ms, where crashes a second apart also
+    compound (DESIGN.md §10, "The idle token parks")."""
     row = ROWS[protocol]
     if row.has(Regeneration):
         config = ProtocolConfig(
@@ -47,6 +58,7 @@ def service_config(protocol: str) -> ProtocolConfig:
             census_window=8.0,
             loan_timeout=80.0,
             regen_quorum=True,
+            idle_pause=2.0,
         )
         if row.has(Stabilization):
             # The watchdog census would race the quorum-gated

@@ -6,7 +6,11 @@ injection, the ``on_send``/``on_deliver``/``on_drop`` hook surface — but
 moves the data path onto real loopback sockets:
 
 - every attached node gets its own listening TCP server (its "address" is
-  a real ``(host, port)`` endpoint, allocated by the kernel);
+  a real ``(host, port)`` endpoint, allocated by the kernel); an inbound
+  connection is an ``asyncio.Protocol`` whose ``data_received`` cuts the
+  bytes into frames and hands each one to the inherited delivery path,
+  and so to the node's handler, in the same callback — socket bytes,
+  frame, ARQ and core with no task or queue in between;
 - outbound traffic to one destination rides **one multiplexed TCP
   connection** shared by every local sender (frames carry their logical
   ``src``/``dst``, so one socket carries all lanes to that peer);
@@ -50,12 +54,19 @@ import random
 import sys
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
-from repro.aio.transport import AioTransport
+from repro.aio.transport import AioTransport, Handler
 from repro.errors import CodecError, FrameError, WireError
 from repro.metrics.counters import WireCounters
-from repro.wire.codec import MAX_FRAME, encode_frame, read_frame
+from repro.wire.codec import (
+    MAX_FRAME,
+    FrameReader,
+    encode_frame,
+    # Not called here: the ledger's tracer wraps ``read_frame`` as an
+    # attribute of this module, by name (benchmarks/ledger/serve_child.py).
+    read_frame,  # noqa: F401
+)
 
 __all__ = ["WireConfig", "WireTransport"]
 
@@ -332,7 +343,7 @@ class WireTransport(AioTransport):
         self._timer: Optional[_WakeTimer] = None
         self._last_due = 0.0
         self._binding: set = set()
-        self._inbound: set = set()
+        self._inbound: Set[asyncio.BaseTransport] = set()
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -348,7 +359,7 @@ class WireTransport(AioTransport):
             return
         self._running = True
         self._timer = _WakeTimer(asyncio.get_running_loop(), self._on_due)
-        for node_id in list(self._inboxes):
+        for node_id in list(self._handlers):
             await self._bind(node_id)
 
     async def aclose(self) -> None:
@@ -365,18 +376,17 @@ class WireTransport(AioTransport):
         self._links.clear()
         for server in self._servers.values():
             server.close()
+        for inbound in list(self._inbound):
+            inbound.close()
+        for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
         self._ports.clear()
-        # Closing the inbound writers lets every _serve loop finish on its
-        # own (reader hits EOF) instead of dying cancelled at loop
-        # teardown, which asyncio's stream glue logs noisily.
-        for writer in list(self._inbound):
-            writer.close()
-        await asyncio.sleep(0)
+        await asyncio.sleep(0)      # the connection_lost callbacks run
 
-    def attach(self, node_id: int) -> asyncio.Queue:
-        inbox = super().attach(node_id)
+    def attach(self, node_id: int, handler: Optional[Handler] = None,
+               ) -> Optional[asyncio.Queue]:
+        inbox = super().attach(node_id, handler)
         if self._running and node_id not in self._servers:
             # Late joiner on a live transport: bind its server as a task.
             # Frames addressed to it meanwhile sit in link queues redialing.
@@ -389,9 +399,8 @@ class WireTransport(AioTransport):
             return
         self._binding.add(node_id)
         try:
-            server = await asyncio.start_server(
-                lambda r, w, _nid=node_id: self._serve(_nid, r, w),
-                self.wire_config.host, 0)
+            server = await asyncio.get_running_loop().create_server(
+                lambda: _Inbound(self), self.wire_config.host, 0)
         finally:
             self._binding.discard(node_id)
         if not self._running:
@@ -489,33 +498,40 @@ class WireTransport(AioTransport):
         self._drop(src, dst, msg, "backpressure")
         return None
 
-    async def _serve(self, node_id: int, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """One inbound connection: decode frames, hand them to the
-        inherited delivery path (crash/detach checks, hooks, inbox)."""
-        counters = self.counters
 
-        def _count(nbytes: int) -> None:
-            counters.bytes_received += nbytes
+class _Inbound(asyncio.Protocol):
+    """One inbound connection: frames are cut out of the bytes as they
+    arrive and handed to the inherited delivery path (crash/detach
+    checks, hooks, the node's handler) in arrival order.  A framing or
+    codec violation closes this connection with the typed error
+    recorded; the peer closing, even mid-frame, just closes it."""
 
-        self._inbound.add(writer)
+    __slots__ = ("wire", "frames", "transport")
+    transport: asyncio.BaseTransport        # from connection_made()
+
+    def __init__(self, wire: WireTransport) -> None:
+        self.wire = wire
+        self.frames = FrameReader(wire.wire_config.max_frame)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.wire._inbound.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        wire = self.wire
+        counters = wire.counters
+        counters.bytes_received += len(data)
+        deliver = wire._deliver
         try:
-            while True:
-                src, dst, msg = await read_frame(
-                    reader, self.wire_config.max_frame, on_bytes=_count)
+            for src, dst, msg in self.frames.feed(data):
                 counters.frames_received += 1
-                self._deliver(src, dst, msg)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # peer went away (cleanly or mid-frame): just close
-        except asyncio.CancelledError:
-            # Loop teardown cancelled us mid-read; finishing normally keeps
-            # asyncio's stream connection-callback from logging the cancel.
-            pass
+                deliver(src, dst, msg)
         except (FrameError, CodecError) as exc:
-            # A violating frame poisons the whole stream: close the
-            # connection with the typed error recorded, never hang.
+            # A violating frame poisons the whole stream: a
+            # length-prefixed stream has no resynchronization point.
             counters.codec_errors += 1
-            self.last_wire_error = exc
-        finally:
-            self._inbound.discard(writer)
-            writer.close()
+            wire.last_wire_error = exc
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.wire._inbound.discard(self.transport)

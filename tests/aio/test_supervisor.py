@@ -8,6 +8,7 @@ from repro.aio.reliability import ReliabilityConfig
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.aio.virtualtime import run_virtual
 from repro.core.config import ProtocolConfig
+from repro.wire.smoke import service_config
 
 DELAY = 0.01
 
@@ -261,3 +262,64 @@ class TestClusterRegressions:
             await cluster.stop()
 
         run_virtual(main())
+
+
+class TestParkedToken:
+    """The served configuration parks an idle token (``idle_pause``, the
+    paper's demand-adaptive token speed), in virtual time: n = 3, 1 ms."""
+
+    @staticmethod
+    def service_cluster():
+        return AioCluster("fault_tolerant", 3, seed=0,
+                          config=service_config("fault_tolerant"),
+                          delay=0.001, reliability=ReliabilityConfig())
+
+    def test_an_idle_ring_parks_its_token(self):
+        async def main():
+            cluster = self.service_cluster()
+            supervisor = ClusterSupervisor(cluster)
+            await cluster.start()
+            await supervisor.start()
+            await asyncio.sleep(1.0)
+            await supervisor.stop()
+            await cluster.stop()
+            return cluster
+
+        cluster = run_virtual(main())
+        pause = cluster.config.idle_pause
+        assert pause > 0
+        hops = cluster.messages.count("TokenMsg")
+        # A parked hop costs the pause plus the delay it travels (a full
+        # speed token makes 1,001 hops here).
+        assert 0 < hops <= 1.0 / 0.001 / (pause + 1) + 1
+
+    def test_crashing_the_holder_of_a_parked_token(self):
+        # The price of parking: the token-sighting detector learns the
+        # slower cadence, so the successor's suspect timer, and with it
+        # crash-to-grant, grows with idle_pause.  Pinned so a larger
+        # pause or a slower detector shows here (at pause 10: 0.616 s).
+        async def main():
+            cluster = self.service_cluster()
+            supervisor = ClusterSupervisor(cluster)
+            await cluster.start()
+            await supervisor.start()
+            loop = asyncio.get_running_loop()
+            await asyncio.sleep(1.0)  # cadence history for the detectors
+            for _ in range(1000):
+                parked = [node for node, driver in cluster.drivers.items()
+                          if driver.core.has_token and driver.core._parked]
+                if parked:
+                    break
+                await asyncio.sleep(0.0001)
+            assert parked, "the token never came to rest"
+            crashed_at = loop.time()
+            await cluster.crash_node(parked[0])
+            successor = (parked[0] + 1) % 3
+            await cluster.acquire(successor, timeout=30.0)
+            waited = loop.time() - crashed_at
+            cluster.release(successor)
+            await supervisor.stop()
+            await cluster.stop()
+            return waited
+
+        assert round(run_virtual(main()) * 1e6) == 173_786

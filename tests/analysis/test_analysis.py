@@ -35,11 +35,13 @@ class TestRunners:
 
     def test_aio_recovery_n5_pinned(self):
         # Virtual seconds from the supervised asyncio stack: bit-exact
-        # across hosts, so pinned to the microsecond.
+        # across hosts, so pinned to the microsecond.  The service
+        # configuration parks an idle token (idle_pause=2): a change to
+        # the pause moves these.
         row = run_aio_recovery(cycles=4)
         assert (row["cycles"], row["grants"], row["restarts"]) == (4, 4, 4)
-        assert round(row["mttr"] * 1e6) == 666_078
-        assert round(row["max_ttr"] * 1e6) == 1_498_398
+        assert round(row["mttr"] * 1e6) == 139_038
+        assert round(row["max_ttr"] * 1e6) == 496_032
 
     def test_figure9_small_shape(self):
         rows = run_figure9(sizes=(8, 32), rounds=60, seed=1)

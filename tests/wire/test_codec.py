@@ -25,6 +25,7 @@ from repro.wire.codec import (
     MAX_DEPTH,
     MAX_FRAME,
     WIRE_VERSION,
+    FrameReader,
     decode_body,
     encode_frame,
     read_frame,
@@ -320,6 +321,52 @@ class TestAdversarialFrames:
         msg = GimmeMsg(1, 2, 3, 4, tuple(range(400_000)))
         with pytest.raises(FrameError, match="max"):
             encode_frame(0, 1, msg)
+
+
+class TestFrameReader:
+    """The incremental reader behind the node transport's inbound
+    connections: how the bytes are cut is invisible in what it yields."""
+
+    @given(frames=st.lists(st.tuples(endpoints, endpoints, any_message),
+                           max_size=5),
+           cuts=st.lists(st.integers(min_value=0), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_yields_the_same_frames(self, frames, cuts):
+        stream = b"".join(encode_frame(*frame) for frame in frames)
+        points = sorted({cut % (len(stream) + 1) for cut in cuts})
+        bounds = [0, *points, len(stream)]
+        reader = FrameReader()
+        got = [frame for lo, hi in zip(bounds, bounds[1:])
+               for frame in reader.feed(stream[lo:hi])]
+        assert got == frames
+
+    def test_byte_at_a_time(self):
+        frames = [(0, 1, GimmeMsg(1, 2, 3, 4, ())),
+                  (2, 0, TokenMsg(5, 1, ((1, 2),), None, 0, ()))]
+        stream = b"".join(encode_frame(*frame) for frame in frames)
+        reader = FrameReader()
+        got = []
+        for i in range(len(stream)):
+            got.extend(reader.feed(stream[i:i + 1]))
+        assert got == frames
+
+    def test_frames_before_a_bad_one_come_out_first(self):
+        good = encode_frame(0, 1, LeaveMsg(3))
+        reader = FrameReader(max_frame=64)
+        got = []
+        with pytest.raises(FrameError, match="exceeds max 64"):
+            for frame in reader.feed(good + good + struct.pack("!I", 65)):
+                got.append(frame)
+        assert got == [(0, 1, LeaveMsg(3))] * 2
+
+    def test_a_bad_prefix_fails_before_its_body(self):
+        for prefix, match in ((0, "zero-length"), (MAX_FRAME + 1, "exceeds")):
+            with pytest.raises(FrameError, match=match):
+                list(FrameReader().feed(struct.pack("!I", prefix)))
+
+    def test_a_bad_body_is_a_codec_error(self):
+        with pytest.raises(CodecError):
+            list(FrameReader().feed(_body(ZERO, ONE, b"\xf8")))
 
 
 class TestServerSideRejection:

@@ -2,20 +2,31 @@
 queues, reconnection, and the AioTransport contract over real TCP."""
 
 import asyncio
+import dataclasses
 import os
 import random
+import struct
+import typing
 from dataclasses import dataclass
 
 import pytest
 
 from repro.aio.cluster import AioCluster
+from repro.aio.driver import AioNodeDriver
 from repro.aio.reliability import ReliabilityConfig
 from repro.aio.supervisor import ClusterSupervisor
+from repro.core.base import ProtocolCore
+from repro.core.config import ProtocolConfig
 from repro.core.messages import GimmeMsg, TokenMsg
-from repro.errors import WireError
+from repro.errors import CodecError, FrameError, WireError
 from repro.wire import transport as wire_transport
 from repro.wire.client import LockClient
-from repro.wire.codec import encode_frame, register_message
+from repro.wire.codec import (
+    WIRE_VERSION,
+    encode_frame,
+    register_message,
+    registered_messages,
+)
 from repro.wire.server import LockServiceServer
 from repro.wire.smoke import service_config
 from repro.wire.transport import WireConfig, WireTransport
@@ -512,3 +523,178 @@ class TestLateAttach:
                 await t.aclose()
 
         run(main())
+
+
+def _value(annotation, k):
+    """A deterministic value of a message field's annotation, varied by
+    ``k`` (small and 8-byte ints, empty and long tuples, None and not)."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Union:                      # Optional[T]
+        inner = next(arg for arg in args if arg is not type(None))
+        return None if k % 2 else _value(inner, k)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_value(args[0], k + i) for i in range(k % 4))
+        return tuple(_value(arg, k + i) for i, arg in enumerate(args))
+    if annotation is object:                        # DataFrame's payload
+        return GimmeMsg(k, k + 1, 2, 3, (k,))
+    return {int: k * 7919 - 16, bool: k % 2 == 0, float: k / 3,
+            str: "\u00fc" * k}[annotation]
+
+
+def one_of_each():
+    """One message of every registered class."""
+    msgs = []
+    for k, cls in enumerate(registered_messages().values()):
+        hints = typing.get_type_hints(cls)
+        msgs.append(cls(*(_value(hints[f.name], k + i)
+                          for i, f in enumerate(dataclasses.fields(cls)))))
+    return msgs
+
+
+class TestInboundFraming:
+    """Inbound bytes are cut into frames where they are read."""
+
+    def test_split_and_merged_writes_yield_the_same_frames(self):
+        sent = [(n % 4, 1 + n % 2, msg) for n, msg in enumerate(one_of_each())]
+        stream = b"".join(encode_frame(*item) for item in sent)
+
+        async def receive(chunks):
+            t = WireTransport(delay=0.0)
+            t.attach(1)
+            t.attach(2)
+            got = []
+            t.on_deliver.append(lambda src, dst, msg: got.append(
+                (src, dst, msg)))
+            await t.start()
+            try:
+                _, writer = await asyncio.open_connection(
+                    "127.0.0.1", t.port_of(1))
+                for chunk in chunks:
+                    writer.write(chunk)
+                    await writer.drain()
+                await wait_until(lambda: len(got) >= len(sent))
+                writer.close()
+            finally:
+                await t.aclose()
+            assert t.counters.codec_errors == 0
+            assert t.counters.frames_received == len(sent)
+            return got
+
+        merged = run(receive([stream]))
+        split = run(receive([stream[i:i + 1] for i in range(len(stream))]))
+        assert merged == split == sent
+
+    @pytest.mark.parametrize("attack, error", [
+        (struct.pack("!I", 0), FrameError),                     # zero length
+        (struct.pack("!I", 1025), FrameError),                  # > max_frame
+        (struct.pack("!I", 3) + bytes((WIRE_VERSION + 1, 16, 17)),
+         FrameError),                                           # version
+        (struct.pack("!I", 5) + bytes((WIRE_VERSION,)) + b"junk",
+         CodecError),                                           # garbage body
+        (encode_frame(0, 1, WirePing(9))[:-2], None),           # truncated
+    ], ids=["zero-length", "oversized", "wrong-version", "garbage-body",
+            "truncated-then-close"])
+    def test_a_bad_stream_closes_only_its_connection(self, attack, error):
+        async def main():
+            t = WireTransport(delay=0.0,
+                              wire_config=WireConfig(max_frame=1024))
+            inbox = t.attach(1)
+            t.attach(0)
+            await t.start()
+            try:
+                t.send(0, 1, WirePing(1))           # the link to keep
+                assert (await asyncio.wait_for(inbox.get(), 5))[1] \
+                    == WirePing(1)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", t.port_of(1))
+                # A good frame ahead of the bad bytes is still delivered.
+                writer.write(encode_frame(7, 1, WirePing(2)) + attack)
+                if error is None:
+                    writer.write_eof()              # gone mid-frame
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                writer.close()
+                assert (await asyncio.wait_for(inbox.get(), 5)) \
+                    == (7, WirePing(2))
+                t.send(0, 1, WirePing(3))
+                assert (await asyncio.wait_for(inbox.get(), 5)) \
+                    == (0, WirePing(3))
+                assert t.counters.connects == 1     # never redialed
+                return t
+            finally:
+                await t.aclose()
+
+        t = run(main())
+        if error is None:
+            assert t.counters.codec_errors == 0
+            assert t.last_wire_error is None
+        else:
+            assert t.counters.codec_errors == 1
+            assert type(t.last_wire_error) is error
+
+
+class EchoCore(ProtocolCore):
+    """Records what it handles; raises instead when ``boom`` is set."""
+
+    protocol_name = "echo-test"
+
+    def __init__(self, node_id, config):
+        super().__init__(node_id, config)
+        self.seen = []
+        self.boom = False
+
+    def on_start(self, now):
+        return []
+
+    def on_message(self, src, msg, now):
+        self.seen.append(msg.n)
+        if self.boom:
+            raise RuntimeError("core bug")
+        return []
+
+    def on_timer(self, key, now):
+        return []
+
+    def on_request(self, now):
+        return []
+
+
+class TestRaisingHandler:
+    def test_a_raising_core_kills_its_node_not_the_connection(self):
+        async def main():
+            t = WireTransport(delay=0.001)
+            config = ProtocolConfig(n=3)
+            drivers = [AioNodeDriver(t, EchoCore(node, config))
+                       for node in range(3)]
+            drivers[1].core.boom = True
+            delivered = []
+            t.on_deliver.append(lambda src, dst, msg: delivered.append(dst))
+            await t.start()
+            for driver in drivers:
+                await driver.start()
+            try:
+                t.send(0, 1, WirePing(1))
+                await wait_until(lambda: drivers[1].failure() is not None)
+                for n in range(2, 6):
+                    t.send(0, 1, WirePing(n))
+                    t.send(0, 2, WirePing(n))
+                    t.send(2, 0, WirePing(n))
+                await wait_until(lambda: len(delivered) == 13)
+                inbound = len(t._inbound)
+            finally:
+                for driver in drivers:
+                    await driver.stop()
+                await t.aclose()
+            return t, drivers, inbound
+
+        t, drivers, inbound = run(main())
+        assert isinstance(drivers[1].failure(), RuntimeError)
+        assert drivers[0].failure() is drivers[2].failure() is None
+        # The dead node handled nothing more; its peers kept exchanging.
+        assert drivers[1].core.seen == [1]
+        assert drivers[0].core.seen == drivers[2].core.seen == [2, 3, 4, 5]
+        # Frames 2-5 to the dead node crossed the connection the raise
+        # happened on: it stayed open and was never redialed.
+        assert inbound == 3
+        assert t.counters.connects == 3
+        assert t.counters.resets == t.counters.codec_errors == 0
