@@ -157,8 +157,8 @@ class AioCluster:
                 # answers a pre-crash request): hand the token straight
                 # back, otherwise it would sit here forever in
                 # hold-until-release mode.  Deferred to the next loop
-                # iteration — we are inside the driver's effect
-                # application right now.
+                # iteration — we are inside the driver's handling of
+                # the event that granted right now.
                 driver = self.drivers.get(node)
                 if driver is not None:
                     asyncio.get_running_loop().call_soon(driver.release)

@@ -1,10 +1,12 @@
 """Asyncio driver for sans-IO protocol cores.
 
 Runs one core on the event loop: the transport calls the driver's
-handler with each delivered message, as the simulator's network does,
-timers are ``loop.call_later`` handles, and application events are fanned
-out to subscribers — the same contract as the discrete-event driver, so
-every core runs unchanged in real time.  A message is handled in the
+handler with each delivered message, as the simulator's network does, and
+the driver is the core's port (:class:`~repro.core.effects.DriverPort`,
+the same emission rule as the discrete-event driver): sends go to the
+channel or the transport, timers are ``loop.call_later`` handles, and
+application events are fanned out to subscribers — so every core runs
+unchanged in real time.  A message is handled in the
 callback that delivers it: no queue and no task stand between the socket
 (or the in-memory delay) and the core.
 
@@ -29,20 +31,19 @@ The driver is also the seam where the fault-tolerant runtime plugs in:
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional
 
 from repro.aio.reliability import ReliableChannel
 from repro.aio.transport import AioTransport
 from repro.core.base import ProtocolCore
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.core.effects import DriverPort
 from repro.core.messages import HeartbeatMsg
-from repro.errors import SimulationError
 from repro.lint.sanitizer import ClusterSanitizer
 
 __all__ = ["AioNodeDriver"]
 
 
-class AioNodeDriver:
+class AioNodeDriver(DriverPort):
     """Runs one protocol core on the asyncio event loop.
 
     An attached :class:`~repro.lint.sanitizer.ClusterSanitizer` (shared
@@ -57,16 +58,10 @@ class AioNodeDriver:
         sanitizer: Optional[ClusterSanitizer] = None,
         channel: Optional[ReliableChannel] = None,
     ) -> None:
+        super().__init__(core, sanitizer)
         self.transport = transport
-        self.core = core
-        self.node_id = core.node_id
-        self.sanitizer = sanitizer
         self.channel = channel
         self.crashed = False
-        if sanitizer is not None:
-            sanitizer.register(core)
-        self._timers: Dict[Hashable, asyncio.TimerHandle] = {}
-        self._subscribers: List[Callable[[int, str, tuple, float], None]] = []
         #: ``hook(src, msg) -> bool`` — True consumes the message before
         #: it reaches the core (supervisor heartbeats, runtime control).
         self.on_control: List[Callable[[int, object], bool]] = []
@@ -78,15 +73,10 @@ class AioNodeDriver:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         transport.attach(self.node_id, self._on_message)
 
-    def subscribe(self, callback: Callable[[int, str, tuple, float], None]) -> None:
-        """Register ``callback(node_id, kind, payload, now)`` for
-        application events."""
-        self._subscribers.append(callback)
-
     async def start(self) -> None:
         """Run the core's start handler."""
         self._loop = asyncio.get_running_loop()
-        self._apply(self.core.on_start(self._now()), "on_start")
+        self._apply("on_start", None, self.core.on_start, self._now())
 
     async def stop(self) -> None:
         """Detach from the transport and cancel all timers and any
@@ -108,13 +98,13 @@ class AioNodeDriver:
         """The application at this node asks for the token."""
         if self.crashed:
             return
-        self._apply(self.core.on_request(self._now()), "on_request")
+        self._apply("on_request", None, self.core.on_request, self._now())
 
     def release(self) -> None:
         """The application releases a held grant."""
         if self.crashed:
             return
-        self._apply(self.core.on_release(self._now()), "on_release")
+        self._apply("on_release", None, self.core.on_release, self._now())
 
     # -- internals -----------------------------------------------------------
 
@@ -134,8 +124,8 @@ class AioNodeDriver:
                     return  # ack, or a deduplicated retransmission
             if self._consume_control(src, msg):
                 return
-            self._apply(self.core.on_message(src, msg, self._now()),
-                        "on_message", msg)
+            self._apply("on_message", msg, self.core.on_message, src, msg,
+                        self._now())
             for hook in self.on_handled:
                 hook(src, msg)
         except Exception as exc:
@@ -154,7 +144,7 @@ class AioNodeDriver:
         if self._failure is not None:
             return
         try:
-            self._apply(self.core.on_timer(key, self._now()), "on_timer", key)
+            self._apply("on_timer", key, self.core.on_timer, key, self._now())
         except Exception as exc:
             self._failure = exc
 
@@ -166,31 +156,9 @@ class AioNodeDriver:
         else:
             self.transport.send(self.node_id, dst, msg)
 
-    def _apply(
-        self, effects: List[Effect], origin: str = "<direct>", payload: object = None
-    ) -> None:
-        for effect in effects:
-            if isinstance(effect, Send):
-                self._send(effect.dst, effect.msg)
-            elif isinstance(effect, SetTimer):
-                previous = self._timers.pop(effect.key, None)
-                if previous is not None:
-                    previous.cancel()
-                loop = self._loop or asyncio.get_event_loop()
-                self._timers[effect.key] = loop.call_later(
-                    effect.delay * self._timer_scale(), self._on_timer, effect.key
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.key, None)
-                if handle is not None:
-                    handle.cancel()
-            elif isinstance(effect, Deliver):
-                for callback in self._subscribers:
-                    callback(self.node_id, effect.kind, effect.payload, self._now())
-            else:
-                raise SimulationError(f"unknown effect {effect!r}")
-        if self.sanitizer is not None:
-            self.sanitizer.after_apply(self.core, origin, payload, self._now())
+    def _schedule(self, key: Hashable, delay: float) -> asyncio.TimerHandle:
+        loop = self._loop or asyncio.get_event_loop()
+        return loop.call_later(delay * self._timer_scale(), self._on_timer, key)
 
     def _timer_scale(self) -> float:
         """Core timers are expressed in message-delay units; scale them to

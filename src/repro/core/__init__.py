@@ -21,7 +21,6 @@ runtimes load in either order.
 from repro._lazy import lazy_exports
 from repro.core.base import ProtocolCore
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.core.protocols import REGISTRY
 from repro.core.traps import Trap, TrapStore
 
@@ -40,11 +39,8 @@ StabilizingCore = REGISTRY["stabilizing"]
 
 __all__ = [
     "BinarySearchCore",
-    "CancelTimer",
     "Cluster",
-    "Deliver",
     "DirectedSearchCore",
-    "Effect",
     "FaultTolerantCore",
     "GC_INVERSE",
     "GC_NONE",
@@ -55,8 +51,6 @@ __all__ = [
     "ProtocolCore",
     "PushCore",
     "RingCore",
-    "Send",
-    "SetTimer",
     "StabilizingCore",
     "Trap",
     "TrapStore",

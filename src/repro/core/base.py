@@ -1,30 +1,33 @@
 """Sans-IO protocol core interface.
 
 A core is a pure state machine for one node.  Handlers receive the current
-virtual time and return a list of :class:`~repro.core.effects.Effect`; they
-never touch a clock, a socket, or a scheduler.  The discrete-event driver
-(:mod:`repro.sim.driver`) and the asyncio driver (:mod:`repro.aio`)
-interpret the effects identically, so one implementation serves tests,
-benchmarks, and the real-time runtime.
+virtual time and act through the core's port, ``self.out``
+(:mod:`repro.core.effects`): they never touch a clock, a socket, or a
+scheduler, and they return nothing.  The discrete-event driver
+(:mod:`repro.sim.driver`) and the asyncio driver (:mod:`repro.aio`) each
+install themselves as the port, so one implementation serves tests,
+benchmarks, and the real-time runtime.  Until a driver takes it, a core's
+port records: ``recorded(core.on_request, now)`` is the list of effects
+that call emitted.
 
 The shared vocabulary of delivered application events:
 
-- ``Deliver("granted", (node, req_seq))`` — the node's request is being
+- ``deliver("granted", (node, req_seq))`` — the node's request is being
   served (the paper's "ready node gets the token");
-- ``Deliver("released", (node, req_seq))`` — the node finished using the
+- ``deliver("released", (node, req_seq))`` — the node finished using the
   token;
-- ``Deliver("token_visit", (node, clock))`` — the rotating token arrived
+- ``deliver("token_visit", (node, clock))`` — the rotating token arrived
   (used for fairness accounting and round counting);
-- ``Deliver("regenerated", (node, epoch))`` — a replacement token was
+- ``deliver("regenerated", (node, epoch))`` — a replacement token was
   minted after a failure.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List
+from typing import Hashable
 
 from repro.core.config import ProtocolConfig
-from repro.core.effects import Effect
+from repro.core.effects import Port, RecordingPort
 
 __all__ = ["ProtocolCore"]
 
@@ -45,6 +48,8 @@ class ProtocolCore:
         #: Optional dynamic ring view (repro.faults.membership.RingView);
         #: when set, geometry follows the view instead of 0..n-1 arithmetic.
         self.ring = None
+        #: Where the handlers act; a driver installs itself here.
+        self.out: Port = RecordingPort()
 
     # -- ring geometry -------------------------------------------------------
 
@@ -66,22 +71,19 @@ class ProtocolCore:
 
     # -- handler interface ----------------------------------------------------
 
-    def on_start(self, now: float) -> List[Effect]:
+    def on_start(self, now: float) -> None:
         """Called once when the node starts; default does nothing."""
-        return []
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         """Handle a network message from ``src``."""
         raise NotImplementedError
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+    def on_timer(self, key: Hashable, now: float) -> None:
         """Handle an armed timer firing; default ignores unknown keys."""
-        return []
 
-    def on_request(self, now: float) -> List[Effect]:
+    def on_request(self, now: float) -> None:
         """The application at this node wants the token (becomes *ready*)."""
         raise NotImplementedError
 
-    def on_release(self, now: float) -> List[Effect]:
+    def on_release(self, now: float) -> None:
         """The application releases a held grant (hold_until_release mode)."""
-        return []

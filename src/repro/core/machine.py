@@ -40,11 +40,10 @@ Optimizations from Section 4.4 that live here, all config-selectable:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 from repro.core.base import ProtocolCore
 from repro.core.config import GC_INVERSE, GC_ROTATION, ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
 from repro.core.messages import LoanMsg, LoanReturnMsg, TokenMsg
 from repro.core.traps import Trap, TrapStore
 from repro.errors import ProtocolError
@@ -104,82 +103,74 @@ class TokenMachine(ProtocolCore):
 
     # -- application interface -------------------------------------------------
 
-    def on_request(self, now: float) -> List[Effect]:
+    def on_request(self, now: float) -> None:
         """Become ready; serve locally when holding, else launch the search."""
         self.ready = True
         self.req_seq += 1
         self._demand_seen = True
         if self.has_token and not self._serving:
-            return self._unpark_and_advance(now)
-        if self.lent_to is not None:
-            return []  # served when the loan returns
-        return self._launch_search()
+            self._unpark_and_advance(now)
+        elif self.lent_to is None:  # else served when the loan returns
+            self._launch_search()
 
-    def on_release(self, now: float) -> List[Effect]:
+    def on_release(self, now: float) -> None:
         """Finish using a held grant (hold_until_release mode)."""
         if not self._serving:
-            return []
+            return
         self._serving = False
-        effects: List[Effect] = [
-            Deliver("released", (self.node_id, self.granted_seq))
-        ]
+        self.out.deliver("released", (self.node_id, self.granted_seq))
         if self._loan_pending is not None:
             # We were serving a loaned token: return it now.  A token of
             # our own that arrived meanwhile (a newer lineage reached us
             # mid-service) moves on below instead of being stranded.
             loan, self._loan_pending = self._loan_pending, None
-            effects.append(self._return_loan(loan))
-        effects.extend(self._advance(now))
-        return effects
+            self._return_loan(loan)
+        self._advance(now)
 
     # -- protocol --------------------------------------------------------------
 
-    def on_start(self, now: float) -> List[Effect]:
-        if not self.has_token:
-            return []
-        return [Deliver("token_visit", (self.node_id, self.clock))] + \
+    def on_start(self, now: float) -> None:
+        if self.has_token:
+            self.out.deliver("token_visit", (self.node_id, self.clock))
             self._advance(now)
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         # Exact-type dispatch: message classes are final.  Parts and layers
         # peel off their own types first and chain here with super().
         kind = type(msg)
         if kind is TokenMsg:
-            return self._on_token(msg, now)
-        if kind is LoanMsg:
-            return self._on_loan(src, msg, now)
-        if kind is LoanReturnMsg:
-            return self._on_loan_return(msg, now)
-        raise ProtocolError(
-            f"{self.protocol_name} node {self.node_id}: unexpected {msg!r}"
-        )
+            self._on_token(msg, now)
+        elif kind is LoanMsg:
+            self._on_loan(src, msg, now)
+        elif kind is LoanReturnMsg:
+            self._on_loan_return(msg, now)
+        else:
+            raise ProtocolError(
+                f"{self.protocol_name} node {self.node_id}: unexpected {msg!r}"
+            )
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+    def on_timer(self, key: Hashable, now: float) -> None:
         if key == _FWD:
-            if not (self.has_token and self._parked):
-                return []
-            self._parked = False
-            return self._forward()
-        if key == _REL:
-            return self.on_release(now)
-        return []
+            if self.has_token and self._parked:
+                self._parked = False
+                self._forward()
+        elif key == _REL:
+            self.on_release(now)
 
     # -- the search seam ---------------------------------------------------------
 
-    def _launch_search(self) -> List[Effect]:
+    def _launch_search(self) -> None:
         """Our request could not be served locally: go and find the token.
         No search part, no search — the rotation will serve us."""
-        return []
 
-    def _on_sighting(self, now: float) -> List[Effect]:
+    def _on_sighting(self, now: float) -> None:
         """The token just came to rest here (arrival, loan return, mint,
         absorption), before it serves or moves on.  A search part that
         holds work back until the next sighting releases it here."""
-        return []
 
     # -- token rotation ----------------------------------------------------------
 
-    def _on_token(self, msg: TokenMsg, now: float) -> List[Effect]:
+    def _on_token(self, msg: TokenMsg, now: float) -> None:
         if self.has_token or self.lent_to is not None:
             raise ProtocolError(f"node {self.node_id} received a second token")
         self.has_token = True
@@ -188,40 +179,33 @@ class TokenMachine(ProtocolCore):
         self.last_visit = msg.clock
         self._merge_served(msg.served)
         self._gc_traps()
-        effects: List[Effect] = [Deliver("token_visit", (self.node_id, self.clock))]
-        effects.extend(self._on_sighting(now))
-        effects.extend(self._advance(now))
-        return effects
+        self.out.deliver("token_visit", (self.node_id, self.clock))
+        self._on_sighting(now)
+        self._advance(now)
 
-    def _unpark_and_advance(self, now: float) -> List[Effect]:
+    def _unpark_and_advance(self, now: float) -> None:
         """Demand reached a holder that is free to serve: wake a parked
         token, then serve."""
-        effects: List[Effect] = []
         if self._parked:
             self._parked = False
-            effects.append(CancelTimer(_FWD))
-        effects.extend(self._advance(now))
-        return effects
+            self.out.cancel(_FWD)
+        self._advance(now)
 
-    def _advance(self, now: float) -> List[Effect]:
+    def _advance(self, now: float) -> None:
         """Serve self, then FIFO traps (by loan), then rotate or park."""
         if self._serving or not self.has_token:
-            return []
-        effects: List[Effect] = []
-        if self.ready and self._grant(effects):
-            return effects
-        handed = self._hand_over()
-        if handed is not None:
-            effects.extend(handed)
-            return effects
+            return
+        if self.ready and self._grant():
+            return
+        if self._hand_over():
+            return
         if self.config.idle_pause > 0 and self._idle():
             self._parked = True
-            effects.append(SetTimer(_FWD, self.config.idle_pause))
-            return effects
-        effects.extend(self._forward())
-        return effects
+            self.out.timer(_FWD, self.config.idle_pause)
+            return
+        self._forward()
 
-    def _grant(self, effects: List[Effect]) -> bool:
+    def _grant(self) -> bool:
         """Serve our own request with the token that is here now.  True
         when the grant keeps hold of it (until the application releases or
         the service timer fires), False when it was used on the spot."""
@@ -229,14 +213,14 @@ class TokenMachine(ProtocolCore):
         self.outstanding = False
         self.granted_seq = self.req_seq
         self._record_served(self.node_id, self.req_seq)
-        effects.append(Deliver("granted", (self.node_id, self.req_seq)))
+        self.out.deliver("granted", (self.node_id, self.req_seq))
         if self.config.hold_until_release:
             self._serving = True
         elif self.config.service_time > 0:
             self._serving = True
-            effects.append(SetTimer(_REL, self.config.service_time))
+            self.out.timer(_REL, self.config.service_time)
         else:
-            effects.append(Deliver("released", (self.node_id, self.req_seq)))
+            self.out.deliver("released", (self.node_id, self.req_seq))
         return self._serving
 
     def _idle(self) -> bool:
@@ -244,22 +228,23 @@ class TokenMachine(ProtocolCore):
         request of our own, an incoming search), so it may slow down."""
         return not self._demand_seen
 
-    def _hand_over(self) -> Optional[List[Effect]]:
-        """Pop the next live trap and hand the token to its requester,
-        returning the effects, or None when no live trap remains."""
+    def _hand_over(self) -> bool:
+        """Pop the next live trap and hand the token to its requester;
+        False when no live trap remains."""
         while True:
             t = self.traps.pop()
             if t is None:
-                return None
+                return False
             if t.requester == self.node_id:
                 continue
             if self._is_served(t.requester, t.req_seq):
                 continue
             if self.suspected and t.requester in self._live_suspects():
                 continue  # suspected dead: a loan to it would never return
-            return self._hand_to(t)
+            self._hand_to(t)
+            return True
 
-    def _hand_to(self, t: Trap) -> List[Effect]:
+    def _hand_to(self, t: Trap) -> None:
         """The hand-over rule: loan the token to ``t``'s requester."""
         self.has_token = False
         self.lent_to = t.requester
@@ -272,16 +257,16 @@ class TokenMachine(ProtocolCore):
             if back:
                 target = back[0]
                 trail = back[1:]
-        return [Send(target, LoanMsg(
+        self.out.send(target, LoanMsg(
             clock=self.clock, round_no=self.round_no,
             lender=self.node_id, requester=t.requester,
             req_seq=t.req_seq, served=self._served_carry, trail=trail,
             epoch=self.epoch,
-        ))]
+        ))
 
-    def _forward(self) -> List[Effect]:
+    def _forward(self) -> None:
         if self.ring_size() == 1:
-            return []  # a solitary node keeps its token
+            return  # a solitary node keeps its token
         self.has_token = False
         self._demand_seen = False
         successor = self.hop(1)
@@ -296,14 +281,14 @@ class TokenMachine(ProtocolCore):
                  if peer not in suspects), self.node_id)
             if successor == self.node_id:
                 self.has_token = True
-                return []  # everyone else is suspected or gone
+                return  # everyone else is suspected or gone
         next_round = (
             self.round_no + 1 if successor == self.ring_first() else self.round_no
         )
-        return [Send(successor, TokenMsg(
+        self.out.send(successor, TokenMsg(
             clock=self.clock + 1, round_no=next_round,
             served=self._served_carry, epoch=self.epoch, suspects=gossip,
-        ))]
+        ))
 
     def _live_suspects(self) -> set:
         """``suspected`` minus peers proven alive out-of-band.  Also prunes
@@ -314,35 +299,34 @@ class TokenMachine(ProtocolCore):
 
     # -- loans ---------------------------------------------------------------------
 
-    def _on_loan(self, src: int, msg: LoanMsg, now: float) -> List[Effect]:
+    def _on_loan(self, src: int, msg: LoanMsg, now: float) -> None:
         if msg.requester != self.node_id:
             # Inverse-GC relay hop: clear our trap and pass the loan along.
             self.traps.remove_for(msg.requester)
             nxt = msg.trail[0] if msg.trail else msg.requester
-            return [Send(nxt, replace(msg, trail=msg.trail[1:]))]
+            self.out.send(nxt, replace(msg, trail=msg.trail[1:]))
+            return
         self.last_visit = msg.clock
         self.clock = msg.clock
         self.round_no = msg.round_no
         self._merge_served(msg.served)
         if not self.ready:
             # Stale loan (already served through rotation): bounce it back.
-            return [self._return_loan(msg)]
-        effects: List[Effect] = []
-        if self._grant(effects):
+            self._return_loan(msg)
+        elif self._grant():
             self._loan_pending = msg
         else:
-            effects.append(self._return_loan(msg))
-        return effects
+            self._return_loan(msg)
 
-    def _return_loan(self, loan: LoanMsg) -> Send:
+    def _return_loan(self, loan: LoanMsg) -> None:
         """Hand ``loan`` back to its lender under the *loan's* epoch: a
         borrower that has since adopted a newer lineage must not promote
         the retired one it is returning."""
-        return Send(loan.lender, LoanReturnMsg(
+        self.out.send(loan.lender, LoanReturnMsg(
             clock=loan.clock, round_no=loan.round_no,
             served=self._served_carry, epoch=loan.epoch))
 
-    def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> List[Effect]:
+    def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> None:
         if self.lent_to is None:
             raise ProtocolError(
                 f"node {self.node_id}: loan return without outstanding loan"
@@ -351,9 +335,8 @@ class TokenMachine(ProtocolCore):
         self.has_token = True
         self._merge_served(msg.served)
         self._gc_traps()
-        effects = self._on_sighting(now)
-        effects.extend(self._advance(now))
-        return effects
+        self._on_sighting(now)
+        self._advance(now)
 
     # -- served bookkeeping --------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.effects import Effect, Send, SetTimer
+from repro.core.effects import Port
 from repro.core.messages import (
     AdvertMsg,
     AskMsg,
@@ -45,36 +45,36 @@ class LinearSearch:
     refinement against.
     """
 
-    def _launch_search(self) -> List[Effect]:
+    def _launch_search(self) -> None:
         if self.ring_size() <= 1:
-            return []
+            return
         if self.outstanding and self.config.single_outstanding:
-            return []
+            return
         self.outstanding = True
-        return [Send(self.hop(1), AskMsg(
+        self.out.send(self.hop(1), AskMsg(
             requester=self.node_id, req_seq=self.req_seq,
             visit_stamp=self.last_visit,
-        ))]
+        ))
 
-    def _on_ask(self, msg: AskMsg, now: float) -> List[Effect]:
+    def _on_ask(self, msg: AskMsg, now: float) -> None:
         self._demand_seen = True
         if msg.requester == self.node_id:
-            return []  # our ask completed a full circuit
+            return  # our ask completed a full circuit
         self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp)
         if self.has_token or self.lent_to is not None:
             # The ask found the token('s owner): serve FIFO when free.
             if self.has_token and not self._serving:
-                return self._unpark_and_advance(now)
-            return []
+                self._unpark_and_advance(now)
+            return
         successor = self.hop(1)
-        if successor == msg.requester:
-            return []  # the ask is about to complete its circuit
-        return [Send(successor, msg)]
+        if successor != msg.requester:  # else its circuit is about to close
+            self.out.send(successor, msg)
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         if type(msg) is AskMsg:
-            return self._on_ask(msg, now)
-        return super().on_message(src, msg, now)
+            self._on_ask(msg, now)
+        else:
+            super().on_message(src, msg, now)
 
 
 class DelegatedSearch:
@@ -99,36 +99,33 @@ class DelegatedSearch:
         self._gimme_inflight = False
         self._gimme_queue: List[GimmeMsg] = []
 
-    def _launch_search(self) -> List[Effect]:
+    def _launch_search(self) -> None:
         if self.ring_size() <= 1:
-            return []
+            return
         if self.outstanding and self.config.single_outstanding:
-            return []
+            return
         self.outstanding = True
         self._gimme_inflight = True
         span = self.ring_size() // 2
         target = self.hop(span)
-        effects: List[Effect] = [Send(target, GimmeMsg(
+        self.out.send(target, GimmeMsg(
             requester=self.node_id, req_seq=self.req_seq, span=span,
             visit_stamp=self.last_visit, trail=(self.node_id,),
-        ))]
+        ))
         if self.config.retry_timeout > 0:
-            effects.append(SetTimer((_RETRY, self.req_seq),
-                                    self.config.retry_timeout))
-        return effects
+            self.out.timer((_RETRY, self.req_seq), self.config.retry_timeout)
 
-    def _on_retry(self, req_seq: int) -> List[Effect]:
-        if not self.ready or req_seq != self.req_seq:
-            return []
-        self.outstanding = False
-        return self._launch_search()
+    def _on_retry(self, req_seq: int) -> None:
+        if self.ready and req_seq == self.req_seq:
+            self.outstanding = False
+            self._launch_search()
 
-    def _on_gimme(self, msg: GimmeMsg, now: float) -> List[Effect]:
+    def _on_gimme(self, msg: GimmeMsg, now: float) -> None:
         self._demand_seen = True
         if msg.requester == self.node_id:
-            return []  # our own search came all the way around
+            return  # our own search came all the way around
         if self._is_served(msg.requester, msg.req_seq):
-            return []  # stale search: its request is already satisfied
+            return  # stale search: its request is already satisfied
         # Traps are stamped with the *requester's* visit stamp: the rotating
         # token reaches the requester within n clock ticks of that stamp, so
         # a trap older than that is provably obsolete (rotation GC).
@@ -136,17 +133,17 @@ class DelegatedSearch:
         if self.has_token or self.lent_to is not None:
             # The search found the token('s owner): serve FIFO when free.
             if self.has_token and not self._serving:
-                return self._unpark_and_advance(now)
-            return []
+                self._unpark_and_advance(now)
+            return
         half = msg.span // 2
         if half < 1:
-            return []  # search exhausted; the trap will catch the token
+            return  # search exhausted; the trap will catch the token
         if self.config.forward_throttle and self._gimme_inflight:
             # Strong throttle: one in-flight gimme per node; the rest wait
             # for the next token sighting (the trap is already laid, so
             # correctness never depends on the delayed forward).
             self._gimme_queue.append(msg)
-            return []
+            return
         if self.last_visit < msg.visit_stamp:
             # Rule 6 / Figure 8(a): the requester saw the token after us, so
             # the token is behind us — continue counter-clockwise.
@@ -156,41 +153,41 @@ class DelegatedSearch:
             # has) — the token is ahead, continue clockwise.
             target = self.hop(half)
         if target in (self.node_id, msg.requester):
-            return []
+            return
         self._gimme_inflight = True
-        return [Send(target, GimmeMsg(
+        self.out.send(target, GimmeMsg(
             requester=msg.requester, req_seq=msg.req_seq, span=half,
             visit_stamp=msg.visit_stamp, trail=msg.trail + (self.node_id,),
-        ))]
+        ))
 
-    def _on_sighting(self, now: float) -> List[Effect]:
+    def _on_sighting(self, now: float) -> None:
         """A token sighting resets the forward-throttle budget and releases
         at most one queued gimme (re-run through the normal handler so
         staleness checks and direction are re-evaluated with fresh state)."""
         self._gimme_inflight = False
         if not self._gimme_queue:
-            return []
+            return
         queued = self._gimme_queue
         self._gimme_queue = []
-        effects: List[Effect] = []
         for idx, msg in enumerate(queued):
             if self._is_served(msg.requester, msg.req_seq):
                 continue
-            effects.extend(self._on_gimme(msg, now))
+            self._on_gimme(msg, now)
             if self._gimme_inflight:
                 self._gimme_queue.extend(queued[idx + 1:])
                 break
-        return effects
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         if type(msg) is GimmeMsg:
-            return self._on_gimme(msg, now)
-        return super().on_message(src, msg, now)
+            self._on_gimme(msg, now)
+        else:
+            super().on_message(src, msg, now)
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+    def on_timer(self, key: Hashable, now: float) -> None:
         if isinstance(key, tuple) and key and key[0] == _RETRY:
-            return self._on_retry(key[1])
-        return super().on_timer(key, now)
+            self._on_retry(key[1])
+        else:
+            super().on_timer(key, now)
 
 
 class DirectedSearch:
@@ -217,63 +214,62 @@ class DirectedSearch:
 
     # -- requester side --------------------------------------------------------
 
-    def _launch_search(self) -> List[Effect]:
+    def _launch_search(self) -> None:
         if self.ring_size() <= 1:
-            return []
+            return
         if self.outstanding and self.config.single_outstanding:
-            return []
+            return
         self.outstanding = True
         self._probe_span = self._probe_offset = self.ring_size() // 2
-        return [self._probe()]
+        self._probe()
 
-    def _probe(self) -> Send:
-        return Send(self.hop(self._probe_offset), ProbeMsg(
+    def _probe(self) -> None:
+        self.out.send(self.hop(self._probe_offset), ProbeMsg(
             requester=self.node_id, req_seq=self.req_seq,
             visit_stamp=self.last_visit,
         ))
 
-    def _on_probe_reply(self, msg: ProbeReplyMsg) -> List[Effect]:
+    def _on_probe_reply(self, msg: ProbeReplyMsg) -> None:
         if not self.ready or msg.req_seq != self.req_seq:
-            return []  # already served: stop the search right here
+            return  # already served: stop the search right here
         if msg.has_token:
-            return []  # the probed holder has trapped us; the loan is coming
+            return  # the probed holder has trapped us; the loan is coming
         half = self._probe_span // 2
         if half < 1:
-            return []  # search exhausted; the laid traps will catch the token
+            return  # search exhausted; the laid traps will catch the token
         if msg.last_visit < self.last_visit:
             self._probe_offset -= half
         else:
             self._probe_offset += half
         self._probe_span = half
-        if self._probe_offset % self.ring_size() == 0:
-            return []  # the probe came back to ourselves
-        return [self._probe()]
+        if self._probe_offset % self.ring_size() != 0:  # else back at ourselves
+            self._probe()
 
     # -- probed side --------------------------------------------------------------
 
-    def _on_probe(self, msg: ProbeMsg, now: float) -> List[Effect]:
+    def _on_probe(self, msg: ProbeMsg, now: float) -> None:
         self._demand_seen = True
         if msg.requester == self.node_id:
-            return []
+            return
         if self._is_served(msg.requester, msg.req_seq):
-            return []
+            return
         holds = self.has_token or self.lent_to is not None
         self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp)
-        effects: List[Effect] = [Send(msg.requester, ProbeReplyMsg(
+        self.out.send(msg.requester, ProbeReplyMsg(
             prober=self.node_id, req_seq=msg.req_seq,
             last_visit=self.last_visit, has_token=holds,
-        ))]
+        ))
         if self.has_token and not self._serving:
-            effects.extend(self._unpark_and_advance(now))
-        return effects
+            self._unpark_and_advance(now)
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         kind = type(msg)
         if kind is ProbeMsg:
-            return self._on_probe(msg, now)
-        if kind is ProbeReplyMsg:
-            return self._on_probe_reply(msg)
-        return super().on_message(src, msg, now)
+            self._on_probe(msg, now)
+        elif kind is ProbeReplyMsg:
+            self._on_probe_reply(msg)
+        else:
+            super().on_message(src, msg, now)
 
 
 class DirectSearch:
@@ -295,28 +291,29 @@ class DirectSearch:
         super().__init__(node_id, config, initial_holder)
         self._requested_holder = -1
 
-    def _launch_search(self) -> List[Effect]:
+    def _launch_search(self) -> None:
         if self.ring_size() <= 1:
-            return []
+            return
         if self.outstanding and self.config.single_outstanding:
-            return []
+            return
         holder = self.known_holder
         fresh = holder is not None and holder != self.node_id and (
             not self.fresh_means_newer
             or self.known_holder_clock >= self.last_visit)
         if not fresh:
-            return super()._launch_search()
+            super()._launch_search()
+            return
         self.outstanding = True
         stamp = -1
         if self.first_request_tracked:
             self._requested_holder = holder
             stamp = self.last_visit
-        return [Send(holder, RequestMsg(
+        self.out.send(holder, RequestMsg(
             requester=self.node_id, req_seq=self.req_seq, visit_stamp=stamp,
-        ))]
+        ))
 
-    def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
-        effects = super()._on_advert(msg, now)
+    def _on_advert(self, msg: AdvertMsg, now: float) -> None:
+        super()._on_advert(msg, now)
         if (self.ready and msg.holder != self.node_id
                 and (not self.outstanding
                      or msg.holder != self._requested_holder)):
@@ -325,11 +322,10 @@ class DirectSearch:
             # new root directly (cheap, idempotent — traps dedupe by seq).
             self.outstanding = True
             self._requested_holder = msg.holder
-            effects.append(Send(msg.holder, RequestMsg(
+            self.out.send(msg.holder, RequestMsg(
                 requester=self.node_id, req_seq=self.req_seq,
                 visit_stamp=self.last_visit,
-            )))
-        return effects
+            ))
 
 
 class DirectHandOver:
@@ -339,14 +335,14 @@ class DirectHandOver:
     from there.  Nothing is lent, so nothing is returned.
     """
 
-    def _hand_to(self, t: Trap) -> List[Effect]:
+    def _hand_to(self, t: Trap) -> None:
         self.has_token = False
         # Not a circulation hop: the clock is not advanced (in the spec
         # rule 7 appends no event), which is why the row cannot promise
         # the oracle ``strict_hop``.
-        return [Send(t.requester, TokenMsg(
+        self.out.send(t.requester, TokenMsg(
             clock=self.clock, round_no=self.round_no, epoch=self.epoch,
-        ))]
+        ))
 
     def _record_served(self, z: int, seq: int) -> None:
         """Nothing is loaned, so no trap is served-stale in the sense the
@@ -375,21 +371,19 @@ class RotationOnly:
         return True
 
 
-def advert_fanout(hop: Callable[[int], int], holder: int, clock: int,
-                  span: int) -> List[Send]:
+def advert_fanout(out: Port, hop: Callable[[int], int], holder: int,
+                  clock: int, span: int) -> None:
     """Delegate the upper half of the covered ring segment repeatedly:
     the node responsible for ``[x, x+span)`` hands ``[x+k/2, x+k)`` to the
     node at offset ``k/2`` (``hop(k/2)``, the sender's ring geometry) and
     recurses on the lower half — n−1 messages total across all nodes,
-    log₂ n depth."""
-    sends: List[Send] = []
+    log₂ n depth.  The adverts go out through ``out``."""
     k = span
     while k >= 2:
         half = k // 2
-        sends.append(Send(hop(half), AdvertMsg(holder=holder, clock=clock,
-                                               span=k - half)))
+        out.send(hop(half), AdvertMsg(holder=holder, clock=clock,
+                                      span=k - half))
         k = half
-    return sends
 
 
 class Advertise:
@@ -421,8 +415,8 @@ class Advertise:
         self._receipts = 0
         self._advertised_clock = -1
 
-    def _advance(self, now: float) -> List[Effect]:
-        effects = super()._advance(now)
+    def _advance(self, now: float) -> None:
+        super()._advance(now)
         if self.has_token and self._parked:
             # We just parked: become the virtual root.  Advertise once per
             # parking spot (re-parking at the same clock stays silent).
@@ -430,48 +424,48 @@ class Advertise:
                     not self.advert_every_gates
                     or self._receipts % self.config.advert_every == 0):
                 self._advertised_clock = self.clock
-                effects.extend(advert_fanout(
-                    self.hop, self.node_id, self.clock, self.ring_size()))
-        return effects
+                advert_fanout(self.out, self.hop, self.node_id, self.clock,
+                              self.ring_size())
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+    def on_timer(self, key: Hashable, now: float) -> None:
         # A parked virtual root with no demand stays parked: the whole
         # point of push mode is that requests come to the root; demand
         # un-parks it via _advance.
         if (key == _FWD and self.has_token and self._parked
                 and not self._demand_seen):
-            return [SetTimer(_FWD, self.config.idle_pause)]
-        return super().on_timer(key, now)
+            self.out.timer(_FWD, self.config.idle_pause)
+        else:
+            super().on_timer(key, now)
 
-    def _on_token(self, msg: TokenMsg, now: float) -> List[Effect]:
+    def _on_token(self, msg: TokenMsg, now: float) -> None:
         self._receipts += 1
         if self.receipt_refreshes_holder:
             self.known_holder = self.node_id
             self.known_holder_clock = msg.clock
-        return super()._on_token(msg, now)
+        super()._on_token(msg, now)
 
-    def _on_request_msg(self, msg: RequestMsg, now: float) -> List[Effect]:
+    def _on_request_msg(self, msg: RequestMsg, now: float) -> None:
         self._demand_seen = True
         if msg.requester == self.node_id:
-            return []
+            return
         if self._is_served(msg.requester, msg.req_seq):
-            return []
+            return
         self.traps.add(msg.requester, msg.req_seq,
                        max(msg.visit_stamp, self.last_visit - self.ring_size()))
         if self.has_token and not self._serving:
-            return self._unpark_and_advance(now)
-        return []
+            self._unpark_and_advance(now)
 
-    def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
+    def _on_advert(self, msg: AdvertMsg, now: float) -> None:
         if msg.clock >= self.known_holder_clock:
             self.known_holder = msg.holder
             self.known_holder_clock = msg.clock
-        return advert_fanout(self.hop, msg.holder, msg.clock, msg.span)
+        advert_fanout(self.out, self.hop, msg.holder, msg.clock, msg.span)
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         kind = type(msg)
         if kind is RequestMsg:
-            return self._on_request_msg(msg, now)
-        if kind is AdvertMsg:
-            return self._on_advert(msg, now)
-        return super().on_message(src, msg, now)
+            self._on_request_msg(msg, now)
+        elif kind is AdvertMsg:
+            self._on_advert(msg, now)
+        else:
+            super().on_message(src, msg, now)

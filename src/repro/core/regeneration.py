@@ -27,10 +27,9 @@ with no requester, a lost token goes unnoticed — and harmlessly so.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.effects import Deliver, Effect, Send, SetTimer
 from repro.core.messages import (
     LoanMsg,
     LoanReturnMsg,
@@ -95,17 +94,16 @@ class Regeneration:
         stride = max(self.n, 1)
         return (self.epoch // stride + 1) * stride + minter
 
-    def _hand_over(self) -> Optional[List[Effect]]:
-        effects = super()._hand_over()
-        if effects is not None and self.config.loan_timeout > 0:
+    def _hand_over(self) -> bool:
+        handed = super()._hand_over()
+        if handed and self.config.loan_timeout > 0:
             # The borrower may crash with our token: arm the reclaim.
-            effects.append(SetTimer((_LOANBACK, self.lent_to),
-                                    self.config.loan_timeout))
-        return effects
+            self.out.timer((_LOANBACK, self.lent_to), self.config.loan_timeout)
+        return handed
 
     # -- message handling ---------------------------------------------------------------
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         # Any traffic from ``src`` is direct evidence it is alive — clear
         # it before anything else.  Without this, suspicion gossip is
         # self-sustaining: every token forward re-carries the suspects
@@ -117,7 +115,7 @@ class Regeneration:
         if isinstance(msg, (TokenMsg, LoanMsg, LoanReturnMsg)):
             msg_epoch = getattr(msg, "epoch", 0)
             if msg_epoch < self.epoch:
-                return []  # stale token lineage: discard
+                return  # stale token lineage: discard
             if msg_epoch > self.epoch:
                 self.epoch = msg_epoch
                 if isinstance(msg, (TokenMsg, LoanMsg)):
@@ -130,82 +128,78 @@ class Regeneration:
                     self.has_token = False
                     self.lent_to = None
         if isinstance(msg, WhoHasMsg):
-            return self._on_who_has(src, msg)
-        if isinstance(msg, WhoHasReplyMsg):
-            return self._on_who_has_reply(src, msg)
-        if isinstance(msg, RegenerateMsg):
-            return self._mint(msg, now)
-        if isinstance(msg, TokenMsg):
-            self.suspected |= set(msg.suspects)
-            self.suspected.discard(self.node_id)
-            self.suspected.discard(src)  # evidently alive after all
-        return super().on_message(src, msg, now)
+            self._on_who_has(src, msg)
+        elif isinstance(msg, WhoHasReplyMsg):
+            self._on_who_has_reply(src, msg)
+        elif isinstance(msg, RegenerateMsg):
+            self._mint(msg, now)
+        else:
+            if isinstance(msg, TokenMsg):
+                self.suspected |= set(msg.suspects)
+                self.suspected.discard(self.node_id)
+                self.suspected.discard(src)  # evidently alive after all
+            super().on_message(src, msg, now)
 
     # -- detection ------------------------------------------------------------------------
 
-    def on_request(self, now: float) -> List[Effect]:
-        effects = super().on_request(now)
+    def on_request(self, now: float) -> None:
+        super().on_request(now)
         if self.ready and self.config.regen_timeout > 0:
-            effects.append(SetTimer((_SUSPECT, self.req_seq),
-                                    self._suspect_delay()))
-        return effects
+            self.out.timer((_SUSPECT, self.req_seq), self._suspect_delay())
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
-        if isinstance(key, tuple) and key:
-            if key[0] == _SUSPECT:
-                return self._on_suspect(key[1])
-            if key[0] == _CENSUS:
-                return self._on_census_deadline(key[1], now)
-            if key[0] == _LOANBACK:
-                return self._on_loan_timeout(key[1], now)
-        return super().on_timer(key, now)
+    def on_timer(self, key: Hashable, now: float) -> None:
+        tag = key[0] if isinstance(key, tuple) and key else None
+        if tag == _SUSPECT:
+            self._on_suspect(key[1])
+        elif tag == _CENSUS:
+            self._on_census_deadline(key[1], now)
+        elif tag == _LOANBACK:
+            self._on_loan_timeout(key[1], now)
+        else:
+            super().on_timer(key, now)
 
-    def _on_suspect(self, req_seq: int) -> List[Effect]:
+    def _on_suspect(self, req_seq: int) -> None:
         if not self.ready or req_seq != self.req_seq:
-            return []
+            return
         if self.has_token or self._census is not None:
-            return []
-        self._census, effects = self._open_census(_CENSUS)
-        return effects
+            return
+        self._census = self._open_census(_CENSUS)
 
-    def _open_census(self, timer: str) -> Tuple[Census, List[Effect]]:
+    def _open_census(self, timer: str) -> Census:
         """Poll every other ring member with who-has; replies are collected
         until the ``(timer, probe_seq)`` deadline one census window away."""
         self._probe_seq += 1
         population = [x for x in self._ring_members() if x != self.node_id]
-        effects: List[Effect] = [
-            Send(x, WhoHasMsg(origin=self.node_id, probe_seq=self._probe_seq))
-            for x in population
-        ]
-        effects.append(SetTimer((timer, self._probe_seq),
-                                self.config.census_window))
-        return Census(self.node_id, self._probe_seq, population), effects
+        for x in population:
+            self.out.send(x, WhoHasMsg(origin=self.node_id,
+                                       probe_seq=self._probe_seq))
+        self.out.timer((timer, self._probe_seq), self.config.census_window)
+        return Census(self.node_id, self._probe_seq, population)
 
-    def _on_who_has(self, src: int, msg: WhoHasMsg) -> List[Effect]:
+    def _on_who_has(self, src: int, msg: WhoHasMsg) -> None:
         holds = self.has_token or self.lent_to is not None
-        return [Send(msg.origin, WhoHasReplyMsg(
+        self.out.send(msg.origin, WhoHasReplyMsg(
             origin=msg.origin, probe_seq=msg.probe_seq,
             last_clock=self.last_visit, has_token=holds,
-        ))]
+        ))
 
-    def _on_who_has_reply(self, src: int, msg: WhoHasReplyMsg) -> List[Effect]:
+    def _on_who_has_reply(self, src: int, msg: WhoHasReplyMsg) -> None:
         census = self._census
-        if census is None or msg.probe_seq != census.probe_seq:
-            return []
-        census.record(src, msg.last_clock, msg.has_token)
-        return []
+        if census is not None and msg.probe_seq == census.probe_seq:
+            census.record(src, msg.last_clock, msg.has_token)
 
-    def _on_census_deadline(self, probe_seq: int, now: float) -> List[Effect]:
+    def _on_census_deadline(self, probe_seq: int, now: float) -> None:
         census = self._census
         if census is None or census.probe_seq != probe_seq:
-            return []
+            return
         self._census = None
         if not self.ready:
-            return []
+            return
         origin_holds = self.has_token or self.lent_to is not None
         if census.token_alive(origin_holds):
             # The token exists; we were just slow.  Re-arm detection.
-            return [SetTimer((_SUSPECT, self.req_seq), self._suspect_delay())]
+            self.out.timer((_SUSPECT, self.req_seq), self._suspect_delay())
+            return
         _, fleet_max = census.freshest(self.last_visit)
         progressed = self._fleet_max is not None and fleet_max > self._fleet_max
         self._fleet_max = fleet_max
@@ -218,8 +212,9 @@ class Regeneration:
             # lineage.  Keep watching instead — at census cadence, not the
             # full suspect delay: we are mid-episode, and if the progress
             # was stale history the next census must come quickly.
-            return [SetTimer((_SUSPECT, self.req_seq),
-                             self.config.census_window)]
+            self.out.timer((_SUSPECT, self.req_seq),
+                           self.config.census_window)
+            return
         if self.config.regen_quorum:
             # Partition-resilient mode: only a side that can still hear a
             # majority of the ring may mint.  A minority island *parks* —
@@ -229,63 +224,53 @@ class Regeneration:
             # in the first place.)
             ring_size = len(self._ring_members())
             if 2 * (census.replies + 1) <= ring_size:
-                return [SetTimer((_SUSPECT, self.req_seq),
-                                 self._suspect_delay())]
+                self.out.timer((_SUSPECT, self.req_seq), self._suspect_delay())
+                return
         self.suspected |= census.suspects()
         ring_order = self._ring_members()
         regenerator = census.elect_regenerator(ring_order, self.last_visit)
-        if regenerator is None:
-            return [SetTimer((_SUSPECT, self.req_seq), self._suspect_delay())]
-        _, freshest_clock = census.freshest(self.last_visit)
-        new_epoch = self._next_epoch(regenerator)
-        new_clock = freshest_clock + self.ring_size()
-        regen = RegenerateMsg(new_clock=new_clock, epoch=new_epoch,
-                              suspects=tuple(sorted(self.suspected)))
-        effects: List[Effect] = []
-        if regenerator == self.node_id:
-            effects.extend(self._mint(regen, now))
-        else:
-            effects.append(Send(regenerator, regen))
+        if regenerator is not None:
+            _, freshest_clock = census.freshest(self.last_visit)
+            new_epoch = self._next_epoch(regenerator)
+            new_clock = freshest_clock + self.ring_size()
+            regen = RegenerateMsg(new_clock=new_clock, epoch=new_epoch,
+                                  suspects=tuple(sorted(self.suspected)))
+            if regenerator == self.node_id:
+                self._mint(regen, now)
+            else:
+                self.out.send(regenerator, regen)
         # Keep watching: regeneration itself might be lost.
-        effects.append(SetTimer((_SUSPECT, self.req_seq), self._suspect_delay()))
-        return effects
+        self.out.timer((_SUSPECT, self.req_seq), self._suspect_delay())
 
     # -- regeneration -------------------------------------------------------------------------
 
-    def _mint(self, msg: RegenerateMsg, now: float) -> List[Effect]:
+    def _mint(self, msg: RegenerateMsg, now: float) -> None:
         if msg.epoch <= self.epoch:
-            return []  # duplicate or raced regeneration: only one epoch wins
+            return  # duplicate or raced regeneration: only one epoch wins
         self.epoch = msg.epoch
         self.suspected |= set(msg.suspects)
         self.suspected.discard(self.node_id)
         if self.has_token or self.lent_to is not None:
-            return []  # we already carry the lineage forward
+            return  # we already carry the lineage forward
         self.has_token = True
         self.clock = msg.new_clock
         self.round_no = msg.new_clock // max(self.ring_size(), 1)
         self.last_visit = msg.new_clock
-        effects: List[Effect] = [
-            Deliver("regenerated", (self.node_id, self.epoch)),
-            Deliver("token_visit", (self.node_id, self.clock)),
-        ]
-        effects.extend(self._advance(now))
-        return effects
+        self.out.deliver("regenerated", (self.node_id, self.epoch))
+        self.out.deliver("token_visit", (self.node_id, self.clock))
+        self._advance(now)
 
-    def _on_loan_timeout(self, requester: int, now: float) -> List[Effect]:
+    def _on_loan_timeout(self, requester: int, now: float) -> None:
         if self.lent_to != requester:
-            return []
+            return
         # The borrower crashed with our token: reclaim it under a new epoch.
         self.lent_to = None
         self.has_token = True
         self.epoch = self._next_epoch(self.node_id)
         self.suspected.add(requester)
-        effects: List[Effect] = [
-            Deliver("regenerated", (self.node_id, self.epoch))
-        ]
-        effects.extend(self._advance(now))
-        return effects
+        self.out.deliver("regenerated", (self.node_id, self.epoch))
+        self._advance(now)
 
-    def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> List[Effect]:
-        if self.lent_to is None:
-            return []  # reclaimed already; the borrower survived after all
-        return super()._on_loan_return(msg, now)
+    def _on_loan_return(self, msg: LoanReturnMsg, now: float) -> None:
+        if self.lent_to is not None:  # else reclaimed; the borrower survived
+            super()._on_loan_return(msg, now)

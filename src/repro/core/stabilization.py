@@ -48,10 +48,9 @@ legitimate states:
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.effects import Deliver, Effect, SetTimer
 from repro.core.messages import LoanMsg, TokenMsg, WhoHasReplyMsg
 from repro.core.traps import TrapStore
 from repro.core.regeneration import Regeneration
@@ -135,7 +134,7 @@ class Stabilization(Regeneration):
 
     # -- token reduction ------------------------------------------------------
 
-    def _absorb(self, msg: object, now: float) -> List[Effect]:
+    def _absorb(self, msg: object, now: float) -> None:
         """Take an encountered token unit as our own and fence the world:
         the minted epoch strictly outranks every other copy, so survivors
         retire on first contact (k tokens -> 1)."""
@@ -148,26 +147,24 @@ class Stabilization(Regeneration):
         self._merge_served(getattr(msg, "served", ()))
         self.epoch = self._next_epoch(self.node_id)
         self._gc_traps()
-        effects: List[Effect] = [
-            Deliver("stabilized", (self.node_id, self.epoch)),
-            Deliver("token_visit", (self.node_id, self.clock)),
-        ]
-        effects.extend(self._on_sighting(now))
-        effects.extend(self._advance(now))
-        return effects
+        self.out.deliver("stabilized", (self.node_id, self.epoch))
+        self.out.deliver("token_visit", (self.node_id, self.clock))
+        self._on_sighting(now)
+        self._advance(now)
 
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
+    def on_message(self, src: int, msg: object, now: float) -> None:
         self._repair(now)
         if isinstance(msg, TokenMsg) and \
                 getattr(msg, "epoch", 0) < self.epoch:
             if self.has_token or self.lent_to is not None:
-                return []  # reduction: the stale copy dies on contact
+                return  # reduction: the stale copy dies on contact
             # Rescue the unit: a corrupted-high fence would otherwise
             # swallow every token that ever reaches this node.
-            return self._absorb(msg, now)
-        return super().on_message(src, msg, now)
+            self._absorb(msg, now)
+        else:
+            super().on_message(src, msg, now)
 
-    def _on_token(self, msg: TokenMsg, now: float) -> List[Effect]:
+    def _on_token(self, msg: TokenMsg, now: float) -> None:
         duplicate = self.has_token or self.lent_to is not None
         if self.node_id == self.ring_first():
             if self._seen_epoch != self.epoch:
@@ -181,100 +178,97 @@ class Stabilization(Regeneration):
             else:
                 self._round_seen = msg.round_no
         if duplicate:
-            return self._absorb(msg, now)
-        return super()._on_token(msg, now)
+            self._absorb(msg, now)
+        else:
+            super()._on_token(msg, now)
 
-    def _on_loan(self, src: int, msg: LoanMsg, now: float) -> List[Effect]:
+    def _on_loan(self, src: int, msg: LoanMsg, now: float) -> None:
         if msg.requester == self.node_id and (
                 self.has_token or self.lent_to is not None):
             # A loan reaching a node that already has a token is a second
             # unit; returning it would perpetuate the duplication.
-            return self._absorb(msg, now)
-        return super()._on_loan(src, msg, now)
+            self._absorb(msg, now)
+        else:
+            super()._on_loan(src, msg, now)
 
     # -- watchdog -------------------------------------------------------------
 
-    def on_start(self, now: float) -> List[Effect]:
-        effects = super().on_start(now)
+    def on_start(self, now: float) -> None:
+        super().on_start(now)
         if self.config.stabilize_watch > 0:
-            effects.append(SetTimer(_WATCH, self._watch_period()))
-        return effects
+            self.out.timer(_WATCH, self._watch_period())
 
     def _watch_period(self) -> float:
         """Per-node staggered cadence so censuses (and mints) serialize."""
         n = max(self.ring_size(), 1)
         return self.config.stabilize_watch * (1.0 + self.node_id / (2.0 * n))
 
-    def on_request(self, now: float) -> List[Effect]:
+    def on_request(self, now: float) -> None:
         self._repair(now)
-        return super().on_request(now)
+        super().on_request(now)
 
-    def on_timer(self, key: Hashable, now: float) -> List[Effect]:
+    def on_timer(self, key: Hashable, now: float) -> None:
         self._repair(now)
         if key == _WATCH:
-            return self._on_watch(now)
-        if isinstance(key, tuple) and key and key[0] == _WCENSUS:
-            return self._on_watch_deadline(key[1], now)
-        return super().on_timer(key, now)
+            self._on_watch(now)
+        elif isinstance(key, tuple) and key and key[0] == _WCENSUS:
+            self._on_watch_deadline(key[1], now)
+        else:
+            super().on_timer(key, now)
 
-    def _on_watch(self, now: float) -> List[Effect]:
+    def _on_watch(self, now: float) -> None:
         if self.config.stabilize_watch <= 0:
-            return []
-        effects: List[Effect] = [SetTimer(_WATCH, self._watch_period())]
+            return
+        self.out.timer(_WATCH, self._watch_period())
         if self.has_token or self.lent_to is not None \
                 or self._loan_pending is not None:
             self._watch_base = None
-            return effects
-        if self._watch_census is not None:
-            return effects  # previous census still collecting
-        if self._ring_members() == [self.node_id]:
+        elif self._watch_census is not None:
+            pass  # previous census still collecting
+        elif self._ring_members() == [self.node_id]:
             # Solitary node: nothing to poll; mint directly if tokenless.
-            return effects + self._watch_mint(now, self.last_visit)
-        self._watch_census, polls = self._open_census(_WCENSUS)
-        return effects + polls
+            self._watch_mint(now, self.last_visit)
+        else:
+            self._watch_census = self._open_census(_WCENSUS)
 
-    def _on_who_has_reply(self, src: int,
-                          msg: WhoHasReplyMsg) -> List[Effect]:
+    def _on_who_has_reply(self, src: int, msg: WhoHasReplyMsg) -> None:
         census = self._watch_census
         if census is not None and msg.probe_seq == census.probe_seq:
             census.record(src, msg.last_clock, msg.has_token)
-            return []
-        return super()._on_who_has_reply(src, msg)
+        else:
+            super()._on_who_has_reply(src, msg)
 
-    def _on_watch_deadline(self, probe_seq: int, now: float) -> List[Effect]:
+    def _on_watch_deadline(self, probe_seq: int, now: float) -> None:
         census = self._watch_census
         if census is None or census.probe_seq != probe_seq:
-            return []
+            return
         self._watch_census = None
         if self.has_token or self.lent_to is not None \
                 or self._loan_pending is not None:
             self._watch_base = None
-            return []
+            return
         if census.token_alive(False):
             self._watch_base = None
-            return []
+            return
         _, fleet_max = census.freshest(self.last_visit)
         if self._watch_base is not None and fleet_max <= self._watch_base:
             # Two consecutive censuses: no claimed token, no clock
             # progress.  With bounded delays a live token cannot hide
             # through both — mint a fenced replacement.
             self._watch_base = None
-            return self._watch_mint(now, fleet_max)
-        self._watch_base = fleet_max
-        return []
+            self._watch_mint(now, fleet_max)
+        else:
+            self._watch_base = fleet_max
 
-    def _watch_mint(self, now: float, fleet_max: int) -> List[Effect]:
+    def _watch_mint(self, now: float, fleet_max: int) -> None:
         if self.has_token or self.lent_to is not None:
-            return []
+            return
         self.epoch = self._next_epoch(self.node_id)
         self.has_token = True
         self.clock = max(self.clock, fleet_max) + self.ring_size()
         self.round_no = self.clock // max(self.ring_size(), 1)
         self.last_visit = self.clock
-        effects: List[Effect] = [
-            Deliver("regenerated", (self.node_id, self.epoch)),
-            Deliver("token_visit", (self.node_id, self.clock)),
-        ]
-        effects.extend(self._on_sighting(now))
-        effects.extend(self._advance(now))
-        return effects
+        self.out.deliver("regenerated", (self.node_id, self.epoch))
+        self.out.deliver("token_visit", (self.node_id, self.clock))
+        self._on_sighting(now)
+        self._advance(now)

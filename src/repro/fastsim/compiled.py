@@ -4,7 +4,7 @@ One generated closure replaces the whole object stack for a run:
 ``Simulator.run`` + ``NodeDriver._apply`` + ``Network.send`` + the
 per-node core handlers collapse into a single dispatch loop over plain
 tuples.  Everything hot is a closure cell or a loop local — no attribute
-lookups, no effect lists, no message/handle allocation.
+lookups, no port calls, no message/handle allocation.
 
 Event calendar
 --------------
@@ -439,7 +439,7 @@ def compile_engine(st: ArrayState) -> Engine:
             s = req_seq[node]
             granted_seq[node] = s
             record_served(node, node, s)
-            w = waiting[node]            # Deliver("granted") -> cluster
+            w = waiting[node]            # deliver("granted") -> cluster
             if w >= 0:
                 waiting[node] = -1
                 applog_append((1, node, w, now))
@@ -1067,7 +1067,7 @@ def compile_engine(st: ArrayState) -> Engine:
                                     not l_clean[dst]
                                     or l_minclk[dst] <= l_clock[dst] - l_n):
                                 l_gct(dst)
-                    r = clk // l_n       # Deliver("token_visit")
+                    r = clk // l_n       # deliver("token_visit")
                     if r > rounds_seen:
                         rounds_seen = r
                     if l_bs:

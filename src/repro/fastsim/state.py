@@ -9,7 +9,7 @@ per boolean flag, one flat int list per integer register, and plain
 Python lists/dicts for the few per-node structures that hold tuples
 (the served-carry piggyback, the FIFO trap queue).  Messages become plain
 tuples tagged with a small integer, queued directly in the event
-calendar — no ``Send`` effects, no frozen dataclasses, no driver layer.
+calendar — no port calls, no frozen dataclasses, no driver layer.
 
 Equivalence contract: for every configuration accepted by
 :func:`unsupported_reason` (returning ``None``), a run through the

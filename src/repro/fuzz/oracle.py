@@ -56,11 +56,11 @@ The **verdict** is a value, not a subclass (:func:`safety`,
   illegitimacy after an episode closed, before the next injection, is a
   **closure** violation.
 
-Conservation is only decidable at quiescent points — a core handler
-mutates all its state *before* the driver applies the resulting effects,
-so mid-effect the token legitimately exists nowhere — which is why both
-wirings call :meth:`~InvariantOracle.check` after a delivery has fully
-completed, when every send the handler emitted has been counted.
+Conservation is only decidable at quiescent points — a core handler's
+sends reach the network while the handler runs, so mid-handler the token
+can legitimately be counted twice or nowhere — which is why both wirings
+call :meth:`~InvariantOracle.check` after a delivery has fully
+completed, when every send the handler made has been counted.
 
 Spec-level runs go through :func:`check_spec_reduction`, which replays a
 recorded reduction and differentially compares each rule-6 forwarding

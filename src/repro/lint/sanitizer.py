@@ -38,7 +38,7 @@ def sanitize_enabled(default: bool = True) -> bool:
 
 
 class ClusterSanitizer:
-    """Audits a set of protocol cores after driver effect application.
+    """Audits a set of protocol cores after each handled event.
 
     The drivers call :meth:`after_apply` once per handled event.  Because
     the drivers are single-threaded, only the acting core's state can have
@@ -128,8 +128,8 @@ class ClusterSanitizer:
     # -- the hook ----------------------------------------------------------------
 
     def after_apply(self, core, origin: str, payload: object, now: float) -> None:
-        """Called by a driver after it applied a handler's effects: audit
-        this event.
+        """Called by a driver after a handler and every call it made have
+        run: audit this event.
 
         Only ``core`` can have changed, so its holder entry and clock are
         refreshed inline, O(1).  Each invariant's full check — and its

@@ -1,18 +1,18 @@
 """Discrete-event driver for sans-IO protocol cores.
 
-The driver owns the IO boundary: it attaches a core to the network,
-interprets its effects (sends, timers, application deliveries), and exposes
+The driver owns the IO boundary: it attaches a core to the network, is the
+core's port (:class:`~repro.core.effects.DriverPort`: sends go to
+:meth:`Network.send`, timers to :meth:`Simulator.schedule`), and exposes
 ``request``/``release`` entry points.  Application events are fanned out to
 subscriber callbacks — the cluster uses these for metrics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.core.base import ProtocolCore
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
-from repro.errors import SimulationError
+from repro.core.effects import DriverPort
 from repro.lint.sanitizer import ClusterSanitizer
 from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Network
@@ -20,7 +20,7 @@ from repro.sim.network import Network
 __all__ = ["NodeDriver"]
 
 
-class NodeDriver:
+class NodeDriver(DriverPort):
     """Runs one protocol core inside the discrete-event simulation.
 
     When a :class:`~repro.lint.sanitizer.ClusterSanitizer` is attached
@@ -36,28 +36,15 @@ class NodeDriver:
         core: ProtocolCore,
         sanitizer: Optional[ClusterSanitizer] = None,
     ) -> None:
+        super().__init__(core, sanitizer)
         self.sim = sim
         self.network = network
-        self.core = core
-        self.node_id = core.node_id
-        self.sanitizer = sanitizer
-        self._timers: Dict[Hashable, Event] = {}
-        self._subscribers: List[Callable[[int, str, tuple, float], None]] = []
         self._crashed = False
         network.attach(self.node_id, self._on_network_message)
-        if sanitizer is not None:
-            sanitizer.register(core)
-
-    # -- wiring ---------------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[int, str, tuple, float], None]) -> None:
-        """Register ``callback(node_id, kind, payload, now)`` for application
-        events delivered by the core."""
-        self._subscribers.append(callback)
 
     def start(self) -> None:
         """Run the core's start handler (call once, after wiring)."""
-        self._apply(self.core.on_start(self.sim.now), "on_start")
+        self._apply("on_start", None, self.core.on_start, self.sim.now)
 
     # -- application entry points ------------------------------------------------
 
@@ -65,13 +52,13 @@ class NodeDriver:
         """The application at this node asks for the token."""
         if self._crashed:
             return
-        self._apply(self.core.on_request(self.sim.now), "on_request")
+        self._apply("on_request", None, self.core.on_request, self.sim.now)
 
     def release(self) -> None:
         """The application releases a held grant."""
         if self._crashed:
             return
-        self._apply(self.core.on_release(self.sim.now), "on_release")
+        self._apply("on_release", None, self.core.on_release, self.sim.now)
 
     # -- failure injection ---------------------------------------------------------
 
@@ -98,45 +85,25 @@ class NodeDriver:
         """True while this node is crash-stopped."""
         return self._crashed
 
-    # -- effect interpretation ---------------------------------------------------
+    # -- events in, port calls out -----------------------------------------------
 
     def _on_network_message(self, src: int, msg: object) -> None:
         if self._crashed:
             return
-        self._apply(self.core.on_message(src, msg, self.sim.now), "on_message", msg)
+        self._apply("on_message", msg, self.core.on_message, src, msg,
+                    self.sim.now)
 
     def _on_timer(self, key: Hashable) -> None:
         if self._crashed:
             return
         self._timers.pop(key, None)
-        self._apply(self.core.on_timer(key, self.sim.now), "on_timer", key)
+        self._apply("on_timer", key, self.core.on_timer, key, self.sim.now)
 
-    def _apply(
-        self, effects: List[Effect], origin: str = "<direct>", payload: object = None
-    ) -> None:
-        # Hot path: effects are final dataclasses, so exact type checks are
-        # both correct and cheaper than isinstance; Send dominates.
-        node_id = self.node_id
-        net_send = self.network.send
-        for effect in effects:
-            kind = type(effect)
-            if kind is Send:
-                net_send(node_id, effect.dst, effect.msg)
-            elif kind is SetTimer:
-                previous = self._timers.pop(effect.key, None)
-                if previous is not None:
-                    previous.cancel()
-                self._timers[effect.key] = self.sim.schedule(
-                    effect.delay, self._on_timer, effect.key
-                )
-            elif kind is CancelTimer:
-                event = self._timers.pop(effect.key, None)
-                if event is not None:
-                    event.cancel()
-            elif kind is Deliver:
-                for callback in self._subscribers:
-                    callback(node_id, effect.kind, effect.payload, self.sim.now)
-            else:
-                raise SimulationError(f"unknown effect {effect!r}")
-        if self.sanitizer is not None:
-            self.sanitizer.after_apply(self.core, origin, payload, self.sim.now)
+    def _send(self, dst: int, msg: object) -> None:
+        self.network.send(self.node_id, dst, msg)
+
+    def _schedule(self, key: Hashable, delay: float) -> Event:
+        return self.sim.schedule(delay, self._on_timer, key)
+
+    def _now(self) -> float:
+        return self.sim.now

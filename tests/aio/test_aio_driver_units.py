@@ -1,4 +1,4 @@
-"""Unit tests for the asyncio driver's effect interpretation (timers,
+"""Unit tests for the asyncio driver as its core's port (timers,
 scaling, stop semantics)."""
 
 import asyncio
@@ -9,16 +9,12 @@ from repro.aio.driver import AioNodeDriver
 from repro.aio.transport import AioTransport
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.core.effects import Send
 from repro.errors import SimulationError
 
 
-class Unknown(Effect):
-    """An effect no driver knows."""
-
-
 class TimerCore(ProtocolCore):
-    """Minimal core exercising every effect type."""
+    """Minimal core exercising every port call."""
 
     protocol_name = "timer-test"
 
@@ -27,25 +23,25 @@ class TimerCore(ProtocolCore):
         self.fired = []
 
     def on_start(self, now):
-        return [Deliver("started", ())]
+        self.out.deliver("started", ())
 
     def on_message(self, src, msg, now):
         if msg == "arm":
-            return [SetTimer("t", 3.0)]       # 3 message-delay units
-        if msg == "arm-cancel":
-            return [SetTimer("t", 3.0), CancelTimer("t")]
-        if msg == "echo":
+            self.out.timer("t", 3.0)          # 3 message-delay units
+        elif msg == "arm-cancel":
+            self.out.timer("t", 3.0)
+            self.out.cancel("t")
+        elif msg == "echo":
+            self.out.send(src, "echoed")
+        elif msg == "returns-effects":
             return [Send(src, "echoed")]
-        if msg == "unknown":
-            return [Unknown()]
-        return []
 
     def on_timer(self, key, now):
         self.fired.append(key)
-        return [Deliver("fired", (key,))]
+        self.out.deliver("fired", (key,))
 
     def on_request(self, now):
-        return []
+        pass
 
 
 def run(coro):
@@ -132,18 +128,19 @@ class TestAioDriver:
 
         run(main())
 
-    def test_unknown_effect_raises(self):
+    def test_returned_effects_raise(self):
         async def main():
             transport, a, b = make_pair()
             await a.start()
             await b.start()
-            transport.send(1, 0, "unknown")
+            transport.send(1, 0, "returns-effects")
             await asyncio.sleep(0.03)
             failure = a.failure()
             await a.stop()
             await b.stop()
             assert isinstance(failure, SimulationError)
-            assert "unknown effect" in str(failure)
+            assert "acts through its port" in str(failure)
+            assert transport.sent_count == 1     # nothing was sent
 
         run(main())
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BinarySearchCore
 from repro.core.config import GC_INVERSE, GC_NONE, GC_ROTATION, ProtocolConfig
-from repro.core.effects import Deliver, Send, SetTimer
+from repro.core.effects import Deliver, Send, SetTimer, recorded
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
 from repro.errors import ProtocolError
 
@@ -27,7 +27,7 @@ def grants(effects):
 class TestSearchLaunch:
     def test_request_launches_gimme_across(self):
         core = BinarySearchCore(2, cfg(n=8))
-        effects = core.on_request(0.0)
+        effects = recorded(core.on_request, 0.0)
         out = sends(effects)
         assert len(out) == 1
         assert out[0].dst == 6                 # 2 + 8//2
@@ -42,48 +42,48 @@ class TestSearchLaunch:
         core.on_start(0.0)
         core.has_token = True  # single-step: re-hold after start forwarding
         core.lent_to = None
-        effects = core.on_request(1.0)
+        effects = recorded(core.on_request, 1.0)
         assert grants(effects)
         assert sends(effects) == [] or not isinstance(sends(effects)[0].msg, GimmeMsg)
 
     def test_single_outstanding_throttle(self):
         core = BinarySearchCore(2, cfg(single_outstanding=True))
-        first = core.on_request(0.0)
+        first = recorded(core.on_request, 0.0)
         assert sends(first)
         # The request stands; no second gimme while one is in flight.
         core.ready = True
-        second = core._launch_search()
+        second = recorded(core._launch_search)
         assert second == []
 
     def test_throttle_off_allows_more_searches(self):
         core = BinarySearchCore(2, cfg(single_outstanding=False))
         core.on_request(0.0)
-        again = core._launch_search()
+        again = recorded(core._launch_search)
         assert sends(again)
 
     def test_n1_never_searches(self):
         core = BinarySearchCore(0, ProtocolConfig(n=1))
         core.has_token = True
-        effects = core.on_request(0.0)
+        effects = recorded(core.on_request, 0.0)
         assert grants(effects)
 
     def test_retry_timer_armed_when_configured(self):
         core = BinarySearchCore(2, cfg(retry_timeout=30.0))
-        effects = core.on_request(0.0)
+        effects = recorded(core.on_request, 0.0)
         timers = [e for e in effects if isinstance(e, SetTimer)]
         assert timers and timers[0].delay == 30.0
 
     def test_retry_reissues_search(self):
         core = BinarySearchCore(2, cfg(retry_timeout=30.0))
         core.on_request(0.0)
-        effects = core.on_timer(("retry", 1), 30.0)
+        effects = recorded(core.on_timer, ("retry", 1), 30.0)
         assert any(isinstance(s.msg, GimmeMsg) for s in sends(effects))
 
     def test_stale_retry_ignored(self):
         core = BinarySearchCore(2, cfg(retry_timeout=30.0))
         core.on_request(0.0)
         core.ready = False  # served in the meantime
-        assert core.on_timer(("retry", 1), 30.0) == []
+        assert recorded(core.on_timer, ("retry", 1), 30.0) == []
 
 
 class TestGimmeForwarding:
@@ -96,7 +96,7 @@ class TestGimmeForwarding:
         # Rule 6 / Figure 8(a): our history older than the requester's.
         core = self.make_visited(4, last_visit=10)
         msg = GimmeMsg(requester=0, req_seq=1, span=4, visit_stamp=20)
-        out = sends(core.on_message(0, msg, 0.0))
+        out = sends(recorded(core.on_message, 0, msg, 0.0))
         assert out[0].dst == 2                  # 4 - 4//2
         assert out[0].msg.span == 2
 
@@ -104,13 +104,13 @@ class TestGimmeForwarding:
         # Figure 8(b): we saw the token after the requester.
         core = self.make_visited(4, last_visit=30)
         msg = GimmeMsg(requester=0, req_seq=1, span=4, visit_stamp=20)
-        out = sends(core.on_message(0, msg, 0.0))
+        out = sends(recorded(core.on_message, 0, msg, 0.0))
         assert out[0].dst == 6                  # 4 + 4//2
 
     def test_equal_stamps_go_clockwise(self):
         core = self.make_visited(4, last_visit=20)
         msg = GimmeMsg(requester=0, req_seq=1, span=4, visit_stamp=20)
-        out = sends(core.on_message(0, msg, 0.0))
+        out = sends(recorded(core.on_message, 0, msg, 0.0))
         assert out[0].dst == 6
 
     def test_trap_laid_with_requester_stamp(self):
@@ -124,20 +124,20 @@ class TestGimmeForwarding:
     def test_span_one_absorbs(self):
         core = self.make_visited(4, last_visit=10)
         msg = GimmeMsg(requester=0, req_seq=1, span=1, visit_stamp=20)
-        assert sends(core.on_message(0, msg, 0.0)) == []
+        assert sends(recorded(core.on_message, 0, msg, 0.0)) == []
         assert len(core.traps) == 1
 
     def test_own_search_absorbed(self):
         core = self.make_visited(4, last_visit=10)
         msg = GimmeMsg(requester=4, req_seq=1, span=4, visit_stamp=10)
-        assert core.on_message(4, msg, 0.0) == []
+        assert recorded(core.on_message, 4, msg, 0.0) == []
         assert len(core.traps) == 0
 
     def test_trail_extends_at_each_hop(self):
         core = self.make_visited(4, last_visit=10)
         msg = GimmeMsg(requester=0, req_seq=1, span=4, visit_stamp=20,
                        trail=(0,))
-        out = sends(core.on_message(0, msg, 0.0))
+        out = sends(recorded(core.on_message, 0, msg, 0.0))
         assert out[0].msg.trail == (0, 4)
 
     def test_served_request_not_forwarded(self):
@@ -145,7 +145,7 @@ class TestGimmeForwarding:
         core._served_carry = ((0, 1),)
         core.config.trap_gc = GC_ROTATION
         msg = GimmeMsg(requester=0, req_seq=1, span=4, visit_stamp=20)
-        assert core.on_message(0, msg, 0.0) == []
+        assert recorded(core.on_message, 0, msg, 0.0) == []
 
 
 class TestHolderAndLoans:
@@ -159,7 +159,7 @@ class TestHolderAndLoans:
     def test_gimme_at_holder_triggers_loan(self):
         core = self.holder()
         msg = GimmeMsg(requester=3, req_seq=1, span=4, visit_stamp=2)
-        out = sends(core.on_message(3, msg, 0.0))
+        out = sends(recorded(core.on_message, 3, msg, 0.0))
         assert len(out) == 1
         loan = out[0].msg
         assert isinstance(loan, LoanMsg)
@@ -172,7 +172,7 @@ class TestHolderAndLoans:
         core = BinarySearchCore(3, cfg())
         core.on_request(0.0)
         loan = LoanMsg(clock=9, round_no=1, lender=0, requester=3, req_seq=1)
-        effects = core.on_message(0, loan, 1.0)
+        effects = recorded(core.on_message, 0, loan, 1.0)
         assert grants(effects)
         returns = [s for s in sends(effects)
                    if isinstance(s.msg, LoanReturnMsg)]
@@ -182,7 +182,7 @@ class TestHolderAndLoans:
     def test_stale_loan_bounced_straight_back(self):
         core = BinarySearchCore(3, cfg())
         loan = LoanMsg(clock=9, round_no=1, lender=0, requester=3, req_seq=1)
-        effects = core.on_message(0, loan, 1.0)
+        effects = recorded(core.on_message, 0, loan, 1.0)
         assert not grants(effects)
         assert isinstance(sends(effects)[0].msg, LoanReturnMsg)
 
@@ -190,7 +190,7 @@ class TestHolderAndLoans:
         core = self.holder()
         core.on_message(3, GimmeMsg(requester=3, req_seq=1, span=4,
                                     visit_stamp=2), 0.0)
-        effects = core.on_message(3, LoanReturnMsg(clock=5, round_no=0), 2.0)
+        effects = recorded(core.on_message, 3, LoanReturnMsg(clock=5, round_no=0), 2.0)
         out = sends(effects)
         assert isinstance(out[0].msg, TokenMsg)
         assert out[0].dst == 1
@@ -209,7 +209,7 @@ class TestHolderAndLoans:
         core.on_message(6, GimmeMsg(requester=6, req_seq=1, span=4,
                                     visit_stamp=2), 0.1)
         # First loan went to 3; after the return, 6 is next.
-        effects = core.on_message(3, LoanReturnMsg(clock=5, round_no=0), 2.0)
+        effects = recorded(core.on_message, 3, LoanReturnMsg(clock=5, round_no=0), 2.0)
         out = sends(effects)
         assert isinstance(out[0].msg, LoanMsg)
         assert out[0].dst == 6
@@ -237,7 +237,7 @@ class TestTrapGc:
     def test_none_gc_keeps_old_traps(self):
         core = BinarySearchCore(1, cfg(trap_gc=GC_NONE))
         core.traps.add(3, 1, set_clock=0)
-        effects = core.on_message(7, TokenMsg(clock=9, round_no=1), 1.0)
+        effects = recorded(core.on_message, 7, TokenMsg(clock=9, round_no=1), 1.0)
         # Old trap fires a (dummy) loan instead of being collected.
         assert any(isinstance(s.msg, LoanMsg) for s in sends(effects))
 
@@ -254,7 +254,7 @@ class TestTrapGc:
         core.clock = core.last_visit = 5
         msg = GimmeMsg(requester=3, req_seq=1, span=2, visit_stamp=2,
                        trail=(3, 7, 5))
-        out = sends(core.on_message(5, msg, 0.0))
+        out = sends(recorded(core.on_message, 5, msg, 0.0))
         loan = out[0].msg
         assert out[0].dst == 5          # first hop back along the trail
         assert loan.trail == (7,)       # then 7, then the requester
@@ -264,7 +264,7 @@ class TestTrapGc:
         relay.traps.add(3, 1, set_clock=2)
         loan = LoanMsg(clock=5, round_no=0, lender=0, requester=3,
                        req_seq=1, trail=())
-        out = sends(relay.on_message(5, loan, 0.0))
+        out = sends(recorded(relay.on_message, 5, loan, 0.0))
         assert len(relay.traps) == 0
         assert out[0].dst == 3
         assert out[0].msg.trail == ()

@@ -134,12 +134,12 @@ class TestPushAdvertEdgeCases:
 
     def test_own_advert_does_not_self_request(self):
         from repro.core.messages import AdvertMsg, RequestMsg
-        from repro.core.effects import Send
         from repro.core import PushCore
+        from repro.core.effects import Send, recorded
         core = PushCore(3, ProtocolConfig(n=8, idle_pause=2.0))
         core.ready = True
-        effects = core.on_message(3, AdvertMsg(holder=3, clock=9, span=1),
-                                  0.0)
+        effects = recorded(core.on_message, 3,
+                           AdvertMsg(holder=3, clock=9, span=1), 0.0)
         assert not any(isinstance(e, Send) and isinstance(e.msg, RequestMsg)
                        for e in effects)
 

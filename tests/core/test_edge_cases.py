@@ -124,25 +124,25 @@ class TestExamplesImportable:
 class TestForwardThrottle:
     def test_queued_gimme_released_on_token_visit(self):
         from repro.core import BinarySearchCore
-        from repro.core.effects import Send
+        from repro.core.effects import Send, recorded
         config = ProtocolConfig(n=16, forward_throttle=True)
         core = BinarySearchCore(4, config, initial_holder=0)
         core.last_visit = 9
         # First gimme forwards (to 4 + 8//2 = 8) and consumes the budget.
-        first = core.on_message(0, GimmeMsg(requester=0, req_seq=1, span=8,
-                                            visit_stamp=2), 0.0)
+        first = recorded(core.on_message, 0, GimmeMsg(
+            requester=0, req_seq=1, span=8, visit_stamp=2), 0.0)
         assert any(isinstance(e, Send) for e in first)
         assert core._gimme_inflight
         # Second is queued.
-        second = core.on_message(1, GimmeMsg(requester=1, req_seq=1, span=8,
-                                             visit_stamp=2), 0.1)
+        second = recorded(core.on_message, 1, GimmeMsg(
+            requester=1, req_seq=1, span=8, visit_stamp=2), 0.1)
         assert second == []
         assert len(core._gimme_queue) == 1
         # Token visit releases the budget and flushes the queue; since the
         # flusher now *holds* the token, the queued requester is trapped
         # and served by loan (FIFO: the first trap, requester 0) rather
         # than forwarded — strictly better.
-        effects = core.on_message(3, TokenMsg(clock=10, round_no=0), 1.0)
+        effects = recorded(core.on_message, 3, TokenMsg(clock=10, round_no=0), 1.0)
         assert core._gimme_queue == []
         assert core.lent_to == 0
         assert 1 in [t.requester for t in core.traps]

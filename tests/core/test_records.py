@@ -1,10 +1,12 @@
 """``fast_init`` builds the same records ``@dataclass(frozen=True)`` does.
 
-Each hot message and effect is compared with a plain frozen dataclass
-declared here with the same name and fields: the constructors must accept
-and refuse the same calls, and everything a record is used for — field
+Each hot message is compared with a plain frozen dataclass declared here
+with the same name and fields: the constructors must accept and refuse
+the same calls, and everything a record is used for — field
 introspection, ``repr`` (it feeds the fuzz digest CRC), equality, hashing,
-``replace``, pickling, immutability — must come out the same.
+``replace``, pickling, immutability — must come out the same.  The effect
+records a recording port keeps are plain frozen dataclasses; they stay in
+the table so the records sans-IO tests compare keep their shape.
 """
 
 import inspect

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import RingCore
 from repro.core.config import ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Send, SetTimer
+from repro.core.effects import CancelTimer, Deliver, Send, SetTimer, recorded
 from repro.core.messages import TokenMsg
 from repro.errors import ProtocolError
 
@@ -25,7 +25,7 @@ def sends(effects):
 class TestRotation:
     def test_initial_holder_forwards_on_start(self):
         core = RingCore(0, cfg())
-        effects = core.on_start(0.0)
+        effects = recorded(core.on_start, 0.0)
         out = sends(effects)
         assert len(out) == 1
         assert out[0].dst == 1
@@ -33,16 +33,16 @@ class TestRotation:
         assert out[0].msg.clock == 1
 
     def test_non_holder_start_is_silent(self):
-        assert RingCore(2, cfg()).on_start(0.0) == []
+        assert recorded(RingCore(2, cfg()).on_start, 0.0) == []
 
     def test_token_passes_clockwise(self):
         core = RingCore(1, cfg())
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         assert sends(effects)[0].dst == 2
 
     def test_round_increments_when_wrapping(self):
         core = RingCore(3, cfg())
-        effects = core.on_message(2, TokenMsg(clock=3, round_no=0), 3.0)
+        effects = recorded(core.on_message, 2, TokenMsg(clock=3, round_no=0), 3.0)
         assert sends(effects)[0].msg.round_no == 1
 
     def test_duplicate_token_detected(self):
@@ -54,13 +54,13 @@ class TestRotation:
 
     def test_single_node_keeps_token(self):
         core = RingCore(0, ProtocolConfig(n=1))
-        effects = core.on_start(0.0)
+        effects = recorded(core.on_start, 0.0)
         assert sends(effects) == []
         assert core.has_token
 
     def test_visit_event_delivered(self):
         core = RingCore(1, cfg())
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         visits = [e for e in effects
                   if isinstance(e, Deliver) and e.kind == "token_visit"]
         assert visits == [Deliver("token_visit", (1, 1))]
@@ -70,7 +70,7 @@ class TestRequests:
     def test_request_served_on_token_arrival(self):
         core = RingCore(1, cfg())
         core.on_request(0.0)
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         grants = [e for e in effects
                   if isinstance(e, Deliver) and e.kind == "granted"]
         assert grants == [Deliver("granted", (1, 1))]
@@ -78,16 +78,16 @@ class TestRequests:
 
     def test_request_while_holding_serves_immediately(self):
         core = RingCore(0, cfg(idle_pause=5.0))
-        effects = core.on_start(0.0)
+        effects = recorded(core.on_start, 0.0)
         assert any(isinstance(e, SetTimer) for e in effects)  # parked
-        effects = core.on_request(1.0)
+        effects = recorded(core.on_request, 1.0)
         assert any(isinstance(e, CancelTimer) for e in effects)
         assert any(isinstance(e, Deliver) and e.kind == "granted"
                    for e in effects)
 
     def test_request_without_token_is_patient(self):
         core = RingCore(2, cfg())
-        assert core.on_request(0.0) == []
+        assert recorded(core.on_request, 0.0) == []
         assert core.ready
 
     def test_req_seq_increments(self):
@@ -102,7 +102,7 @@ class TestRequests:
         # served carry to retire: the token travels bare.
         core = RingCore(1, cfg())
         core.on_request(0.0)
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         assert Deliver("granted", (1, 1)) in effects
         assert [e.msg.served for e in sends(effects)] == [()]
 
@@ -111,31 +111,31 @@ class TestHoldAndService:
     def test_hold_until_release_blocks_forwarding(self):
         core = RingCore(1, cfg(hold_until_release=True))
         core.on_request(0.0)
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         assert sends(effects) == []  # token held
-        released = core.on_release(2.0)
+        released = recorded(core.on_release, 2.0)
         assert sends(released)[0].dst == 2
         assert any(isinstance(e, Deliver) and e.kind == "released"
                    for e in released)
 
     def test_release_without_grant_is_noop(self):
         core = RingCore(1, cfg(hold_until_release=True))
-        assert core.on_release(0.0) == []
+        assert recorded(core.on_release, 0.0) == []
 
     def test_service_time_uses_timer(self):
         core = RingCore(1, cfg(service_time=3.0))
         core.on_request(0.0)
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         timers = [e for e in effects if isinstance(e, SetTimer)]
         assert timers and timers[0].delay == 3.0
-        done = core.on_timer(timers[0].key, 4.0)
+        done = recorded(core.on_timer, timers[0].key, 4.0)
         assert sends(done)[0].dst == 2
 
 
 class TestAdaptiveSpeed:
     def test_idle_pause_parks_token(self):
         core = RingCore(1, cfg(idle_pause=4.0))
-        effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = recorded(core.on_message, 0, TokenMsg(clock=1, round_no=0), 1.0)
         assert sends(effects) == []
         timers = [e for e in effects if isinstance(e, SetTimer)]
         assert timers[0].delay == 4.0
@@ -143,7 +143,7 @@ class TestAdaptiveSpeed:
     def test_park_timer_forwards(self):
         core = RingCore(1, cfg(idle_pause=4.0))
         core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
-        effects = core.on_timer("forward", 5.0)
+        effects = recorded(core.on_timer, "forward", 5.0)
         assert sends(effects)[0].dst == 2
         assert not core.has_token
 
@@ -152,7 +152,7 @@ class TestAdaptiveSpeed:
         # nothing about the rest of the ring, so the pause still applies.
         core = RingCore(0, cfg(idle_pause=4.0))
         core.on_start(0.0)
-        effects = core.on_request(1.0)
+        effects = recorded(core.on_request, 1.0)
         assert Deliver("granted", (0, 1)) in effects
         assert sends(effects) == []
         assert [e.delay for e in effects if isinstance(e, SetTimer)] == [4.0]
@@ -160,7 +160,7 @@ class TestAdaptiveSpeed:
 
     def test_stale_forward_timer_ignored(self):
         core = RingCore(1, cfg(idle_pause=4.0))
-        assert core.on_timer("forward", 5.0) == []
+        assert recorded(core.on_timer, "forward", 5.0) == []
 
     def test_unexpected_message_raises(self):
         core = RingCore(1, cfg())

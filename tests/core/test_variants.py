@@ -8,6 +8,7 @@ import pytest
 from repro.core import DirectedSearchCore, HybridCore, PushCore
 from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
+from repro.core.effects import RecordingPort, Send, recorded
 from repro.core.messages import (
     AdvertMsg,
     ProbeMsg,
@@ -16,7 +17,6 @@ from repro.core.messages import (
     TokenMsg,
 )
 from repro.core.parts import advert_fanout
-from repro.core.effects import Send
 from repro.workload.generators import FixedRateWorkload, SingleShotWorkload
 
 
@@ -26,6 +26,13 @@ def cfg(**kwargs):
 
 def sends(effects):
     return [e for e in effects if isinstance(e, Send)]
+
+
+def fanout(node, n, span):
+    """The adverts node ``node`` of an ``n``-ring sends for ``span``."""
+    port = RecordingPort()
+    advert_fanout(port, lambda k: (node + k) % n, 0, 0, span)
+    return port.effects
 
 
 class TestLinearSearch:
@@ -60,7 +67,7 @@ class TestLinearSearch:
 class TestDirectedSearch:
     def test_probe_reply_cycle(self):
         core = DirectedSearchCore(2, cfg(n=16))
-        effects = core.on_request(0.0)
+        effects = recorded(core.on_request, 0.0)
         out = sends(effects)
         assert isinstance(out[0].msg, ProbeMsg)
         assert out[0].dst == 10
@@ -69,7 +76,7 @@ class TestDirectedSearch:
         core = DirectedSearchCore(8, cfg(n=16))
         core.last_visit = 3
         msg = ProbeMsg(requester=0, req_seq=1, visit_stamp=7)
-        out = sends(core.on_message(0, msg, 0.0))
+        out = sends(recorded(core.on_message, 0, msg, 0.0))
         reply = out[0].msg
         assert isinstance(reply, ProbeReplyMsg)
         assert reply.last_visit == 3
@@ -82,7 +89,7 @@ class TestDirectedSearch:
         # Probed node staler than us -> token behind it: probe moves back.
         reply = ProbeReplyMsg(prober=10, req_seq=1, last_visit=3,
                               has_token=False)
-        out = sends(core.on_message(10, reply, 1.0))
+        out = sends(recorded(core.on_message, 10, reply, 1.0))
         assert isinstance(out[0].msg, ProbeMsg)
         assert out[0].dst == 6          # 10 - 8//2
 
@@ -92,14 +99,14 @@ class TestDirectedSearch:
         core.ready = False  # served through rotation meanwhile
         reply = ProbeReplyMsg(prober=10, req_seq=1, last_visit=3,
                               has_token=False)
-        assert core.on_message(10, reply, 1.0) == []
+        assert recorded(core.on_message, 10, reply, 1.0) == []
 
     def test_search_stops_at_holder(self):
         core = DirectedSearchCore(2, cfg(n=16))
         core.on_request(0.0)
         reply = ProbeReplyMsg(prober=10, req_seq=1, last_visit=30,
                               has_token=True)
-        assert core.on_message(10, reply, 1.0) == []
+        assert recorded(core.on_message, 10, reply, 1.0) == []
 
     def test_end_to_end_service(self):
         cluster = Cluster.build("directed_search", n=32, seed=4)
@@ -129,7 +136,7 @@ class TestAdvertFanout:
         total = 0
         while pending:
             node, span = pending.pop()
-            for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
+            for send in fanout(node, n, span):
                 total += 1
                 assert send.dst not in reached, "duplicate advert"
                 reached.add(send.dst)
@@ -144,7 +151,7 @@ class TestAdvertFanout:
         while frontier:
             nxt = []
             for node, span in frontier:
-                for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
+                for send in fanout(node, n, span):
                     nxt.append((send.dst, send.msg.span))
             if nxt:
                 depth += 1
@@ -157,7 +164,7 @@ class TestAdvertFanout:
             reached = set()
             while pending:
                 node, span = pending.pop()
-                for send in advert_fanout(lambda k: (node + k) % n, 0, 0, span):
+                for send in fanout(node, n, span):
                     reached.add(send.dst)
                     pending.append((send.dst, send.msg.span))
             assert reached == set(range(1, n)), f"n={n} not covered"
@@ -167,7 +174,7 @@ class TestPush:
     def test_parked_holder_advertises(self):
         config = cfg(n=8, idle_pause=2.0)
         core = PushCore(0, config)
-        effects = core.on_start(0.0)
+        effects = recorded(core.on_start, 0.0)
         adverts = [s for s in sends(effects) if isinstance(s.msg, AdvertMsg)]
         assert adverts, "parked holder must advertise"
 
@@ -176,7 +183,7 @@ class TestPush:
         core = PushCore(3, config)
         core.known_holder = 6
         core.known_holder_clock = 10
-        out = sends(core.on_request(0.0))
+        out = sends(recorded(core.on_request, 0.0))
         assert isinstance(out[0].msg, RequestMsg)
         assert out[0].dst == 6
 
@@ -185,7 +192,7 @@ class TestPush:
         core = PushCore(3, config)
         core.known_holder = None
         core.on_request(0.0)          # nowhere to send: waits
-        out = sends(core.on_message(5, AdvertMsg(holder=5, clock=9, span=1), 1.0))
+        out = sends(recorded(core.on_message, 5, AdvertMsg(holder=5, clock=9, span=1), 1.0))
         requests = [s for s in out if isinstance(s.msg, RequestMsg)]
         assert requests and requests[0].dst == 5
 
@@ -242,7 +249,7 @@ class TestHybrid:
         core.known_holder = 9
         core.known_holder_clock = 2
         core.last_visit = 10            # our info is fresher: holder moved
-        out = sends(core.on_request(0.0))
+        out = sends(recorded(core.on_request, 0.0))
         assert isinstance(out[0].msg, GimmeMsg)
 
     def test_hybrid_uses_push_when_fresh(self):
@@ -250,7 +257,7 @@ class TestHybrid:
         core.known_holder = 9
         core.known_holder_clock = 20
         core.last_visit = 10
-        out = sends(core.on_request(0.0))
+        out = sends(recorded(core.on_request, 0.0))
         assert isinstance(out[0].msg, RequestMsg)
 
     def test_hybrid_under_heavy_load_behaves_like_binary(self):

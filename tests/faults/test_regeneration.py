@@ -173,19 +173,20 @@ class TestRegeneration:
         assert epochs == {0}, "regenerated despite a live token"
 
     def test_stale_epoch_token_discarded(self):
+        from repro.core.effects import recorded
         from repro.core.messages import TokenMsg
         core = self.core(1, ft_config(n=4))
         core.epoch = 3
-        assert core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=1),
-                               0.0) == []
+        assert recorded(core.on_message, 0,
+                        TokenMsg(clock=9, round_no=1, epoch=1), 0.0) == []
         assert not core.has_token
 
     def test_newer_epoch_adopted(self):
-        from repro.core.effects import Send
+        from repro.core.effects import Send, recorded
         from repro.core.messages import TokenMsg
         core = self.core(1, ft_config(n=4))
-        effects = core.on_message(0, TokenMsg(clock=9, round_no=1, epoch=2),
-                                  0.0)
+        effects = recorded(core.on_message, 0,
+                           TokenMsg(clock=9, round_no=1, epoch=2), 0.0)
         assert core.epoch == 2
         # The token was accepted (and, with no demand, forwarded onward
         # under the adopted epoch).
@@ -193,14 +194,14 @@ class TestRegeneration:
         assert sends and sends[0].msg.epoch == 2
 
     def test_mint_is_idempotent_per_epoch(self):
-        from repro.core.effects import Deliver
+        from repro.core.effects import Deliver, recorded
         from repro.core.messages import RegenerateMsg
         core = self.core(1, ft_config(n=4))
-        first = core._mint(RegenerateMsg(new_clock=50, epoch=1), 0.0)
+        first = recorded(core._mint, RegenerateMsg(new_clock=50, epoch=1), 0.0)
         minted = [e for e in first
                   if isinstance(e, Deliver) and e.kind == "regenerated"]
         assert minted and core.epoch == 1
-        dup = core._mint(RegenerateMsg(new_clock=60, epoch=1), 1.0)
+        dup = recorded(core._mint, RegenerateMsg(new_clock=60, epoch=1), 1.0)
         assert dup == []
         assert core.clock == 50
 
@@ -210,7 +211,7 @@ class TestRegeneration:
         carry the *loan's* epoch — stamping B's current one made A adopt
         epoch 5, take the token back and rotate a second epoch-5 token —
         and B's own token must move on instead of being stranded."""
-        from repro.core.effects import Send
+        from repro.core.effects import Send, recorded
         from repro.core.messages import LoanMsg, LoanReturnMsg, TokenMsg
         config = ft_config(n=4, hold_until_release=True)
         lender, borrower = self.core(0, config), self.core(1, config)
@@ -220,7 +221,7 @@ class TestRegeneration:
                                        requester=1, req_seq=1), 1.0)
         assert borrower._serving
         borrower.on_message(3, TokenMsg(clock=12, round_no=3, epoch=5), 2.0)
-        sent = {type(e.msg): e for e in borrower.on_release(3.0)
+        sent = {type(e.msg): e for e in recorded(borrower.on_release, 3.0)
                 if isinstance(e, Send)}
         assert sent[LoanReturnMsg].dst == 0
         assert sent[LoanReturnMsg].msg.epoch == 0

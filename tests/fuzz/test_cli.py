@@ -59,9 +59,8 @@ def test_fuzz_failure_writes_counterexample(tmp_path, monkeypatch, capsys):
     real = TokenMachine._forward
 
     def broken(self):
-        effects = real(self)
+        real(self)
         self.has_token = True  # canary
-        return effects
 
     out = tmp_path / "failures"
     with mock.patch.object(TokenMachine, "_forward", broken):

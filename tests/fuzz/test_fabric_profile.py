@@ -79,9 +79,8 @@ def _duplicating_patch():
     real = BinarySearchCore._forward
 
     def broken(self):
-        effects = real(self)
+        real(self)
         self.has_token = True  # canary: token duplicated
-        return effects
 
     return mock.patch.object(BinarySearchCore, "_forward", broken)
 

@@ -12,10 +12,10 @@ from unittest import mock
 
 import pytest
 
+from repro.core.effects import Port
 from repro.core.machine import TokenMachine
-from repro.core.parts import DelegatedSearch
-from repro.core.effects import Send
 from repro.core.messages import GimmeMsg, TokenMsg
+from repro.core.parts import DelegatedSearch
 from repro.fuzz import (
     FuzzCase,
     OracleViolation,
@@ -26,6 +26,39 @@ from repro.fuzz import (
 )
 from repro.specs.common import proc
 from repro.trs.trace import Reduction
+
+
+class _RewritingPort(Port):
+    """Passes every call on to ``port``; sends go through ``rewrite``."""
+
+    def __init__(self, port, rewrite):
+        self.port, self.rewrite = port, rewrite
+
+    def send(self, dst, msg):
+        self.port.send(*self.rewrite(dst, msg))
+
+    def timer(self, key, delay):
+        self.port.timer(key, delay)
+
+    def cancel(self, key):
+        self.port.cancel(key)
+
+    def deliver(self, kind, payload=()):
+        self.port.deliver(kind, payload)
+
+
+def rewriting_sends(real, rewrite):
+    """``real`` (a core method) with every send it makes rewritten by
+    ``rewrite(core, dst, msg) -> (dst, msg)``."""
+    def broken(self, *args):
+        port = self.out
+        self.out = _RewritingPort(
+            port, lambda dst, msg: rewrite(self, dst, msg))
+        try:
+            real(self, *args)
+        finally:
+            self.out = port
+    return broken
 
 
 def _first_violation(profile, runs=30, root=99):
@@ -45,9 +78,8 @@ class TestImplCanaries:
         real = TokenMachine._forward
 
         def broken(self):
-            effects = real(self)
+            real(self)
             self.has_token = True  # canary: token duplicated
-            return effects
 
         with mock.patch.object(TokenMachine, "_forward", broken):
             case, result = _first_violation("clean")
@@ -62,14 +94,12 @@ class TestImplCanaries:
     def test_clock_skipping_hop_is_caught(self):
         """A token hop that advances the clock by two fabricates a visit
         the shadow history never saw."""
-        real = TokenMachine._forward
+        def skip(core, dst, msg):
+            if isinstance(msg, TokenMsg):
+                msg = replace(msg, clock=msg.clock + 1)
+            return dst, msg
 
-        def broken(self):
-            return [
-                Send(e.dst, replace(e.msg, clock=e.msg.clock + 1))
-                if isinstance(e, Send) and isinstance(e.msg, TokenMsg) else e
-                for e in real(self)
-            ]
+        broken = rewriting_sends(TokenMachine._forward, skip)
 
         with mock.patch.object(TokenMachine, "_forward", broken):
             case, result = _first_violation("clean")
@@ -79,14 +109,12 @@ class TestImplCanaries:
     def test_stamp_mutating_forward_is_caught(self):
         """A forwarded gimme must carry the requester's frozen snapshot;
         rewriting the stamp en route corrupts the rule-6 comparison."""
-        real = DelegatedSearch._on_gimme
+        def restamp(core, dst, msg):
+            if isinstance(msg, GimmeMsg):
+                msg = replace(msg, visit_stamp=msg.visit_stamp + 1)
+            return dst, msg
 
-        def broken(self, msg, now):
-            return [
-                Send(e.dst, replace(e.msg, visit_stamp=e.msg.visit_stamp + 1))
-                if isinstance(e, Send) and isinstance(e.msg, GimmeMsg) else e
-                for e in real(self, msg, now)
-            ]
+        broken = rewriting_sends(DelegatedSearch._on_gimme, restamp)
 
         with mock.patch.object(DelegatedSearch, "_on_gimme", broken):
             case, result = _first_violation("clean")
@@ -97,18 +125,14 @@ class TestImplCanaries:
     def test_misdirected_search_is_caught(self):
         """Inverting rule 6's direction decision sends the gimme away from
         the token; the differential against the shadow histories fires."""
-        real = DelegatedSearch._on_gimme
+        def flip(core, dst, msg):
+            if isinstance(msg, GimmeMsg) and msg.requester != core.node_id:
+                flipped = (2 * core.node_id - dst) % core.n
+                if flipped not in (dst, core.node_id, msg.requester):
+                    dst = flipped
+            return dst, msg
 
-        def broken(self, msg, now):
-            out = []
-            for e in real(self, msg, now):
-                if isinstance(e, Send) and isinstance(e.msg, GimmeMsg) \
-                        and e.msg.requester != self.node_id:
-                    flipped = (2 * self.node_id - e.dst) % self.n
-                    if flipped not in (e.dst, self.node_id, e.msg.requester):
-                        e = Send(flipped, e.msg)
-                out.append(e)
-            return out
+        broken = rewriting_sends(DelegatedSearch._on_gimme, flip)
 
         with mock.patch.object(DelegatedSearch, "_on_gimme", broken):
             case, result = _first_violation("clean", runs=40)

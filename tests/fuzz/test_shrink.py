@@ -13,9 +13,8 @@ def _duplicating_patch():
     real = TokenMachine._forward
 
     def broken(self):
-        effects = real(self)
+        real(self)
         self.has_token = True  # canary: token duplicated
-        return effects
 
     return mock.patch.object(TokenMachine, "_forward", broken)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the DES node driver's effect interpretation."""
+"""Unit tests for the DES node driver as its core's port."""
 
 import random
 
@@ -6,15 +6,11 @@ import pytest
 
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.core.effects import Send
 from repro.errors import SimulationError
 from repro.sim.driver import NodeDriver
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-
-
-class Unknown(Effect):
-    """An effect no driver knows."""
 
 
 class EchoCore(ProtocolCore):
@@ -28,28 +24,33 @@ class EchoCore(ProtocolCore):
         self.messages = []
 
     def on_start(self, now):
-        return [Deliver("started", (self.node_id,))]
+        self.out.deliver("started", (self.node_id,))
 
     def on_message(self, src, msg, now):
         self.messages.append((src, msg))
         if msg == "ping":
+            self.out.send(src, "pong")
+        elif msg == "arm":
+            self.out.timer("t", 2.0)
+        elif msg == "rearm":
+            self.out.timer("t", 10.0)
+        elif msg == "disarm":
+            self.out.cancel("t")
+        elif msg == "deliver-then-send":
+            self.out.deliver("echoed", (msg,))
+            self.out.send(src, "after")
+        elif msg == "returns-effects":
             return [Send(src, "pong")]
-        if msg == "arm":
-            return [SetTimer("t", 2.0)]
-        if msg == "rearm":
-            return [SetTimer("t", 10.0)]
-        if msg == "disarm":
-            return [CancelTimer("t")]
-        if msg == "unknown":
-            return [Unknown()]
-        return []
 
     def on_timer(self, key, now):
         self.timer_fires.append((key, now))
-        return [Deliver("fired", (key,))]
+        self.out.deliver("fired", (key,))
 
     def on_request(self, now):
-        return [Deliver("requested", (self.node_id,))]
+        self.out.deliver("requested", (self.node_id,))
+
+    def on_release(self, now):
+        self.out.send(1 - self.node_id, "released")
 
 
 @pytest.fixture()
@@ -103,11 +104,34 @@ class TestDriver:
         drivers[0].request()
         assert (0, "requested") in events
 
-    def test_unknown_effect_raises(self, rig):
+    def test_returned_effects_raise(self, rig):
+        """A core still written for effect lists fails loudly instead of
+        having its effects dropped."""
         sim, net, drivers, events = rig
-        net.send(1, 0, "unknown")
-        with pytest.raises(SimulationError, match="unknown effect"):
+        net.send(1, 0, "returns-effects")
+        with pytest.raises(SimulationError, match="acts through its port"):
             sim.run()
+
+    def test_a_delivery_waits_for_its_handler_and_keeps_its_place(self, rig):
+        """A subscriber that calls back into the driver runs after the
+        handler returned, and a send issued after the delivery stays
+        behind what the subscriber sent."""
+        sim, net, drivers, events = rig
+        sent = []
+        net.on_send.append(lambda src, dst, msg: sent.append((src, msg)))
+        inside = []
+
+        def on_event(node, kind, payload, now):
+            if kind == "echoed":
+                inside.append(drivers[0]._held)
+                drivers[0].release()
+
+        drivers[0].subscribe(on_event)
+        net.send(1, 0, "deliver-then-send")
+        sim.run()
+        assert inside == [None]   # not inside the handler any more
+        assert sent == [(1, "deliver-then-send"), (0, "released"),
+                        (0, "after")]
 
     def test_crash_stops_delivery_and_timers(self, rig):
         sim, net, drivers, events = rig

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import BinarySearchCore
 from repro.core.config import ProtocolConfig
 from repro.core.messages import GimmeMsg
-from repro.core.effects import Send
+from repro.core.effects import Send, recorded
 from repro.specs import system_binary_search as bs
 from repro.specs.common import history_of, is_ring_prefix
 from repro.specs.properties import components
@@ -105,7 +105,7 @@ def test_rule6_direction_matches_core(hops, requester, probed, span):
     core.last_visit = stamps[probed]
     msg = GimmeMsg(requester=requester, req_seq=1, span=span,
                    visit_stamp=stamps[requester])
-    out = [e for e in core.on_message(requester, msg, 0.0)
+    out = [e for e in recorded(core.on_message, requester, msg, 0.0)
            if isinstance(e, Send)]
     if not out:
         return  # absorbed (target collision); nothing to compare

@@ -3,7 +3,6 @@ and prove the convergence oracle *fails* the run — the oracle is only
 trustworthy if it can lose.  Also pins the shrinker contract: corruption
 counterexamples minimize to a handful of events."""
 
-from repro.core.effects import Send
 from repro.core.messages import TokenMsg
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.runner import run_case
@@ -34,8 +33,7 @@ def leaky_absorb(self, msg, now):
     self.has_token = True
     self.lent_to = None
     if isinstance(msg, TokenMsg):
-        return [Send(self.hop(1), msg)]
-    return []
+        self.out.send(self.hop(1), msg)
 
 
 def trigger_happy_deadline(self, probe_seq, now):
@@ -43,7 +41,7 @@ def trigger_happy_deadline(self, probe_seq, now):
     census deadline regardless of what the census saw, reinjecting fresh
     tokens into an already-legitimate run."""
     self._watch_census = None
-    return self._watch_mint(now, self.last_visit)
+    self._watch_mint(now, self.last_visit)
 
 
 class TestCanaries:

@@ -643,20 +643,13 @@ class EchoCore(ProtocolCore):
         self.seen = []
         self.boom = False
 
-    def on_start(self, now):
-        return []
-
     def on_message(self, src, msg, now):
         self.seen.append(msg.n)
         if self.boom:
             raise RuntimeError("core bug")
-        return []
-
-    def on_timer(self, key, now):
-        return []
 
     def on_request(self, now):
-        return []
+        pass
 
 
 class TestRaisingHandler:
