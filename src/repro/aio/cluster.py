@@ -2,16 +2,17 @@
 :class:`repro.core.cluster.Cluster`, plus dynamic membership and the
 crash/restart surface the fault-tolerant runtime is built on.
 
-Nodes run on one event loop, each core behind the transport handler
-of its driver.  ``acquire``/``release`` give awaitable token access (the
-mutual-exclusion surface the apps build on), ``join``/``leave`` exercise
-the paper's Section 5 dynamic-membership sketch, and
-``crash_node``/``restart_node`` are the crash-stop/rebirth primitives the
-:class:`~repro.aio.supervisor.ClusterSupervisor` drives: a crashed node
-loses its volatile state and its in-flight messages; a restarted node
-comes back under a fresh core (optionally restored from a supervisor
-snapshot) and a bumped reliability incarnation, and immediately re-arms
-any acquires that were pending across the outage.
+Nodes run on one event loop: the same :class:`~repro.sim.network.Network`
+and :class:`~repro.sim.driver.NodeDriver` a simulated cluster builds, on
+the running loop's clock.  ``acquire``/``release`` give awaitable token
+access (the mutual-exclusion surface the apps build on),
+``join``/``leave`` exercise the paper's Section 5 dynamic-membership
+sketch, and ``crash_node``/``restart_node`` are the crash-stop/rebirth
+primitives the :class:`~repro.aio.supervisor.ClusterSupervisor` drives: a
+crashed node loses its volatile state and its in-flight messages; a
+restarted node comes back under a fresh core (optionally restored from a
+supervisor snapshot) and a bumped reliability incarnation, and
+immediately re-arms any acquires that were pending across the outage.
 
 The authoritative :class:`~repro.faults.membership.MembershipService`
 versions the ring; cores adopt new views immediately (in a distributed
@@ -26,14 +27,15 @@ import asyncio
 import random
 from typing import Dict, List, Optional
 
-from repro.aio.driver import AioNodeDriver
 from repro.aio.reliability import ReliabilityConfig, ReliableChannel
-from repro.aio.transport import AioTransport
+from repro.aio.virtualtime import RUNNING_LOOP
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, MembershipError
 from repro.faults.membership import MembershipService, RingView
 from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
 from repro.metrics.counters import MessageCounters, ReliabilityCounters
+from repro.sim.driver import NodeDriver
+from repro.sim.network import Network
 
 __all__ = ["AioCluster"]
 
@@ -52,7 +54,7 @@ class AioCluster:
         dup_rate: float = 0.0,
         sanitize: Optional[bool] = None,
         reliability: Optional[ReliabilityConfig] = None,
-        transport: Optional[AioTransport] = None,
+        transport: Optional[Network] = None,
     ) -> None:
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
@@ -78,8 +80,8 @@ class AioCluster:
             # delay/loss_rate/dup_rate arguments are ignored in its favor.
             self.transport = transport
         else:
-            self.transport = AioTransport(delay=delay, loss_rate=loss_rate,
-                                          dup_rate=dup_rate, rng=self.rng)
+            self.transport = Network(RUNNING_LOOP, self.rng, delay=delay,
+                                     loss_rate=loss_rate, dup_rate=dup_rate)
         enabled = sanitize_enabled() if sanitize is None else sanitize
         self.sanitizer = ClusterSanitizer() if enabled else None
         self.reliability = reliability
@@ -93,7 +95,7 @@ class AioCluster:
         #: aio invariant oracle use this to re-wire their per-driver hooks
         #: onto the fresh incarnation.
         self.on_driver: List = []
-        self.drivers: Dict[int, AioNodeDriver] = {}
+        self.drivers: Dict[int, NodeDriver] = {}
         self._incarnations: Dict[int, int] = {}
         self._recv_states: Dict[int, Dict] = {}
         self._grant_waiters: Dict[int, List[asyncio.Future]] = {}
@@ -105,7 +107,7 @@ class AioCluster:
         self.membership.subscribe(self._on_view_change)
 
     def _make_driver(self, node_id: int,
-                     restore: Optional[Dict] = None) -> AioNodeDriver:
+                     restore: Optional[Dict] = None) -> NodeDriver:
         core = self._factory(node_id, self.config)
         core.ring = self.membership.view
         if node_id in self._incarnations:
@@ -135,8 +137,8 @@ class AioCluster:
             saved = self._recv_states.pop(node_id, None)
             if saved:
                 channel.restore_recv_state(saved)
-        driver = AioNodeDriver(self.transport, core,
-                               sanitizer=self.sanitizer, channel=channel)
+        driver = NodeDriver(self.transport.clock, self.transport, core,
+                            sanitizer=self.sanitizer, channel=channel)
         driver.subscribe(self._on_app_event)
         driver.on_send_msg.append(self.messages.on_send)
         self.drivers[node_id] = driver
@@ -189,13 +191,13 @@ class AioCluster:
         if transport_start is not None:
             await transport_start()
         for driver in list(self.drivers.values()):
-            await driver.start()
+            driver.start()
 
     async def stop(self) -> None:
         """Stop every node (and close an injected transport that owns
         real resources, via its async ``aclose``)."""
         for driver in list(self.drivers.values()):
-            await driver.stop()
+            driver.stop()
         transport_close = getattr(self.transport, "aclose", None)
         if transport_close is not None:
             await transport_close()
@@ -255,19 +257,16 @@ class AioCluster:
             raise MembershipError(f"node {node} is not a member")
         if driver.crashed:
             return
-        driver.crashed = True
-        await driver.stop()
+        driver.crash()
+        driver.stop()
         if driver.channel is not None:
             # The ARQ dedup watermark is durable (see
             # ReliableChannel.export_recv_state): a reborn node must not
             # re-accept frames its previous incarnation already acted on.
             self._recv_states[node] = driver.channel.export_recv_state()
-        self.transport.crash(node)
-        if self.sanitizer is not None:
-            self.sanitizer.mark_crashed(node)
 
     async def restart_node(self, node: int,
-                           restore: Optional[Dict] = None) -> AioNodeDriver:
+                           restore: Optional[Dict] = None) -> NodeDriver:
         """Bring a crashed node back under a fresh core.
 
         ``restore`` is an attribute dict (a supervisor snapshot) applied to
@@ -288,7 +287,7 @@ class AioCluster:
         self._incarnations[node] = self._incarnations.get(node, 0) + 1
         fresh = self._make_driver(node, restore=restore)
         if self._started:
-            await fresh.start()
+            fresh.start()
         if self._grant_waiters.get(node):
             fresh.request()
         return fresh
@@ -309,7 +308,7 @@ class AioCluster:
         driver = self._make_driver(node_id)
         self.membership.join(node_id, sponsor=sponsor)
         if self._started:
-            await driver.start()
+            driver.start()
         return node_id
 
     async def leave(self, node: int, timeout: Optional[float] = None) -> None:
@@ -334,7 +333,7 @@ class AioCluster:
                 )
             await asyncio.sleep(poll)
         self.membership.leave(node)
-        await driver.stop()
+        driver.stop()
         if self.sanitizer is not None:
             self.sanitizer.unregister(node)
         del self.drivers[node]

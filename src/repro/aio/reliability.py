@@ -37,8 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.aio.transport import AioTransport
 from repro.metrics.counters import ReliabilityCounters
+from repro.sim.network import Network
 
 __all__ = ["DataFrame", "AckFrame", "ReliabilityConfig", "ReliableChannel"]
 
@@ -91,7 +91,7 @@ class ReliableChannel:
     def __init__(
         self,
         node_id: int,
-        transport: AioTransport,
+        transport: Network,
         incarnation: int = 0,
         config: Optional[ReliabilityConfig] = None,
         rng: Optional[random.Random] = None,

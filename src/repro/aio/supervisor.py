@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.aio.cluster import AioCluster
-from repro.aio.driver import AioNodeDriver
 from repro.core.messages import HeartbeatMsg
 from repro.core.regeneration import Regeneration
 from repro.faults.detector import PhiAccrualDetector
+from repro.sim.driver import NodeDriver
 
 __all__ = ["RestartPolicy", "ClusterSupervisor"]
 
@@ -112,7 +112,7 @@ class ClusterSupervisor:
 
     # -- wiring ---------------------------------------------------------------
 
-    def _wire(self, node: int, driver: AioNodeDriver) -> None:
+    def _wire(self, node: int, driver: NodeDriver) -> None:
         driver.on_control.append(self._heartbeat_sink)
         driver.subscribe(self._on_app_event)
         core = driver.core

@@ -20,16 +20,20 @@ insertion order, and no real I/O ever preempts either.  A chaos run under
 A genuine deadlock — every task blocked on a queue with no timer armed —
 would make a real loop hang forever; the virtual loop raises
 :class:`VirtualTimeDeadlock` instead, turning liveness bugs into failures.
+
+:data:`RUNNING_LOOP` is the runtime's clock for the one network and node
+driver: whichever loop is running, virtual or real.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, TypeVar
+from typing import Any, Awaitable, Callable, TypeVar
 
 from repro.errors import SimulationError
 
-__all__ = ["VirtualClock", "VirtualTimeDeadlock", "run_virtual"]
+__all__ = ["RUNNING_LOOP", "RunningLoop", "VirtualClock", "VirtualTimeDeadlock",
+           "run_virtual"]
 
 T = TypeVar("T")
 
@@ -80,6 +84,24 @@ class VirtualClock:
 
         selector.select = virtual_select
         loop.time = self.time  # type: ignore[method-assign]
+
+
+class RunningLoop:
+    """The running event loop as a clock: ``time()`` and ``call_later``
+    look the loop up at each call, so a cluster or a transport can be
+    built before its loop runs."""
+
+    __slots__ = ()
+
+    def time(self) -> float:
+        return asyncio.get_running_loop().time()
+
+    def call_later(self, delay: float, fn: Callable[..., object],
+                   *args: Any) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
+
+
+RUNNING_LOOP = RunningLoop()
 
 
 def run_virtual(coro: Awaitable[T]) -> T:

@@ -14,20 +14,18 @@ port, ``core.out``, with four calls:
 :class:`RecordingPort`, every core's default, keeps each call as an effect
 record — :class:`Send`, :class:`SetTimer`, :class:`CancelTimer`,
 :class:`Deliver` — which is how sans-IO tests read a handler
-(:func:`recorded`).  Both drivers, the discrete-event one in
-:mod:`repro.sim.driver` and the asyncio one in :mod:`repro.aio.driver`,
-are :class:`DriverPort` subclasses: one emission rule, written once.
+(:func:`recorded`).  The one driver, :class:`repro.sim.driver.NodeDriver`,
+is the port of every core it runs, on the simulator and on an event loop
+alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Hashable, List, Tuple
 
-from repro.errors import SimulationError
-
-__all__ = ["CancelTimer", "Deliver", "DriverPort", "Effect", "Port",
-           "RecordingPort", "Send", "SetTimer", "recorded"]
+__all__ = ["CancelTimer", "Deliver", "Effect", "Port", "RecordingPort",
+           "Send", "SetTimer", "recorded"]
 
 
 class Port:
@@ -126,107 +124,3 @@ def recorded(handler: Callable[..., None], *args: Any) -> List[Effect]:
     port.take()
     handler(*args)
     return port.take()
-
-
-# -- the port both drivers are ----------------------------------------------
-
-
-class DriverPort(Port):
-    """A driver as its core's port: one emission rule for every runtime.
-
-    Sends, timers and cancels act at once, straight into the kernel or the
-    transport, until the handler delivers an application event.  The
-    delivery waits for the handler to return: a subscriber may call back
-    into the driver (a grant answered by a release), and that must not run
-    the core inside its own handler.  Every call after a delivery waits
-    behind it, in order, so nothing the handler emits overtakes what it
-    delivered.  Acting and waiting together keep every call in the order
-    the handler made it.
-
-    :meth:`_apply` runs one handler and then what waited.  A subclass
-    supplies the runtime: ``_send(dst, msg)``, ``_schedule(key, delay)``
-    (a timer handle with ``cancel()`` that calls back into the driver)
-    and ``_now()``.
-    """
-
-    def __init__(self, core: Any, sanitizer: Any = None) -> None:
-        self.core = core
-        self.node_id = core.node_id
-        self.sanitizer = sanitizer
-        self._timers: Dict[Hashable, Any] = {}
-        self._subscribers: List[Callable[[int, str, tuple, float], None]] = []
-        #: Calls waiting for the running handler to return, or None.
-        self._held: Optional[List[Tuple[Callable, tuple]]] = None
-        core.out = self
-        if sanitizer is not None:
-            sanitizer.register(core)
-
-    def subscribe(self, callback: Callable[[int, str, tuple, float], None]) -> None:
-        """Register ``callback(node_id, kind, payload, now)`` for application
-        events delivered by the core."""
-        self._subscribers.append(callback)
-
-    # -- the port -------------------------------------------------------------
-
-    def send(self, dst: int, msg: Any) -> None:
-        held = self._held
-        if held is None:
-            self._send(dst, msg)
-        else:
-            held.append((self._send, (dst, msg)))
-
-    def timer(self, key: Hashable, delay: float) -> None:
-        held = self._held
-        if held is None:
-            self._arm(key, delay)
-        else:
-            held.append((self._arm, (key, delay)))
-
-    def cancel(self, key: Hashable) -> None:
-        held = self._held
-        if held is None:
-            self._disarm(key)
-        else:
-            held.append((self._disarm, (key,)))
-
-    def deliver(self, kind: str, payload: Tuple = ()) -> None:
-        if self._held is None:
-            self._held = []
-        self._held.append((self._publish, (kind, payload)))
-
-    # -- one handled event ----------------------------------------------------
-
-    def _apply(self, origin: str, payload: object,
-               handler: Callable[..., None], *args: Any) -> None:
-        """Run the core's ``handler(*args)``, then the calls that waited for
-        it, then the sanitizer's audit of the event (``origin`` names the
-        handler, ``payload`` is the message or timer key)."""
-        try:
-            returned = handler(*args)
-        finally:
-            held, self._held = self._held, None
-        if returned is not None:
-            raise SimulationError(
-                f"{self.core.protocol_name} {origin} returned {returned!r}: "
-                f"a core acts through its port and returns nothing")
-        if held is not None:
-            for call, call_args in held:
-                call(*call_args)
-        if self.sanitizer is not None:
-            self.sanitizer.after_apply(self.core, origin, payload, self._now())
-
-    def _arm(self, key: Hashable, delay: float) -> None:
-        previous = self._timers.pop(key, None)
-        if previous is not None:
-            previous.cancel()
-        self._timers[key] = self._schedule(key, delay)
-
-    def _disarm(self, key: Hashable) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _publish(self, kind: str, payload: Tuple) -> None:
-        now = self._now()
-        for callback in self._subscribers:
-            callback(self.node_id, kind, payload, now)

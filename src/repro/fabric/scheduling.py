@@ -142,16 +142,15 @@ class BatchScheduler:
 class SimView(Simulator):
     """A lane's view of the shared kernel: same surface, batched routing.
 
-    Passed as ``Cluster(sim=...)`` so :class:`~repro.sim.network.Network`,
-    :class:`~repro.sim.driver.NodeDriver` and workload generators need no
-    changes — everything they schedule lands in the shared batch layer.
-    Subclasses :class:`Simulator` only so ``isinstance`` checks hold; no
-    kernel state of its own is used.
-
-    ``priority`` is not supported (the kernel never uses a non-zero
-    priority anywhere in this codebase; batching by time alone would
-    silently misorder prioritised events, so we refuse them loudly).
-    ``run`` raises: lanes are driven by the owning fabric.
+    Passed as ``Cluster(sim=...)``, it is the clock of the lane's
+    :class:`~repro.sim.network.Network` and
+    :class:`~repro.sim.driver.NodeDriver` and the scheduler of its
+    workload generators, which need no changes: everything they schedule
+    lands in the shared batch layer.  Subclasses :class:`Simulator` only
+    so ``isinstance`` checks hold (the driver reads a simulator's
+    exception policy and timer units off one); no kernel state of its own
+    is used.  ``run`` and ``stop`` raise: lanes are driven by the owning
+    fabric.
     """
 
     __slots__ = ()  # state lives on the two references below
@@ -160,13 +159,9 @@ class SimView(Simulator):
         # Deliberately no super().__init__(): this view owns no heap.
         self._kernel = scheduler.sim
         self._batch = scheduler
-        # Hot-path flattening: shadow the checking methods below with the
-        # scheduler's bound methods (one frame less per event).  Nothing in
-        # the driver/network/workload stack passes `priority` (the checked
-        # methods remain as the documented, defensive surface for any
-        # caller reaching them via the class).
+        # The scheduler's bound methods, one frame less per event.
         self.post = scheduler.post
-        self.schedule = scheduler.schedule
+        self.schedule = self.call_later = scheduler.schedule
         self.schedule_at = scheduler.schedule_at
 
     # Simulator declares no __slots__, so instance attrs work; declare the
@@ -178,6 +173,9 @@ class SimView(Simulator):
     def now(self) -> float:
         return self._kernel._now  # skip the kernel's property hop
 
+    def time(self) -> float:
+        return self._kernel._now
+
     @property
     def executed_total(self) -> int:
         """Logical entries fired fabric-wide (shared across lanes)."""
@@ -185,23 +183,6 @@ class SimView(Simulator):
 
     def pending(self) -> int:
         return self._batch.pending()
-
-    def post(self, delay: float, fn: Callable, *args: Any, priority: int = 0) -> None:
-        if priority != 0:
-            raise SimulationError("fabric lanes do not support priorities")
-        self._batch.post(delay, fn, *args)
-
-    def schedule(self, delay: float, fn: Callable, *args: Any,
-                 priority: int = 0) -> BatchTimer:
-        if priority != 0:
-            raise SimulationError("fabric lanes do not support priorities")
-        return self._batch.schedule(delay, fn, *args)
-
-    def schedule_at(self, time: float, fn: Callable, *args: Any,
-                    priority: int = 0) -> BatchTimer:
-        if priority != 0:
-            raise SimulationError("fabric lanes do not support priorities")
-        return self._batch.schedule_at(time, fn, *args)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:

@@ -11,8 +11,7 @@ Event calendar
 
 Entries are plain tuples ``(time, seq, tag, ...)``; ``seq`` mirrors the
 kernel's global sequence counter, so ``(time, seq)`` reproduces the
-kernel heap's ``(time, priority, seq)`` order exactly (every event in
-the supported configurations uses priority 0).  Deliveries under the
+kernel heap's order exactly.  Deliveries under the
 constant-delay model go to a **deque**: constant latency means send
 order equals delivery order, so the queue is already sorted and a
 heap push/pop per message is wasted work.  Timers, workload ticks and

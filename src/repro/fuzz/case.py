@@ -93,7 +93,7 @@ FAULT_OPS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "token_loss": ((), ("des", "fabric")),
     "partition": (("a", "b"), ("des", "fabric", "aio", "wire")),
     "heal": (("a", "b"), ("des", "fabric", "aio", "wire")),
-    "heal_all": ((), ("aio", "wire")),
+    "heal_all": ((), ("des", "fabric", "aio", "wire")),
     "reset": ((), ("wire",)),
     # A lane's verdict is strict safety; only a whole cluster can be
     # judged by convergence.

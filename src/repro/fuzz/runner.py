@@ -203,6 +203,7 @@ _SIM_FAULTS: Dict[str, Callable[[Cluster, _TokenLossInjector, Dict], object]] = 
     "partition": lambda c, inj, f: [c.network.partition(a, b)
                                     for a, b in _links(f)],
     "heal": lambda c, inj, f: c.network.heal(f["a"], f["b"]),
+    "heal_all": lambda c, inj, f: c.network.heal_all(),
     "corrupt": lambda c, inj, f: corrupt_core(
         c.drivers[f["a"]].core, f["what"], f["arg"], c.n),
 }

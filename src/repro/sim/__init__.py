@@ -1,4 +1,6 @@
 """Discrete-event simulation substrate: kernel, network, node driver.
+The network and the driver take any clock, so the asyncio runtime runs
+the same two classes on its event loop.
 
 :class:`NodeDriver` resolves on first use (:mod:`repro._lazy`): the
 driver imports the protocol cores, so the kernel and the network load

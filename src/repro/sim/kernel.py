@@ -4,18 +4,23 @@ The paper's performance model (Section 4) charges **zero time for rules
 affecting only local state and a constant time for message-passing rules**.
 The kernel realises that model: local handling runs synchronously at the
 current virtual time, message deliveries are events scheduled one delay
-ahead.  Event ordering is a ``(time, priority, seq)`` heap — ``seq`` makes
-runs bit-for-bit reproducible for a given seed.
+ahead.  Event ordering is a ``(time, seq)`` heap — ``seq`` makes runs
+bit-for-bit reproducible for a given seed.
 
-Hot-path layout: the heap stores plain ``(time, priority, seq, fn, args)``
-tuples so ordering is decided by C-level tuple comparison (``seq`` is
-unique, so ``fn``/``args`` never get compared).  Cancellation goes through
+Hot-path layout: the heap stores plain ``(time, seq, fn, args)`` tuples
+so ordering is decided by C-level tuple comparison (``seq`` is unique, so
+``fn``/``args`` never get compared).  Cancellation goes through
 an :class:`Event` handle registered in a side table keyed by ``seq``;
 cancelled entries stay in the heap (lazy deletion) until they are popped
 or until dead entries outnumber live ones, at which point the heap is
 compacted in one O(n) pass.  :meth:`Simulator.post` is the fire-and-forget
 fast path (no handle) used for the overwhelmingly-common never-cancelled
 events such as message deliveries.
+
+The simulator is a clock the way an asyncio event loop is one:
+:meth:`Simulator.time` and :meth:`Simulator.call_later` are its names for
+:attr:`~Simulator.now` and :meth:`~Simulator.schedule`, so the one network
+and the one node driver run on either.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from repro.errors import SimulationError
 
 __all__ = ["Event", "Simulator"]
 
-#: Heap entry: (time, priority, seq, fn, args).
-_Entry = Tuple[float, int, int, Callable, Tuple]
+#: Heap entry: (time, seq, fn, args).
+_Entry = Tuple[float, int, Callable, Tuple]
 
 
 class Event:
@@ -73,11 +78,15 @@ class Simulator:
         """Current virtual time."""
         return self._now
 
+    def time(self) -> float:
+        """Current virtual time (:attr:`now`, as an event loop names it)."""
+        return self._now
+
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued — O(1)."""
         return len(self._queue) - self._dead
 
-    def post(self, delay: float, fn: Callable, *args: Any, priority: int = 0) -> None:
+    def post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
 
         The fast path for fire-and-forget events (message deliveries,
@@ -86,29 +95,32 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
-            self._queue, (self._now + delay, priority, self._seq, fn, args)
+            self._queue, (self._now + delay, self._seq, fn, args)
         )
         self._seq += 1
 
-    def schedule(self, delay: float, fn: Callable, *args: Any, priority: int = 0) -> Event:
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now.
 
-        Lower ``priority`` runs first among same-time events.  Returns a
-        cancellation handle; use :meth:`post` when you will never cancel.
+        Same-time events run in scheduling order.  Returns a cancellation
+        handle; use :meth:`post` when you will never cancel.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, priority, seq, fn, args))
+        heapq.heappush(self._queue, (time, seq, fn, args))
         handle = Event(self, seq, time)
         self._handles[seq] = handle
         return handle
 
-    def schedule_at(self, time: float, fn: Callable, *args: Any, priority: int = 0) -> Event:
+    #: :meth:`schedule`, as an event loop names it.
+    call_later = schedule
+
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        return self.schedule(time - self._now, fn, *args, priority=priority)
+        return self.schedule(time - self._now, fn, *args)
 
     def stop(self) -> None:
         """Stop the run loop after the current event."""
@@ -133,9 +145,9 @@ class Simulator:
         handles = self._handles
         keep: List[_Entry] = []
         for entry in self._queue:
-            handle = handles.get(entry[2])
+            handle = handles.get(entry[1])
             if handle is not None and handle.cancelled:
-                del handles[entry[2]]
+                del handles[entry[1]]
             else:
                 keep.append(entry)
         self._queue[:] = keep
@@ -175,7 +187,7 @@ class Simulator:
                 entry = heappop(queue)
                 time = entry[0]
                 if handles:
-                    handle = handles.pop(entry[2], None)
+                    handle = handles.pop(entry[1], None)
                     if handle is not None and handle.cancelled:
                         self._dead -= 1
                         continue
@@ -184,7 +196,7 @@ class Simulator:
                         f"event at t={time} is in the past (now={self._now})"
                     )
                 self._now = time
-                entry[3](*entry[4])
+                entry[2](*entry[3])
                 executed += 1
             else:
                 if until is not None and until > self._now:

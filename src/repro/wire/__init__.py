@@ -1,10 +1,10 @@
 """Real-socket wire layer: TCP transport, lock service, load generation.
 
 ``repro.wire`` takes the asyncio runtime onto actual sockets.  The
-:class:`WireTransport` implements the in-memory
-:class:`~repro.aio.transport.AioTransport` contract over loopback TCP
-(length-prefixed versioned frames, one multiplexed connection per peer,
-bounded write queues, reconnect with jittered backoff), so ARQ
+:class:`WireTransport` is the one :class:`~repro.sim.network.Network`
+with its data path moved onto loopback TCP (length-prefixed versioned
+frames, one multiplexed connection per peer, bounded write queues,
+reconnect with jittered backoff), so ARQ
 reliability, phi-accrual supervision, and the invariant oracle attach
 without modification.  On top of it, :class:`LockServiceServer` exposes
 acquire/release/status as a network API and :class:`LockClient` /

@@ -1,9 +1,10 @@
-"""Real asyncio TCP transport behind the :class:`AioTransport` interface.
+"""The one network's data path on real asyncio TCP sockets.
 
-:class:`WireTransport` keeps the exact contract every runtime layer is
-built against — ``attach``/``detach``, ``send``, crash/partition fault
-injection, the ``on_send``/``on_deliver``/``on_drop`` hook surface — but
-moves the data path onto real loopback sockets:
+:class:`WireTransport` subclasses :class:`~repro.sim.network.Network` and
+keeps the exact contract every runtime layer is built against —
+``attach``/``detach``, ``send``, crash/partition fault injection, the
+``on_send``/``on_deliver``/``on_drop`` hook surface — but moves the data
+path onto real loopback sockets:
 
 - every attached node gets its own listening TCP server (its "address" is
   a real ``(host, port)`` endpoint, allocated by the kernel); an inbound
@@ -24,15 +25,16 @@ moves the data path onto real loopback sockets:
   backoff plus seeded jitter**; frames enqueued meanwhile wait, frames
   half-written into the dead socket are genuinely lost on the wire.
 
-Fault injection is inherited from :class:`AioTransport` and applied at
-the socket boundary: a lost or partition-dropped message never reaches a
-socket, a parked expensive message is written the moment the link heals,
-and a crashed destination discards frames after they cross the wire —
-the same observable semantics the in-memory transport gives the ARQ,
-supervision, and oracle layers, which therefore attach unchanged.
+Fault injection is inherited from :class:`~repro.sim.network.Network`
+and applied at the socket boundary: a lost or partition-dropped message
+never reaches a socket, a parked expensive message is written the moment
+the link heals, and a crashed destination discards frames after they
+cross the wire — the same observable semantics the in-memory network
+gives the ARQ, supervision, and oracle layers, which therefore attach
+unchanged.
 
-The artificial ``delay`` is still honoured (it is what scales protocol
-timers; see ``AioNodeDriver._timer_scale``): a sent message waits in the
+The artificial ``delay`` is still honoured (it is what the node driver
+scales protocol timers by on a loop): a sent message waits in the
 transport's **delay line** — one FIFO for all links, since a constant
 delay makes send order due order, woken by one kernel timer fd — and is
 handed to its link no earlier than ``delay`` seconds after ``send``,
@@ -56,9 +58,10 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
-from repro.aio.transport import AioTransport, Handler
+from repro.aio.virtualtime import RUNNING_LOOP
 from repro.errors import CodecError, FrameError, WireError
 from repro.metrics.counters import WireCounters
+from repro.sim.network import Network
 from repro.wire.codec import (
     MAX_FRAME,
     FrameReader,
@@ -69,6 +72,13 @@ from repro.wire.codec import (
 )
 
 __all__ = ["WireConfig", "WireTransport"]
+
+#: ``handler(src, msg)`` — how a node receives a delivered message.
+Handler = Callable[[int, object], None]
+
+
+def _enqueue(queue: asyncio.Queue, src: int, msg: object) -> None:
+    queue.put_nowait((src, msg))
 
 
 class WireConfig:
@@ -313,8 +323,9 @@ class _PeerLink:
         self._close_writer()
 
 
-class WireTransport(AioTransport):
-    """The :class:`AioTransport` contract over real TCP loopback sockets."""
+class WireTransport(Network):
+    """The :class:`~repro.sim.network.Network` contract over real TCP
+    loopback sockets, on the running loop."""
 
     def __init__(
         self,
@@ -325,8 +336,11 @@ class WireTransport(AioTransport):
         wire_config: Optional[WireConfig] = None,
         counters: Optional[WireCounters] = None,
     ) -> None:
-        super().__init__(delay=delay, loss_rate=loss_rate,
-                         dup_rate=dup_rate, rng=rng)
+        super().__init__(RUNNING_LOOP, rng, delay=delay, loss_rate=loss_rate,
+                         dup_rate=dup_rate)
+        # Every message takes the delay line and a socket (``_schedule``),
+        # never the network's post straight onto the clock.
+        self._fixed = None
         self.wire_config = wire_config if wire_config is not None else WireConfig()
         self.counters = counters if counters is not None else WireCounters()
         #: Last framing/codec violation seen on an inbound connection
@@ -384,9 +398,19 @@ class WireTransport(AioTransport):
         self._ports.clear()
         await asyncio.sleep(0)      # the connection_lost callbacks run
 
-    def attach(self, node_id: int, handler: Optional[Handler] = None,
-               ) -> Optional[asyncio.Queue]:
-        inbox = super().attach(node_id, handler)
+    def attach(  # type: ignore[override]
+            self, node_id: int, handler: Optional[Handler] = None,
+    ) -> Optional[asyncio.Queue]:
+        """Register ``handler(src, msg)`` as ``node_id``'s delivery callback.
+
+        Without a handler the node gets an inbox queue, returned here,
+        whose ``put`` is the handler: every delivery lands in it as a
+        ``(src, msg)`` pair (the bare-transport bench awaits one)."""
+        inbox: Optional[asyncio.Queue] = None
+        if handler is None:
+            inbox = asyncio.Queue()
+            handler = functools.partial(_enqueue, inbox)
+        super().attach(node_id, handler)
         if self._running and node_id not in self._servers:
             # Late joiner on a live transport: bind its server as a task.
             # Frames addressed to it meanwhile sit in link queues redialing.

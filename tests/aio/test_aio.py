@@ -5,10 +5,12 @@ import asyncio
 import pytest
 
 from repro.aio.cluster import AioCluster
-from repro.aio.transport import AioTransport
+from repro.aio.virtualtime import RUNNING_LOOP
 from repro.core.config import ProtocolConfig
 from repro.core.messages import TokenMsg
 from repro.errors import ConfigError, MembershipError, NetworkError
+from repro.sim.network import Network
+from tests.clocks import attach_inbox
 
 
 def run(coro):
@@ -21,9 +23,9 @@ DELAY = 0.002
 class TestTransport:
     def test_attach_and_deliver(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            inbox = t.attach(1)
-            t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            inbox = attach_inbox(t, 1)
+            attach_inbox(t, 0)
             t.send(0, 1, "hello")
             src, msg = await asyncio.wait_for(inbox.get(), 1.0)
             assert (src, msg) == (0, "hello")
@@ -32,18 +34,18 @@ class TestTransport:
 
     def test_double_attach_rejected(self):
         async def main():
-            t = AioTransport()
-            t.attach(1)
+            t = Network(RUNNING_LOOP)
+            attach_inbox(t, 1)
             with pytest.raises(NetworkError):
-                t.attach(1)
+                attach_inbox(t, 1)
 
         run(main())
 
     def test_detached_inbox_drops(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             t.detach(1)
             t.send(0, 1, "x")
             await asyncio.sleep(0.01)
@@ -56,9 +58,9 @@ class TestTransport:
             reliable = False
 
         async def main():
-            t = AioTransport(delay=0.0, loss_rate=0.5)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0, loss_rate=0.5)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             for _ in range(200):
                 t.send(0, 1, Cheap())
             assert 40 < t.dropped_count < 160
@@ -67,9 +69,9 @@ class TestTransport:
 
     def test_validation(self):
         with pytest.raises(NetworkError):
-            AioTransport(delay=-1.0)
+            Network(RUNNING_LOOP, delay=-1.0)
         with pytest.raises(NetworkError):
-            AioTransport(loss_rate=2.0)
+            Network(RUNNING_LOOP, loss_rate=2.0)
 
 
 class TestAioCluster:

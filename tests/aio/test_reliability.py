@@ -11,9 +11,10 @@ from repro.aio.reliability import (
     ReliabilityConfig,
     ReliableChannel,
 )
-from repro.aio.transport import AioTransport
-from repro.aio.virtualtime import run_virtual
+from repro.aio.virtualtime import RUNNING_LOOP, run_virtual
 from repro.metrics.counters import ReliabilityCounters
+from repro.sim.network import Network
+from tests.clocks import attach_inbox
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ async def pump(inbox, channel, src_default=None):
 class TestFraming:
     def test_expensive_framed_with_per_link_seq(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            inbox = t.attach(1)
-            t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            inbox = attach_inbox(t, 1)
+            attach_inbox(t, 0)
             sender, _ = make_pair(t)
             sender.send(1, Token("one"))
             sender.send(1, Token("two"))
@@ -68,9 +69,9 @@ class TestFraming:
 
     def test_cheap_bypasses_the_channel(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            inbox = t.attach(1)
-            t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            inbox = attach_inbox(t, 1)
+            attach_inbox(t, 0)
             sender, _ = make_pair(t)
             sender.send(1, Probe())
             await asyncio.sleep(0.001)
@@ -83,9 +84,9 @@ class TestFraming:
 
     def test_ack_settles_inflight(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            inbox1 = t.attach(1)
-            inbox0 = t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            inbox1 = attach_inbox(t, 1)
+            inbox0 = attach_inbox(t, 0)
             sender, receiver = make_pair(t)
             sender.send(1, Token())
             await asyncio.sleep(0.002)
@@ -104,9 +105,9 @@ class TestFraming:
 class TestDedup:
     def test_duplicate_frame_accepted_once_and_reacked(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             _, receiver = make_pair(t)
             frame = DataFrame(seq=1, incarnation=0, payload=Token("once"))
             first = receiver.on_frame(0, frame)
@@ -122,9 +123,9 @@ class TestDedup:
 
     def test_out_of_order_watermark_compaction(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             _, receiver = make_pair(t)
             for seq in (2, 3, 1):
                 receiver.on_frame(
@@ -139,9 +140,9 @@ class TestDedup:
 
     def test_sender_incarnation_resets_sequence_space(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             _, receiver = make_pair(t)
             old = DataFrame(seq=1, incarnation=0, payload=Token("old"))
             assert receiver.on_frame(0, old) is not None
@@ -157,9 +158,9 @@ class TestDedup:
 class TestRetransmission:
     def test_retransmits_until_acked(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            inbox1 = t.attach(1)
-            inbox0 = t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            inbox1 = attach_inbox(t, 1)
+            inbox0 = attach_inbox(t, 0)
             sender, receiver = make_pair(t, rto=0.01, max_retries=10)
             sender.send(1, Token())
             await asyncio.sleep(0.05)  # several RTOs with no ack
@@ -178,8 +179,8 @@ class TestRetransmission:
 
     def test_backoff_spreads_retries(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            attach_inbox(t, 0)
             times = []
             t.on_send.append(
                 lambda s, d, m: times.append(
@@ -201,8 +202,8 @@ class TestRetransmission:
 
     def test_bounded_budget_surrenders_frame(self):
         async def main():
-            t = AioTransport(delay=0.001)
-            t.attach(0)
+            t = Network(RUNNING_LOOP, delay=0.001)
+            attach_inbox(t, 0)
             surrendered = []
             sender = ReliableChannel(
                 0, t, config=ReliabilityConfig(rto=0.005, max_retries=3),
@@ -224,9 +225,9 @@ class TestRetransmission:
 class TestDurableRecvState:
     def test_restored_watermark_rejects_replayed_frame(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             _, receiver = make_pair(t)
             frame = DataFrame(seq=5, incarnation=0, payload=Token("acted-on"))
             for seq in (1, 2, 3, 4):
@@ -250,9 +251,9 @@ class TestDurableRecvState:
 
     def test_export_is_a_deep_copy(self):
         async def main():
-            t = AioTransport(delay=0.0)
-            t.attach(0)
-            t.attach(1)
+            t = Network(RUNNING_LOOP, delay=0.0)
+            attach_inbox(t, 0)
+            attach_inbox(t, 1)
             _, receiver = make_pair(t)
             receiver.on_frame(
                 0, DataFrame(seq=2, incarnation=0, payload=Token()))

@@ -1,5 +1,7 @@
 """The port a core acts through: the recording port sans-IO tests read,
-and the one emission rule both drivers share (``DriverPort``)."""
+and the one emission rule of the driver, run here on a simulator."""
+
+import random
 
 import pytest
 
@@ -9,7 +11,6 @@ from repro.core.config import ProtocolConfig
 from repro.core.effects import (
     CancelTimer,
     Deliver,
-    DriverPort,
     RecordingPort,
     Send,
     SetTimer,
@@ -17,12 +18,19 @@ from repro.core.effects import (
 )
 from repro.core.messages import TokenMsg
 from repro.errors import SimulationError
+from repro.sim.driver import NodeDriver
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
 
 
 class ScriptCore(ProtocolCore):
     """Makes the port calls it receives as a message, in order."""
 
     protocol_name = "script"
+
+    def __init__(self, node_id, config):
+        super().__init__(node_id, config)
+        self.fired = []
 
     def on_message(self, src, msg, now):
         for name, *args in msg:
@@ -32,38 +40,29 @@ class ScriptCore(ProtocolCore):
                 return args
             getattr(self.out, name)(*args)
 
-
-class _Handle:
-    def __init__(self, log, key):
-        self.log, self.key = log, key
-
-    def cancel(self):
-        self.log.append(("cancelled", self.key))
+    def on_timer(self, key, now):
+        self.fired.append((key, now))
 
 
-class LogDriver(DriverPort):
-    """A driver whose runtime is a log of what reached it, in order."""
+class Rig:
+    """Node 0 runs a :class:`ScriptCore` under the real driver; ``sent``
+    is what reached the network, in order."""
 
-    def __init__(self, core):
-        super().__init__(core)
-        self.log = []
+    def __init__(self):
+        self.sim = Simulator()
+        self.net = Network(self.sim, random.Random(0))
+        self.net.attach(1, lambda src, msg: None)
+        self.driver = NodeDriver(self.sim, self.net,
+                                 ScriptCore(0, ProtocolConfig(n=2)))
+        self.sent = []
+        self.net.on_send.append(lambda src, dst, msg: self.sent.append(msg))
 
     def handle(self, *calls):
-        self._apply("on_message", calls, self.core.on_message, 0, calls, 0.0)
+        """Deliver ``calls`` to node 0, as the network does."""
+        self.driver._on_message(1, calls)
 
-    def _send(self, dst, msg):
-        self.log.append(("send", dst, msg))
-
-    def _schedule(self, key, delay):
-        self.log.append(("timer", key, delay))
-        return _Handle(self.log, key)
-
-    def _now(self):
-        return 0.0
-
-
-def driver():
-    return LogDriver(ScriptCore(0, ProtocolConfig(n=2)))
+    def armed(self):
+        return sorted(self.driver._timers)
 
 
 class TestRecordingPort:
@@ -86,51 +85,51 @@ class TestRecordingPort:
         assert [type(e) for e in effects] == [Deliver, Send]
 
     def test_a_driver_takes_the_port(self):
-        d = driver()
-        assert d.core.out is d
+        driver = Rig().driver
+        assert driver.core.out is driver
 
 
 class TestDriverPort:
     def test_calls_act_at_once_until_a_delivery(self):
-        d = driver()
+        rig = Rig()
         seen = []
-        d.subscribe(lambda node, kind, payload, now: seen.append(list(d.log)))
-        d.handle(("send", 1, "before"), ("timer", "t", 3.0),
-                 ("deliver", "granted", (0,)), ("send", 1, "after"),
-                 ("cancel", "t"))
+        rig.driver.subscribe(lambda node, kind, payload, now:
+                             seen.append((list(rig.sent), rig.armed())))
+        rig.handle(("send", 1, "before"), ("timer", "t", 3.0),
+                   ("deliver", "granted", (0,)), ("send", 1, "after"),
+                   ("cancel", "t"))
         # The subscriber ran after the handler returned, in the
         # delivery's place: the calls made before it had acted, the ones
         # made after it had waited.
-        assert seen == [[("send", 1, "before"), ("timer", "t", 3.0)]]
-        assert d.log == [("send", 1, "before"), ("timer", "t", 3.0),
-                         ("send", 1, "after"), ("cancelled", "t")]
+        assert seen == [(["before"], ["t"])]
+        assert rig.sent == ["before", "after"]
+        assert rig.armed() == []
 
     def test_a_subscriber_calling_back_in_runs_after_the_handler(self):
-        d = driver()
-        d.subscribe(lambda node, kind, payload, now:
-                    d.handle(("send", 1, "nested")) if kind == "granted"
-                    else None)
-        d.handle(("deliver", "granted", (0,)), ("send", 1, "after"))
-        assert d.log == [("send", 1, "nested"), ("send", 1, "after")]
+        rig = Rig()
+        rig.driver.subscribe(lambda node, kind, payload, now:
+                             rig.handle(("send", 1, "nested"))
+                             if kind == "granted" else None)
+        rig.handle(("deliver", "granted", (0,)), ("send", 1, "after"))
+        assert rig.sent == ["nested", "after"]
 
     def test_rearming_a_timer_cancels_the_old_deadline(self):
-        d = driver()
-        d.handle(("timer", "t", 1.0))
-        d.handle(("timer", "t", 2.0))
-        assert d.log == [("timer", "t", 1.0), ("cancelled", "t"),
-                         ("timer", "t", 2.0)]
+        rig = Rig()
+        rig.handle(("timer", "t", 1.0))
+        rig.handle(("timer", "t", 2.0))
+        rig.sim.run()
+        assert rig.driver.core.fired == [("t", 2.0)]
 
     def test_a_raising_handler_leaves_nothing_waiting(self):
-        d = driver()
+        rig = Rig()
         with pytest.raises(RuntimeError):
-            d.handle(("deliver", "granted", (0,)), ("send", 1, "lost"),
-                     ("raise",))
-        d.handle(("send", 1, "next"))
-        assert d.log == [("send", 1, "next")]
+            rig.handle(("deliver", "granted", (0,)), ("send", 1, "lost"),
+                       ("raise",))
+        rig.handle(("send", 1, "next"))
+        assert rig.sent == ["next"]
 
     def test_a_handler_that_returns_effects_raises(self):
-        d = driver()
+        rig = Rig()
         with pytest.raises(SimulationError, match="acts through its port"):
-            d.handle(("return", Send(1, "m")))
-        assert d.log == []
-
+            rig.handle(("return", Send(1, "m")))
+        assert rig.sent == []

@@ -94,17 +94,15 @@ class TestSimView:
         assert view.now == sim.now == 3.0
         assert view.executed_total == 1
 
-    def test_priorities_are_refused(self):
-        _sim, sched = _make()
+    def test_clock_calls_go_through_the_batch_layer(self):
+        sim, sched = _make()
         view = SimView(sched)
-        # The flattened instance attributes bypass the check; the class
-        # surface (what any priority-passing caller resolves to) refuses.
-        with pytest.raises(SimulationError):
-            SimView.post(view, 1.0, int, priority=1)
-        with pytest.raises(SimulationError):
-            SimView.schedule(view, 1.0, int, priority=-1)
-        with pytest.raises(SimulationError):
-            SimView.schedule_at(view, 1.0, int, priority=2)
+        seen = []
+        view.call_later(2.0, lambda: seen.append(view.time()))
+        view.call_later(2.0, seen.append, "cancelled").cancel()
+        sim.run()
+        assert seen == [2.0]
+        assert view.executed_total == 1
 
     def test_run_and_stop_are_refused(self):
         _sim, sched = _make()

@@ -79,8 +79,8 @@ class TestSupportMatrix:
         assert granted("fast") == set()
 
     @pytest.mark.parametrize("op,backend", [
-        ("heal_all", "des"), ("reset", "des"), ("reset", "aio"),
-        ("recover", "aio"), ("token_loss", "wire"), ("crash", "fast")])
+        ("reset", "des"), ("reset", "aio"), ("recover", "aio"),
+        ("token_loss", "wire"), ("crash", "fast")])
     def test_unsupported_op_is_a_skip_with_the_reason(self, op, backend):
         fault = {"t": 1.0, "op": op, "a": 0}
         case = impl_case(faults=[fault], backend=backend)
@@ -97,6 +97,18 @@ class TestSupportMatrix:
             {"t": 20.0, "op": "heal", "a": 0, "b": 1},
             {"t": 20.0, "op": "heal", "a": 0, "b": 2}])
         assert run_case(case).ok
+
+    def test_heal_all_heals_a_group_partition_on_des(self):
+        # Node 0 is cut off from 1 and 2 while all four ask; heal_all
+        # opens every link and flushes what was parked on them.
+        requests = [(2.0, 0), (6.0, 1), (7.0, 2), (8.0, 3)]
+        case = impl_case(n=4, requests=requests, faults=[
+            {"t": 5.0, "op": "partition", "group_a": [0], "group_b": [1, 2]},
+            {"t": 20.0, "op": "heal_all"}])
+        assert skip_reason(case) is None
+        result = run_case(case)
+        assert result.ok
+        assert result.grants == len(requests)
 
     def test_load_block_needs_the_wire_backend(self):
         case = impl_case(requests=[], closed_loop={"clients": 1, "ops": 5})

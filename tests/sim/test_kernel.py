@@ -24,18 +24,21 @@ class TestScheduling:
         sim.run()
         assert log == ["a", "b", "c"]
 
-    def test_priority_breaks_ties(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, log.append, "low", priority=5)
-        sim.schedule(1.0, log.append, "high", priority=0)
-        sim.run()
-        assert log == ["high", "low"]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
+
+    def test_time_and_call_later_are_its_names_for_now_and_schedule(self):
+        sim = Simulator()
+        seen = []
+        late = sim.call_later(3.0, seen.append, "cancelled")
+        sim.call_later(2.0, lambda: seen.append(sim.time()))
+        sim.call_later(1.0, seen.append, "first")
+        late.cancel()
+        sim.run()
+        assert seen == ["first", 2.0]
+        assert sim.time() == sim.now == 2.0
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
@@ -216,14 +219,6 @@ class TestPostFastPath:
         sim.schedule(3.0, log.append, "c")
         sim.run()
         assert log == ["a", "b", "c"]
-
-    def test_post_priority_tiebreak(self):
-        sim = Simulator()
-        log = []
-        sim.post(1.0, log.append, "late", priority=1)
-        sim.post(1.0, log.append, "early", priority=0)
-        sim.run()
-        assert log == ["early", "late"]
 
     def test_post_counts_as_pending(self):
         sim = Simulator()

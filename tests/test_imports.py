@@ -7,6 +7,7 @@ long since imported everything.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -111,6 +112,39 @@ class TestEntryPointsLoadWhatTheyRun:
         modules = loaded_by(CLI_HELP)
         assert "asyncio" not in modules
         assert under(modules, ["repro.trs", "repro.specs", "repro.fuzz"]) == []
+
+
+#: The ledger's children wrap the seams of each layer by name.
+LEDGER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "ledger"
+
+LEDGER_SEAMS = """
+import json, sys
+sys.path.insert(0, LEDGER)
+import serve_child, sim_child, spans
+report = {}
+for child in (sim_child, serve_child):
+    tracer = spans.Tracer()
+    child.install_wrappers(tracer)
+    seams = [(owner, attr) for owner, attr, _ in tracer._undo]
+    tracer.unwrap_all()
+    report[child.__name__] = {
+        "wrapped": len(seams),
+        "left_wrapped": [attr for owner, attr in seams
+                         if hasattr(getattr(owner, attr), "__wrapped__")]}
+print(json.dumps(report))
+"""
+
+
+def test_the_ledger_wraps_seams_that_exist():
+    """Both ledger children install their span wrappers and take them off
+    again: a renamed seam (``NodeDriver._apply``, ``Network.send``,
+    ``WireTransport.send``, ...) fails here, not only in a traced ledger
+    run."""
+    report = run_python(f"LEDGER = {str(LEDGER)!r}\n" + LEDGER_SEAMS)
+    assert set(report) == {"sim_child", "serve_child"}
+    for child in report.values():
+        assert child["wrapped"] > 5
+        assert child["left_wrapped"] == []
 
 
 EXPORTS = PRELUDE + """

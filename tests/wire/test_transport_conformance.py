@@ -1,5 +1,5 @@
 """Transport conformance: the same runtime-layer tests against both the
-in-memory :class:`AioTransport` and the real-socket :class:`WireTransport`
+in-memory :class:`Network` and the real-socket :class:`WireTransport`
 (the latter twice: woken by its timer fd, and with the timer-fd probe
 failing so that the ``call_later`` fallback carries the delay line).
 
@@ -20,13 +20,15 @@ import pytest
 from repro.aio.cluster import AioCluster
 from repro.aio.reliability import ReliabilityConfig, ReliableChannel
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
-from repro.aio.transport import AioTransport
+from repro.aio.virtualtime import RUNNING_LOOP
 from repro.fuzz import InvariantOracle
 from repro.metrics.counters import ReliabilityCounters
+from repro.sim.network import Network
 from repro.wire import transport as wire_transport
 from repro.wire.codec import register_message
 from repro.wire.smoke import service_config
 from repro.wire.transport import WireTransport
+from tests.clocks import attach_inbox
 
 TRANSPORTS = ("memory", "wire", "wire-fallback")
 
@@ -40,19 +42,19 @@ def _no_timerfd_for_the_fallback_kind(request, monkeypatch):
         monkeypatch.setattr(wire_transport, "_timerfd_open", lambda: None)
 
 
-def make_transport(kind: str, **kwargs) -> AioTransport:
+def make_transport(kind: str, **kwargs) -> Network:
     if kind == "memory":
-        return AioTransport(**kwargs)
+        return Network(RUNNING_LOOP, **kwargs)
     return WireTransport(**kwargs)
 
 
-async def start_transport(transport: AioTransport) -> None:
+async def start_transport(transport: Network) -> None:
     start = getattr(transport, "start", None)
     if start is not None:
         await start()
 
 
-async def close_transport(transport: AioTransport) -> None:
+async def close_transport(transport: Network) -> None:
     close = getattr(transport, "aclose", None)
     if close is not None:
         await close()
@@ -84,8 +86,8 @@ class TestArqConformance:
             # so delivery *requires* working retransmission.
             transport = make_transport(kind, delay=0.002, loss_rate=0.4,
                                        rng=random.Random(7))
-            inbox1 = transport.attach(1)
-            transport.attach(0)
+            inbox1 = attach_inbox(transport, 1)
+            attach_inbox(transport, 0)
             await start_transport(transport)
             config = ReliabilityConfig(max_retries=60)
             sender = ReliableChannel(0, transport, config=config,
@@ -127,7 +129,7 @@ class TestArqConformance:
     def test_retry_budget_gives_up_to_unreachable_peer(self, kind):
         async def main():
             transport = make_transport(kind, delay=0.001)
-            transport.attach(0)
+            attach_inbox(transport, 0)
             # Node 9 is never attached: on the wire there is no listener,
             # in memory there is no inbox — either way the ARQ burns its
             # retry budget and surrenders via on_give_up.

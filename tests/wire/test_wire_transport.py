@@ -1,5 +1,5 @@
 """WireTransport behavior at the socket layer: fault injection, bounded
-queues, reconnection, and the AioTransport contract over real TCP."""
+queues, reconnection, and the network contract over real TCP."""
 
 import asyncio
 import dataclasses
@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import pytest
 
 from repro.aio.cluster import AioCluster
-from repro.aio.driver import AioNodeDriver
 from repro.aio.reliability import ReliabilityConfig
 from repro.aio.supervisor import ClusterSupervisor
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
 from repro.core.messages import GimmeMsg, TokenMsg
 from repro.errors import CodecError, FrameError, WireError
+from repro.sim.driver import NodeDriver
 from repro.wire import transport as wire_transport
 from repro.wire.client import LockClient
 from repro.wire.codec import (
@@ -657,14 +657,14 @@ class TestRaisingHandler:
         async def main():
             t = WireTransport(delay=0.001)
             config = ProtocolConfig(n=3)
-            drivers = [AioNodeDriver(t, EchoCore(node, config))
+            drivers = [NodeDriver(t.clock, t, EchoCore(node, config))
                        for node in range(3)]
             drivers[1].core.boom = True
             delivered = []
             t.on_deliver.append(lambda src, dst, msg: delivered.append(dst))
             await t.start()
             for driver in drivers:
-                await driver.start()
+                driver.start()
             try:
                 t.send(0, 1, WirePing(1))
                 await wait_until(lambda: drivers[1].failure() is not None)
@@ -676,7 +676,7 @@ class TestRaisingHandler:
                 inbound = len(t._inbound)
             finally:
                 for driver in drivers:
-                    await driver.stop()
+                    driver.stop()
                 await t.aclose()
             return t, drivers, inbound
 
