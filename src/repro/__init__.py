@@ -35,7 +35,7 @@ engine or the fuzzer.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.aio": ["AioCluster", "AioFabric"],
+    "repro.aio": ["AioCluster"],
     "repro.apps": ["RoundRobinScheduler", "SimMutex", "TotalOrderBroadcast"],
     "repro.core": [
         "BinarySearchCore",
@@ -49,7 +49,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "RingCore",
         "StabilizingCore",
     ],
-    "repro.fabric": ["RingOfRings", "TokenFabric"],
+    "repro.fabric": ["TokenFabric"],
     "repro.faults": ["MembershipService", "RingView"],
     "repro.metrics": [
         "FairnessAuditor",
@@ -73,7 +73,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AioCluster",
-    "AioFabric",
     "BinarySearchCore",
     "BurstyWorkload",
     "ClosedLoopKeyedWorkload",
@@ -92,7 +91,6 @@ __all__ = [
     "PushCore",
     "ResponsivenessTracker",
     "RingCore",
-    "RingOfRings",
     "RingView",
     "TokenFabric",
     "RoundRobinScheduler",

@@ -12,7 +12,6 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.aio.cluster": ["AioCluster"],
-    "repro.aio.fabric": ["AioFabric"],
     "repro.aio.reliability": ["ReliabilityConfig", "ReliableChannel"],
     "repro.aio.supervisor": ["ClusterSupervisor", "RestartPolicy"],
     "repro.aio.virtualtime": ["VirtualClock", "run_virtual"],
@@ -20,7 +19,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "AioCluster",
-    "AioFabric",
     "ReliabilityConfig",
     "ReliableChannel",
     "ClusterSupervisor",

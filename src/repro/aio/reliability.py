@@ -1,4 +1,4 @@
-"""Reliable delivery over the lossy asyncio transport.
+"""Reliable delivery over a lossy network.
 
 The protocol model splits messages into *expensive* ones the network must
 never lose (token, loans, regeneration) and *cheap* ones that may vanish
@@ -27,12 +27,14 @@ Mechanics (classic ARQ, kept deterministic for virtual-time replay):
 - cheap payloads bypass the channel entirely (the protocols tolerate
   their loss by design, and framing them would only add traffic).
 
+Retransmission timers run on the network's clock, so the channel works
+over a network on a simulator as it does on an event loop.
+
 All accounting lands in a :class:`~repro.metrics.counters.ReliabilityCounters`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -133,8 +135,7 @@ class ReliableChannel:
         base = cfg.resolved_rto(self.transport.delay)
         delay = min(base * (cfg.backoff ** pending.attempts), cfg.max_rto)
         delay *= 1.0 + cfg.jitter * self.rng.random()
-        loop = asyncio.get_running_loop()
-        pending.timer = loop.call_later(
+        pending.timer = self.transport.clock.call_later(
             delay, self._on_timeout, pending.dst, pending.frame.seq
         )
 

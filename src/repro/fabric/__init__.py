@@ -3,22 +3,15 @@
 The paper's protocol manages a single token on a single ring.  This
 package scales that out: :class:`TokenFabric` multiplexes N independent
 protocol instances (one per string lock key) over one DES kernel via
-batched scheduling, :class:`RingOfRings` composes leaf rings under a
-binary-search upper tier for rings that would otherwise exceed a few
-hundred nodes, and :class:`FastFabric` backs the supported subset with
-the array-compiled engine.
+batched scheduling.
 """
 
 from repro.fabric.fabric import TokenFabric
-from repro.fabric.fast import FastFabric
 from repro.fabric.scheduling import BatchScheduler, BatchTimer, SimView
-from repro.fabric.topology import RingOfRings
 
 __all__ = [
     "BatchScheduler",
     "BatchTimer",
-    "FastFabric",
-    "RingOfRings",
     "SimView",
     "TokenFabric",
 ]

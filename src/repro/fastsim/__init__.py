@@ -6,9 +6,7 @@ allows`` ROADMAP item).
 (ring / binary-search protocols, fault-free runs, auto-release grants)
 that executes the same simulation 5-10x faster by compiling node state
 into flat columns and messages into plain tuples — see
-:mod:`repro.fastsim.state` for the layout and the equivalence contract,
-and :mod:`repro.fastsim.shard` for the process-sharded mega-sim built
-on top of it.
+:mod:`repro.fastsim.state` for the layout and the equivalence contract.
 
 Anything outside the support matrix raises
 :class:`repro.errors.FastSimUnsupportedError`; callers fall back to the
@@ -25,7 +23,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.fastsim.cluster": ["FastCluster"],
     "repro.fastsim.compiled": ["Engine", "compile_engine"],
     "repro.fastsim.diff": ["DiffReport", "diff_case", "diff_corpus"],
-    "repro.fastsim.shard": ["MegaResult", "ShardedRingSim", "mega_requests"],
     "repro.fastsim.state": ["ArrayState", "unsupported_reason"],
 })
 
@@ -34,11 +31,8 @@ __all__ = [
     "DiffReport",
     "Engine",
     "FastCluster",
-    "MegaResult",
-    "ShardedRingSim",
     "compile_engine",
     "diff_case",
     "diff_corpus",
-    "mega_requests",
     "unsupported_reason",
 ]

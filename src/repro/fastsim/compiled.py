@@ -33,7 +33,7 @@ answered by the memo without building a dict or calling ``sorted``.
 Both tables are **process-level** (module globals), not per-engine:
 merging is value-pure, so canonical objects and memo entries computed by
 one run answer for every later run in the process.  Benchmark repeats
-and sharded workers therefore run with a warm cache.  Memo entries keep
+therefore run with a warm cache.  Memo entries keep
 ``(served, base, out)`` alive, so the id-based keys stay valid exactly
 as long as the entry exists, independent of intern-table eviction; the
 memo is additionally partitioned by piggyback width, since the trim in

@@ -119,32 +119,6 @@ class ZipfKeyedWorkload(KeyedWorkload):
         self._request_id(kid, node)
         self._post(self._expovariate(self._rate), self._tick)
 
-    def arrivals(self, rng, ns: List[int],
-                 horizon: float) -> List[Tuple[float, int, int]]:
-        """Precompute the arrival stream to ``horizon`` as
-        ``(time, key_id, node)`` triples.
-
-        Open-loop traffic never reacts to grants, so the stream depends
-        only on the RNG.  The draw order here replicates the event-driven
-        path exactly (gap, then key, bias, [node], next gap), making the
-        precomputed stream bit-identical to a live run — this is what lets
-        :class:`~repro.fabric.fast.FastFabric` compile keyed traffic.
-        """
-        cdf = zipf_cdf(len(ns), self.s)
-        rate = 1.0 / self.mean_interval
-        time = self.start + rng.expovariate(rate)
-        out: List[Tuple[float, int, int]] = []
-        while time <= horizon:
-            kid = bisect_left(cdf, rng.random())
-            n = ns[kid]
-            if rng.random() < self.home_bias:
-                node = kid % n
-            else:
-                node = rng.randrange(n)
-            out.append((time, kid, node))
-            time += rng.expovariate(rate)
-        return out
-
 
 class ClosedLoopKeyedWorkload(KeyedWorkload):
     """A fixed client population cycling request → grant → think.

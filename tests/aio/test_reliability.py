@@ -14,7 +14,7 @@ from repro.aio.reliability import (
 from repro.aio.virtualtime import RUNNING_LOOP, run_virtual
 from repro.metrics.counters import ReliabilityCounters
 from repro.sim.network import Network
-from tests.clocks import attach_inbox
+from tests.clocks import attach_inbox, run
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def make_pair(transport, **cfg):
     return a, b
 
 
-async def pump(inbox, channel, src_default=None):
+def pump(inbox, channel):
     """Drain one inbox through a channel; return accepted payloads."""
     out = []
     while not inbox.empty():
@@ -91,10 +91,10 @@ class TestFraming:
             sender.send(1, Token())
             await asyncio.sleep(0.002)
             assert sender.inflight == 1
-            accepted = await pump(inbox1, receiver)
+            accepted = pump(inbox1, receiver)
             assert [p.body for p in accepted] == ["t"]
             await asyncio.sleep(0.002)  # ack flies back
-            await pump(inbox0, sender)
+            pump(inbox0, sender)
             assert sender.inflight == 0
             sender.stop()
             receiver.stop()
@@ -156,70 +156,67 @@ class TestDedup:
 
 
 class TestRetransmission:
-    def test_retransmits_until_acked(self):
-        async def main():
-            t = Network(RUNNING_LOOP, delay=0.001)
-            inbox1 = attach_inbox(t, 1)
-            inbox0 = attach_inbox(t, 0)
-            sender, receiver = make_pair(t, rto=0.01, max_retries=10)
-            sender.send(1, Token())
-            await asyncio.sleep(0.05)  # several RTOs with no ack
-            assert sender.counters.retransmits >= 2
-            accepted = await pump(inbox1, receiver)
-            assert len(accepted) == 1  # duplicates deduped
-            await asyncio.sleep(0.002)
-            await pump(inbox0, sender)
-            before = sender.counters.retransmits
-            await asyncio.sleep(0.1)
-            assert sender.counters.retransmits == before  # timer cancelled
-            sender.stop()
-            receiver.stop()
+    """Retransmission timers run on the network's clock: every test here
+    runs on the simulator and again, as :class:`TestRetransmissionOnLoop`,
+    on a virtual-time event loop."""
 
-        run_virtual(main())
+    def test_retransmits_until_acked(self, clock):
+        t = Network(clock, delay=0.001)
+        inbox1 = attach_inbox(t, 1)
+        inbox0 = attach_inbox(t, 0)
+        sender, receiver = make_pair(t, rto=0.01, max_retries=10)
+        sender.send(1, Token())
+        run(clock, until=0.05)  # several RTOs with no ack
+        assert sender.counters.retransmits >= 2
+        accepted = pump(inbox1, receiver)
+        assert len(accepted) == 1  # duplicates deduped
+        run(clock, until=0.052)
+        pump(inbox0, sender)
+        before = sender.counters.retransmits
+        run(clock, until=0.152)
+        assert sender.counters.retransmits == before  # timer cancelled
+        sender.stop()
+        receiver.stop()
 
-    def test_backoff_spreads_retries(self):
-        async def main():
-            t = Network(RUNNING_LOOP, delay=0.001)
-            attach_inbox(t, 0)
-            times = []
-            t.on_send.append(
-                lambda s, d, m: times.append(
-                    asyncio.get_running_loop().time()))
-            sender = ReliableChannel(
-                0, t, config=ReliabilityConfig(rto=0.01, backoff=2.0,
-                                               jitter=0.0, max_rto=10.0,
-                                               max_retries=4),
-                rng=random.Random(1))
-            sender.send(9, Token())  # nobody home: retries run dry
-            await asyncio.sleep(1.0)
-            gaps = [b - a for a, b in zip(times, times[1:])]
-            assert len(gaps) == 4
-            for earlier, later in zip(gaps, gaps[1:]):
-                assert later > earlier * 1.5  # exponential growth
-            sender.stop()
+    def test_backoff_spreads_retries(self, clock):
+        t = Network(clock, delay=0.001)
+        attach_inbox(t, 0)
+        times = []
+        t.on_send.append(lambda s, d, m: times.append(clock.time()))
+        sender = ReliableChannel(
+            0, t, config=ReliabilityConfig(rto=0.01, backoff=2.0,
+                                           jitter=0.0, max_rto=10.0,
+                                           max_retries=4),
+            rng=random.Random(1))
+        sender.send(9, Token())  # nobody home: retries run dry
+        run(clock, until=1.0)
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert len(gaps) == 4
+        for earlier, later in zip(gaps, gaps[1:]):
+            assert later > earlier * 1.5  # exponential growth
+        sender.stop()
 
-        run_virtual(main())
+    def test_bounded_budget_surrenders_frame(self, clock):
+        t = Network(clock, delay=0.001)
+        attach_inbox(t, 0)
+        surrendered = []
+        sender = ReliableChannel(
+            0, t, config=ReliabilityConfig(rto=0.005, max_retries=3),
+            rng=random.Random(1), counters=ReliabilityCounters())
+        sender.on_give_up.append(
+            lambda src, dst, payload: surrendered.append(
+                (src, dst, payload.body)))
+        sender.send(7, Token("doomed"))
+        run(clock, until=1.0)
+        assert surrendered == [(0, 7, "doomed")]
+        assert sender.counters.give_ups == 1
+        assert sender.counters.retransmits == 3
+        assert sender.inflight == 0
+        sender.stop()
 
-    def test_bounded_budget_surrenders_frame(self):
-        async def main():
-            t = Network(RUNNING_LOOP, delay=0.001)
-            attach_inbox(t, 0)
-            surrendered = []
-            sender = ReliableChannel(
-                0, t, config=ReliabilityConfig(rto=0.005, max_retries=3),
-                rng=random.Random(1), counters=ReliabilityCounters())
-            sender.on_give_up.append(
-                lambda src, dst, payload: surrendered.append(
-                    (src, dst, payload.body)))
-            sender.send(7, Token("doomed"))
-            await asyncio.sleep(1.0)
-            assert surrendered == [(0, 7, "doomed")]
-            assert sender.counters.give_ups == 1
-            assert sender.counters.retransmits == 3
-            assert sender.inflight == 0
-            sender.stop()
 
-        run_virtual(main())
+class TestRetransmissionOnLoop(TestRetransmission):
+    on_loop = True
 
 
 class TestDurableRecvState:

@@ -108,6 +108,14 @@ class TestEntryPointsLoadWhatTheyRun:
             "repro.analysis", "repro.apps", "repro.fabric",
             "repro.fastsim"]) == []
 
+    def test_the_fabric_verb(self):
+        """``repro fabric`` imports :mod:`repro.fabric` and runs a
+        :class:`TokenFabric` on the object cores: neither the compiled
+        engine nor the asyncio runtime is on its path."""
+        modules = loaded_by("import repro.fabric")
+        assert "asyncio" not in modules
+        assert under(modules, ["repro.fastsim", "repro.aio"]) == []
+
     def test_cli_help(self):
         modules = loaded_by(CLI_HELP)
         assert "asyncio" not in modules
@@ -192,13 +200,13 @@ def test_lazy_exports_are_the_eager_surface():
 
 #: What ``from repro import *`` bound before the package went lazy.
 STAR_NAMES = [
-    "AioCluster", "AioFabric", "BinarySearchCore", "BurstyWorkload",
+    "AioCluster", "BinarySearchCore", "BurstyWorkload",
     "ClosedLoopKeyedWorkload", "Cluster", "DirectedSearchCore",
     "FairnessAuditor", "FaultTolerantCore", "FixedRateWorkload",
     "HotspotWorkload", "HybridCore", "KeyedMetricsRegistry",
     "LinearSearchCore", "MembershipService", "MessageCounters",
     "ProtocolConfig", "PushCore", "ResponsivenessTracker", "RingCore",
-    "RingOfRings", "RingView", "RoundRobinScheduler", "SaturatedWorkload",
+    "RingView", "RoundRobinScheduler", "SaturatedWorkload",
     "SimMutex", "SingleShotWorkload", "StabilizingCore", "TokenFabric",
     "TotalOrderBroadcast", "UniformIntervalWorkload", "__version__",
 ]

@@ -4,12 +4,11 @@ Each scenario runs once, untimed, and must reproduce its counts bit for
 bit: a change that moves one of them changed behaviour, whatever it did
 to speed.  The other fixed-scenario pins sit in the tests that already
 build their scenario — the loaded 64-node cluster on both engines
-(``fastsim/test_engine.py``), the 100k-node sharded ring
-(``fastsim/test_shard.py``), the 2,048-lane compiled fabric
-(``fabric/test_fast.py``), System Token n = 4 (``specs/test_modelcheck.py``),
-persistent-set DPOR (``verify/test_dpor.py``), the timer storm
-(``sim/test_kernel.py``), the Figure-9 cell and the runtime's recovery
-times (``analysis/test_analysis.py``), and stabilization at n = 9
+(``fastsim/test_engine.py``), System Token n = 4
+(``specs/test_modelcheck.py``), persistent-set DPOR
+(``verify/test_dpor.py``), the timer storm (``sim/test_kernel.py``), the
+Figure-9 cell and the runtime's recovery times
+(``analysis/test_analysis.py``), and stabilization at n = 9
 (``stabilize/test_convergence.py``).
 """
 

@@ -1,7 +1,5 @@
 """Tests for keyed (per-fabric) workload generators."""
 
-import random
-
 import pytest
 
 from repro.errors import ConfigError
@@ -49,30 +47,6 @@ class TestZipfKeyedWorkload:
     def test_bind_to_empty_fabric_raises(self):
         with pytest.raises(ConfigError):
             TokenFabric().add_workload(ZipfKeyedWorkload(mean_interval=1.0))
-
-    def test_arrivals_precompute_matches_the_live_run_exactly(self):
-        # The compiled path's whole contract: same RNG, same draw order,
-        # bit-identical (time, key, node) stream as the event-driven tick.
-        horizon, seed = 300.0, 31
-        fabric = _fabric(seed=seed)
-        captured = []
-        live_request = fabric.request_id
-
-        def _capture(kid, node):
-            captured.append((fabric.now, kid, node))
-            live_request(kid, node)
-
-        fabric.request_id = _capture  # before bind: the workload prebinds it
-        workload = ZipfKeyedWorkload(mean_interval=1.5, s=1.2, home_bias=0.6)
-        fabric.add_workload(workload)
-        fabric.run(until=horizon)
-
-        ns = [3] * 12
-        precomputed = ZipfKeyedWorkload(
-            mean_interval=1.5, s=1.2, home_bias=0.6).arrivals(
-                random.Random(seed), ns, horizon)
-        assert captured == precomputed
-        assert len(captured) > 100
 
     def test_start_offset_delays_first_arrival(self):
         fabric = _fabric()
