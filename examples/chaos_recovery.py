@@ -73,7 +73,7 @@ async def main() -> None:
     # Kill node 2 while it holds the token.  The token dies with it.
     t_crash = loop.time()
     print(f"[t={t_crash:6.2f}] node 2 holds the token -- crashing it")
-    await cluster.crash_node(2)
+    cluster.crash(2)
 
     await waiter
     t_grant = loop.time()

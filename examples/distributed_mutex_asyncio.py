@@ -50,7 +50,7 @@ async def main() -> None:
           f"{'EXCLUSION HELD' if counter.value == expected else 'RACE!'}")
 
     # Dynamic membership: a node joins and immediately participates.
-    newcomer = await cluster.join()
+    newcomer = cluster.join()
     async with cluster.lock(newcomer, timeout=30.0):
         print(f"node {newcomer} joined "
               f"(ring v{cluster.membership.view.version}: "

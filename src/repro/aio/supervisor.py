@@ -34,7 +34,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.aio.cluster import AioCluster
+from repro.core.cluster import Cluster
 from repro.core.messages import HeartbeatMsg
 from repro.core.regeneration import Regeneration
 from repro.faults.detector import PhiAccrualDetector
@@ -56,14 +56,14 @@ class RestartPolicy:
 
 
 class ClusterSupervisor:
-    """Watches an :class:`AioCluster`, restarts crashed nodes, and feeds
-    adaptive failure detection into the protocol cores."""
+    """Watches a cluster on an event loop, restarts crashed nodes, and
+    feeds adaptive failure detection into the protocol cores."""
 
-    def __init__(self, cluster: AioCluster,
+    def __init__(self, cluster: Cluster,
                  policy: Optional[RestartPolicy] = None) -> None:
         self.cluster = cluster
         self.policy = policy if policy is not None else RestartPolicy()
-        delay = cluster.transport.delay
+        delay = cluster.network.delay
         self.interval = (self.policy.heartbeat_interval
                          if self.policy.heartbeat_interval > 0
                          else max(5.0 * delay, 1e-3))
@@ -93,8 +93,7 @@ class ClusterSupervisor:
         """Wire every driver (current and future) and begin supervising."""
         if self._task is not None:
             return
-        loop = asyncio.get_running_loop()
-        self._started_at = loop.time()
+        self._started_at = self.cluster.sim.time()
         self.cluster.on_driver.append(self._wire)
         for node, driver in self.cluster.drivers.items():
             self._wire(node, driver)
@@ -131,7 +130,7 @@ class ClusterSupervisor:
         detector = self.peer_detectors.get(msg.sender)
         if detector is None:
             detector = self.peer_detectors[msg.sender] = PhiAccrualDetector()
-        detector.observe(asyncio.get_running_loop().time())
+        detector.observe(self.cluster.sim.time())
         return True  # runtime traffic: never reaches the core
 
     def _make_delay_provider(self, detector: PhiAccrualDetector):
@@ -143,7 +142,7 @@ class ClusterSupervisor:
             timeout = detector.timeout_after(self.policy.phi_threshold)
             if timeout is None:
                 return None
-            return timeout / max(self.cluster.transport.delay, 1e-6)
+            return timeout / max(self.cluster.network.delay, 1e-6)
 
         return provider
 
@@ -190,10 +189,10 @@ class ClusterSupervisor:
     async def _monitor(self) -> None:
         while True:
             await asyncio.sleep(self.interval)
-            now = asyncio.get_running_loop().time()
+            now = self.cluster.sim.time()
             self._send_heartbeats()
             self._update_suspicions(now)
-            await self._maybe_restart(now)
+            self._maybe_restart(now)
 
     def _send_heartbeats(self) -> None:
         view = self.cluster.membership.view
@@ -205,7 +204,7 @@ class ClusterSupervisor:
                 sender=node, seq=self._hb_seq,
                 last_visit=driver.core.last_visit)
             for dst in {view.succ(node), view.pred(node)} - {node}:
-                self.cluster.transport.send(node, dst, beat)
+                self.cluster.network.send(node, dst, beat)
 
     def _is_suspicious(self, peer: int, now: float) -> bool:
         detector = self.peer_detectors.get(peer)
@@ -243,7 +242,7 @@ class ClusterSupervisor:
             core.suspected |= current - {node}
             core.suspected -= alive
 
-    async def _maybe_restart(self, now: float) -> None:
+    def _maybe_restart(self, now: float) -> None:
         for node in sorted(self.suspected):
             driver = self.cluster.drivers.get(node)
             if driver is None or not driver.crashed:
@@ -264,7 +263,7 @@ class ClusterSupervisor:
             self.restarts[node] = self.restarts.get(node, 0) + 1
             restore = (self.snapshot_of(node)
                        if self.policy.snapshot_restore else None)
-            await self.cluster.restart_node(node, restore=restore)
+            self.cluster.restart(node, restore=restore)
             # Fresh liveness history, primed with "seen now": the reborn
             # node gets a full fallback window to resume heartbeats.
             detector = PhiAccrualDetector()
@@ -279,10 +278,7 @@ class ClusterSupervisor:
 
     def status(self) -> Dict[int, dict]:
         """Per-node supervision view (diagnostics, chaos reports)."""
-        try:
-            now = asyncio.get_running_loop().time()
-        except RuntimeError:
-            now = self._started_at
+        now = self.cluster.sim.time()
         out: Dict[int, dict] = {}
         for node, driver in sorted(self.cluster.drivers.items()):
             detector = self.peer_detectors.get(node)

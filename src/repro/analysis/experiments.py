@@ -408,7 +408,7 @@ def run_aio_recovery(cycles: int = 4) -> Dict[str, float]:
         for cycle in range(cycles):
             victim = cycle % n
             tracker.fault(("crash", cycle), loop.time())
-            await cluster.crash_node(victim)
+            cluster.crash(victim)
             requester = (victim + 2) % n
             await cluster.acquire(requester, timeout=30.0)
             tracker.recovered(("crash", cycle), loop.time())

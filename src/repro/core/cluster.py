@@ -12,24 +12,38 @@ This is the main entry point for simulation experiments::
 ``Cluster.build`` accepts a protocol name; ``Cluster`` itself accepts a
 core factory for custom protocols.  All randomness flows from one seeded
 RNG; runs are deterministic.
+
+One cluster runs on any clock: a private simulator by default, or the
+clock given as ``sim`` or carried by an injected ``network``
+(:class:`repro.aio.cluster.AioCluster` adds the awaitable surface of the
+asyncio runtime).  Crash, restart and join (the paper's Section 5) are
+plain calls on every clock.  Cores adopt each view of the
+:class:`~repro.faults.membership.MembershipService` at once: an
+approximate view only degrades search, never safety, because grants are
+keyed by node id.  Until the first view change they keep ``ring = None``,
+the same geometry as the ``0..n-1`` ring without the view lookups.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.core.base import ProtocolCore
 from repro.core.config import ProtocolConfig
 from repro.core.protocols import REGISTRY
-from repro.errors import ConfigError, SimulationError, TokenSafetyError
+from repro.errors import ConfigError, MembershipError, SimulationError, TokenSafetyError
+from repro.faults.membership import MembershipService, RingView
 from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
-from repro.metrics.counters import MessageCounters
+from repro.metrics.counters import MessageCounters, ReliabilityCounters
 from repro.metrics.fairness import FairnessAuditor
 from repro.metrics.responsiveness import ResponsivenessTracker
 from repro.sim.driver import NodeDriver
 from repro.sim.kernel import Simulator
 from repro.sim.network import DelayModel, Network
+
+if TYPE_CHECKING:
+    from repro.aio.reliability import ReliabilityConfig
 
 __all__ = ["Cluster"]
 
@@ -42,8 +56,22 @@ def _registry() -> Dict[str, CoreFactory]:
     return REGISTRY
 
 
+def _factory_for(protocol: str) -> CoreFactory:
+    """The core class registered as ``protocol``."""
+    registry = _registry()
+    factory = registry.get(protocol)
+    if factory is None:
+        raise ConfigError(
+            f"unknown protocol {protocol!r}; choose from {sorted(registry)}"
+        )
+    return factory
+
+
 class Cluster:
-    """N protocol nodes over a simulated network, with metrics attached."""
+    """N protocol nodes over one network on one clock, with metrics attached.
+    An injected ``network`` arrives configured (``delay``, ``loss_rate`` and
+    ``dup_rate`` are ignored); ``reliability`` gives each node an ARQ
+    :class:`~repro.aio.reliability.ReliableChannel`."""
 
     def __init__(
         self,
@@ -51,64 +79,127 @@ class Cluster:
         n: int,
         seed: int = 0,
         config: Optional[ProtocolConfig] = None,
-        delay: Optional[DelayModel] = None,
+        delay: Union[DelayModel, float, None] = None,
         loss_rate: float = 0.0,
         dup_rate: float = 0.0,
         track_fairness: bool = False,
         sanitize: Optional[bool] = None,
-        sim: Optional[Simulator] = None,
+        sim: Any = None,
+        network: Optional[Network] = None,
+        reliability: Optional[ReliabilityConfig] = None,
     ) -> None:
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
         self.n = n
+        self._seed = seed
         self.rng = random.Random(seed)
-        # A shared scheduler (e.g. a fabric's SimView) may be injected;
-        # standalone clusters own a private kernel, as ever.
-        self.sim = sim if sim is not None else Simulator()
         self.config = config if config is not None else ProtocolConfig()
         self.config.n = n
         self.config.validate()
-        self.network = Network(
-            self.sim, self.rng, delay=delay,
-            loss_rate=loss_rate, dup_rate=dup_rate,
-        )
+        if network is None:
+            network = Network(
+                sim if sim is not None else Simulator(), self.rng,
+                delay=delay, loss_rate=loss_rate, dup_rate=dup_rate,
+            )
+        self.network = network
+        self.sim = network.clock
+        self._time = network.clock.time
+        self._factory = core_factory
         self.responsiveness = ResponsivenessTracker()
         self.messages = MessageCounters()
-        self.network.on_send.append(self.messages.on_send)
         self.fairness = FairnessAuditor() if track_fairness else None
         # The transition sanitizer is on unless REPRO_SANITIZE disables it
         # (or the caller pins `sanitize` explicitly).
         enabled = sanitize_enabled() if sanitize is None else sanitize
         self.sanitizer = ClusterSanitizer() if enabled else None
+        self.reliability = reliability
+        self.reliability_counters = (
+            ReliabilityCounters() if reliability is not None else None
+        )
+        self.membership = MembershipService(range(n))
+        #: ``hook(node_id, driver)`` — fired whenever a driver is (re)built
+        #: (construction, restart, join).  The supervisor and the runtime
+        #: oracle re-wire their per-driver hooks onto the fresh incarnation.
+        self.on_driver: List[Callable[[int, NodeDriver], None]] = []
         self.drivers: Dict[int, NodeDriver] = {}
+        self._ring: Optional[RingView] = None
+        self._incarnations: Dict[int, int] = {}
+        self._recv_states: Dict[int, Dict] = {}
         self._waiting: Dict[int, int] = {}
         self._workloads: List = []
         self._grant_hooks: List[Callable[[int, int, float], None]] = []
         self._rounds_seen = 0
         self._started = False
         for node_id in range(n):
-            core = core_factory(node_id, self.config)
-            driver = NodeDriver(self.sim, self.network, core,
-                                sanitizer=self.sanitizer)
-            driver.subscribe(self._on_app_event)
-            self.drivers[node_id] = driver
+            self._make_driver(node_id)
+        self.membership.subscribe(self._on_view_change)
 
     @classmethod
     def build(cls, protocol: str, n: int, **kwargs) -> "Cluster":
         """Construct a cluster by protocol name; see module docstring."""
-        registry = _registry()
-        factory = registry.get(protocol)
-        if factory is None:
-            raise ConfigError(
-                f"unknown protocol {protocol!r}; choose from {sorted(registry)}"
+        return cls(_factory_for(protocol), n, **kwargs)
+
+    def _make_driver(self, node_id: int,
+                     restore: Optional[Dict] = None) -> NodeDriver:
+        """Build and register ``node_id``'s driver: its first, or the next
+        incarnation of a restarted node (``restore`` sets attributes of
+        the fresh core)."""
+        core = self._factory(node_id, self.config)
+        core.ring = self._ring
+        if node_id in self._incarnations:
+            # Rebuilt cores must never *own* the token by construction.
+            # The factory gives the configured initial holder (node 0 by
+            # default) ``has_token=True`` — correct at cluster birth, but a
+            # reborn node 0 would resurrect a stale token at its original
+            # epoch, with no fence able to retire it.  Ownership after a
+            # restart only ever arrives over the wire or via regeneration.
+            core.has_token = False
+            core.lent_to = None
+            core.last_visit = -1
+        if restore:
+            for attr, value in restore.items():
+                setattr(core, attr, value)
+        channel = None
+        if self.reliability is not None:
+            from repro.aio.reliability import ReliableChannel
+
+            incarnation = self._incarnations.get(node_id, 0)
+            channel = ReliableChannel(
+                node_id, self.network,
+                incarnation=incarnation,
+                config=self.reliability,
+                rng=random.Random(
+                    self._seed * 1_000_003 + node_id * 101 + incarnation),
+                counters=self.reliability_counters,
             )
-        return cls(factory, n, **kwargs)
+            saved = self._recv_states.pop(node_id, None)
+            if saved:
+                channel.restore_recv_state(saved)
+        driver = NodeDriver(self.sim, self.network, core,
+                            sanitizer=self.sanitizer, channel=channel)
+        driver.subscribe(self._on_app_event)
+        # Counted once per logical send, never per retransmission.
+        driver.on_send_msg.append(self.messages.on_send)
+        self.drivers[node_id] = driver
+        for hook in self.on_driver:
+            hook(node_id, driver)
+        return driver
+
+    def _member(self, node: int) -> NodeDriver:
+        driver = self.drivers.get(node)
+        if driver is None:
+            raise MembershipError(f"node {node} is not a member")
+        return driver
 
     # -- event plumbing -----------------------------------------------------------
 
+    def _on_view_change(self, view: RingView) -> None:
+        self._ring = view
+        for driver in self.drivers.values():
+            driver.core.ring = view
+
     def _on_app_event(self, node: int, kind: str, payload: tuple, now: float) -> None:
         if kind == "granted":
-            _, req_seq = payload
             waited_seq = self._waiting.pop(node, None)
             if waited_seq is not None:
                 self.responsiveness.on_grant(node, waited_seq, now)
@@ -139,28 +230,27 @@ class Cluster:
     def request(self, node: int) -> None:
         """Make ``node`` ready.  A node already waiting is left as-is (its
         pending request stands)."""
-        if not 0 <= node < self.n:
-            raise ConfigError(f"node {node} out of range")
-        driver = self.drivers[node]
+        driver = self._member(node)
         if driver.crashed or node in self._waiting:
             return
-        seq = self.drivers[node].core.req_seq + 1
+        seq = driver.core.req_seq + 1
         self._waiting[node] = seq
-        self.responsiveness.on_request(node, seq, self.sim.now)
+        now = self._time()
+        self.responsiveness.on_request(node, seq, now)
         if self.fairness is not None:
-            self.fairness.on_request(node, seq, self.sim.now)
+            self.fairness.on_request(node, seq, now)
         driver.request()
 
     def release(self, node: int) -> None:
         """Release a held grant (hold_until_release mode)."""
-        self.drivers[node].release()
+        self._member(node).release()
 
     def start(self) -> None:
         """Start every node (idempotent)."""
         if self._started:
             return
         self._started = True
-        for driver in self.drivers.values():
+        for driver in list(self.drivers.values()):
             driver.start()
 
     def run(
@@ -193,11 +283,64 @@ class Cluster:
             if executed < step:
                 break  # queue drained or `until` reached
 
-    # -- failure / audit helpers --------------------------------------------------------
+    # -- crash, restart, join -------------------------------------------------------
 
     def crash(self, node: int) -> None:
-        """Crash-stop a node."""
-        self.drivers[node].crash()
+        """Crash-stop ``node``: its timers, retransmissions and everything
+        in flight to it are lost.  It stays a ring member (a crash is not a
+        leave) until :meth:`restart` gives it a fresh core; its driver's
+        ``recover`` revives the old core instead."""
+        driver = self._member(node)
+        if driver.crashed:
+            return
+        driver.crash()
+        if driver.channel is not None:
+            driver.channel.stop()
+            # The ARQ dedup watermark is durable (see
+            # ReliableChannel.export_recv_state): a reborn node must not
+            # re-accept frames its previous incarnation already acted on.
+            self._recv_states[node] = driver.channel.export_recv_state()
+
+    def restart(self, node: int, restore: Optional[Dict] = None) -> NodeDriver:
+        """Bring crashed ``node`` back under a fresh core and the next
+        incarnation; a request pending across the outage is re-armed.
+        ``restore`` (a supervisor snapshot: ``epoch``, ``last_visit``,
+        ``clock``, ...) sets attributes of the new core, so the reborn node
+        rejoins the current token lineage instead of stale history."""
+        driver = self._member(node)
+        if not driver.crashed:
+            raise MembershipError(f"node {node} is not crashed")
+        driver.stop()
+        self.network.recover(node)
+        if self.sanitizer is not None:
+            # Forget the dead incarnation entirely: the fresh core starts a
+            # new clock history (possibly restored from a snapshot).
+            self.sanitizer.unregister(node)
+        self._incarnations[node] = self._incarnations.get(node, 0) + 1
+        fresh = self._make_driver(node, restore=restore)
+        if self._started:
+            fresh.start()
+        if node in self._waiting:
+            fresh.request()
+        return fresh
+
+    def crashed_nodes(self) -> List[int]:
+        """Currently crash-stopped members."""
+        return sorted(n for n, d in self.drivers.items() if d.crashed)
+
+    def join(self, sponsor: Optional[int] = None) -> int:
+        """Add a fresh node to the ring; returns its id (the next free)."""
+        node_id = self.config.n
+        # Grow the id ceiling so the new id validates; geometry itself
+        # follows the ring view.
+        self.config.n = node_id + 1
+        driver = self._make_driver(node_id)
+        self.membership.join(node_id, sponsor=sponsor)
+        if self._started:
+            driver.start()
+        return node_id
+
+    # -- audit helpers -----------------------------------------------------------------
 
     def token_census(self) -> int:
         """Count live tokens among non-crashed nodes (held or on loan).

@@ -90,8 +90,15 @@ class Regeneration:
         self.epoch`` fence retires the loser on first contact.  With a
         shared plain ``+ 1`` both sides would mint the *same* epoch and two
         tokens would circulate unfenced.
+
+        The stride is ``config.n``, the id ceiling a join grows, not the
+        ``n`` this core was built with, so a joiner and older cores mint one
+        epoch per election (else one fences the other's loan return and the
+        token is lost for good).  Unverified: with no shared config, an old
+        core electing the joiner (id >= its stride) could coin another
+        minter's epoch.
         """
-        stride = max(self.n, 1)
+        stride = max(self.config.n, 1)
         return (self.epoch // stride + 1) * stride + minter
 
     def _hand_over(self) -> bool:

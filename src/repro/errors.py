@@ -96,8 +96,9 @@ class VerifyError(ReproError):
     request for a system without a ring topology."""
 
 
-class MembershipError(ReproError):
-    """An invalid group-membership operation was attempted."""
+class MembershipError(ConfigError):
+    """An invalid group-membership operation was attempted, e.g. on a node
+    that is not a member."""
 
 
 class WireError(ReproError):

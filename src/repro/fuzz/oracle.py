@@ -9,13 +9,15 @@ a **terminal settle** of an in-flight lineage message, delivered or lost
 check is drawn from: holders + borrowers + in-flight token-lineage
 messages (``TokenMsg``/``LoanMsg``/``LoanReturnMsg``), bucketed by epoch.
 
-**Wiring** is chosen from the cluster it is given:
+**Wiring** is chosen from the clock of the
+:class:`~repro.core.cluster.Cluster` it is given, as the driver chooses
+its exception policy:
 
-- a simulated :class:`~repro.core.cluster.Cluster` is wired by
-  intercepting ``network._deliver``; a breach *raises*
-  :class:`OracleViolation` out of ``cluster.run()``;
-- an :class:`~repro.aio.cluster.AioCluster` (in-memory or real-socket
-  transport alike) is wired through the driver seam — ``on_send_msg``
+- on a :class:`~repro.sim.kernel.Simulator` it intercepts
+  ``network._deliver``; a breach *raises* :class:`OracleViolation` out of
+  ``cluster.run()``;
+- on an event loop (an :class:`~repro.aio.cluster.AioCluster`, in-memory
+  or real-socket transport alike) it is wired through the driver seam — ``on_send_msg``
   fires once per protocol payload, never per ARQ retransmission, so a
   retransmitted token is not two units — and settles at *terminal*
   events only: the core fully handled the payload (``on_handled``), the
@@ -81,6 +83,7 @@ from repro.errors import ReproError
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
 from repro.core.protocols import ROWS
 from repro.metrics.stats import mean, percentile
+from repro.sim.kernel import Simulator
 from repro.specs.common import is_ring_prefix, project_ring
 
 __all__ = ["OracleViolation", "InvariantOracle", "Verdict", "safety",
@@ -167,9 +170,9 @@ class InvariantOracle:
         if self._attached:
             return
         self._attached = True
-        if hasattr(self.cluster, "transport"):
+        if not isinstance(self.cluster.sim, Simulator):
             self._capture = True
-            self.cluster.transport.on_drop.append(self._on_transport_drop)
+            self.cluster.network.on_drop.append(self._on_transport_drop)
             self.cluster.on_driver.append(self._wire_driver)
             for node, driver in self.cluster.drivers.items():
                 self._wire_driver(node, driver)

@@ -26,7 +26,6 @@ the reason — never an exception, never a silent pass.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import random
 import zlib
 from dataclasses import dataclass, replace
@@ -194,16 +193,19 @@ class _TokenLossInjector:
         return False
 
 
-#: How a simulated cluster — a whole run's, or one fabric lane's —
-#: applies each fault op :data:`~repro.fuzz.case.FAULT_OPS` grants it.
-_SIM_FAULTS: Dict[str, Callable[[Cluster, _TokenLossInjector, Dict], object]] = {
-    "crash": lambda c, inj, f: c.drivers[f["a"]].crash(),
+#: How a cluster on any clock — a whole run's, or one fabric lane's —
+#: applies each fault op; :data:`~repro.fuzz.case.FAULT_OPS` says which
+#: backend may use which (``reset`` exists on the socket transport only,
+#: ``token_loss`` arms the des oracle's injector).
+_FAULTS: Dict[str, Callable[[Cluster, Optional[_TokenLossInjector], Dict], object]] = {
+    "crash": lambda c, inj, f: c.crash(f["a"]),
     "recover": lambda c, inj, f: c.drivers[f["a"]].recover(),
     "token_loss": lambda c, inj, f: inj.arm(),
     "partition": lambda c, inj, f: [c.network.partition(a, b)
                                     for a, b in _links(f)],
     "heal": lambda c, inj, f: c.network.heal(f["a"], f["b"]),
     "heal_all": lambda c, inj, f: c.network.heal_all(),
+    "reset": lambda c, inj, f: c.network.reset_connections(f.get("a")),
     "corrupt": lambda c, inj, f: corrupt_core(
         c.drivers[f["a"]].core, f["what"], f["arg"], c.n),
 }
@@ -219,7 +221,7 @@ def _sim_fault_applier(cluster: Cluster,
     oracle.drop_token = injector
 
     def fire(fault: Dict) -> None:
-        _SIM_FAULTS[fault["op"]](cluster, injector, fault)
+        _FAULTS[fault["op"]](cluster, injector, fault)
         if oracle.verdict.converging:
             oracle.inject(cluster.sim.now)
 
@@ -442,20 +444,6 @@ def _fast_skip_reason(case: FuzzCase) -> Optional[str]:
 # aio and wire: the supervised asyncio runtime
 # ---------------------------------------------------------------------------
 
-#: How the runtime applies each fault op (``reset`` exists on the socket
-#: transport only; :data:`~repro.fuzz.case.FAULT_OPS` keeps it off ``aio``).
-_AIO_FAULTS: Dict[str, Callable[[AioCluster, Dict], object]] = {
-    "crash": lambda c, f: c.crash_node(f["a"]),
-    "partition": lambda c, f: [c.transport.partition(a, b)
-                               for a, b in _links(f)],
-    "heal": lambda c, f: c.transport.heal(f["a"], f["b"]),
-    "heal_all": lambda c, f: c.transport.heal_all(),
-    "reset": lambda c, f: c.transport.reset_connections(f.get("a")),
-    "corrupt": lambda c, f: corrupt_core(
-        c.drivers[f["a"]].core, f["what"], f["arg"], n=c.n),
-}
-
-
 async def _execute(case: FuzzCase) -> FuzzResult:
     """One case on the supervised runtime.  Every scheduled acquire must
     be granted within ``recovery_window`` of the later of its issue time
@@ -516,9 +504,7 @@ async def _execute(case: FuzzCase) -> FuzzResult:
         nonlocal injected_at
         await asyncio.sleep(float(fault["t"]) * tick)
         reached.append(fault)
-        applying = _AIO_FAULTS[fault["op"]](cluster, fault)
-        if inspect.isawaitable(applying):
-            await applying
+        _FAULTS[fault["op"]](cluster, None, fault)
         if converging:
             injected_at = loop.time()
             oracle.inject(injected_at)

@@ -148,7 +148,7 @@ class TestDynamicMembership:
             cluster = AioCluster("binary_search", n=4, seed=5, delay=DELAY)
             await cluster.start()
             try:
-                new_id = await cluster.join()
+                new_id = cluster.join()
                 assert new_id == 4
                 assert len(cluster.membership.view) == 5
                 async with cluster.lock(new_id, timeout=10.0):
@@ -180,7 +180,7 @@ class TestDynamicMembership:
             cluster = AioCluster("binary_search", n=4, seed=7, delay=DELAY)
             await cluster.start()
             try:
-                await cluster.join()
+                cluster.join()
                 for driver in cluster.drivers.values():
                     assert len(driver.core.ring) == 5
                     assert driver.core.ring.version == 1
@@ -194,7 +194,7 @@ class TestDynamicMembership:
             cluster = AioCluster("binary_search", n=3, seed=8, delay=DELAY)
             await cluster.start()
             try:
-                new_id = await cluster.join(sponsor=0)
+                new_id = cluster.join(sponsor=0)
                 assert cluster.membership.view.members == (0, new_id, 1, 2)
             finally:
                 await cluster.stop()
@@ -253,7 +253,7 @@ def test_search_parts_follow_the_ring_view(protocol, finder):
             async with cluster.lock(0, timeout=5.0):
                 # The token is held here, so none is in flight to 3.
                 await cluster.leave(3)
-                joined = await cluster.join()
+                joined = cluster.join()
             members = cluster.membership.view.members
             assert members == (0, 1, 2, 4, 5, joined) and joined >= 6
             del sent[:]
@@ -285,7 +285,7 @@ def test_linear_search_follows_the_ring_view():
             if isinstance(msg, TokenMsg) else None)
         await cluster.start()
         try:
-            await cluster.join()
+            cluster.join()
             assert cluster.membership.view.members == (0, 1, 2, 3, 4)
             await asyncio.sleep(0.3)  # every node gets a visit stamp
             async with cluster.lock(0, timeout=5.0):

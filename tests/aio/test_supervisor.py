@@ -41,7 +41,7 @@ class TestSupervision:
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)  # learn the heartbeat cadence
-            await cluster.crash_node(1)
+            cluster.crash(1)
             await asyncio.sleep(2.0)
             await sup.stop()
             await cluster.stop()
@@ -65,7 +65,7 @@ class TestSupervision:
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
-            await cluster.crash_node(2)
+            cluster.crash(2)
             await asyncio.sleep(0.6)
             # Routing avoids the dead node while it is down.
             live_suspects = [cluster.drivers[n].core.suspected
@@ -91,7 +91,7 @@ class TestSupervision:
             await asyncio.sleep(0.2)
             snap = sup.snapshot_of(0)
             assert snap is not None and snap["last_visit"] >= 0
-            await cluster.crash_node(0)
+            cluster.crash(0)
             await asyncio.sleep(2.0)
             core = cluster.drivers[0].core
             # Durable state came back; token ownership did not — a reborn
@@ -110,7 +110,7 @@ class TestSupervision:
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
-            await cluster.crash_node(1)
+            cluster.crash(1)
             await asyncio.sleep(2.0)
             await sup.stop()
             await cluster.stop()
@@ -149,7 +149,7 @@ class TestSupervision:
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
-            await cluster.crash_node(3)
+            cluster.crash(3)
             await asyncio.sleep(0.6)
             status = sup.status()
             assert status[3]["crashed"] and status[3]["suspected"]
@@ -205,9 +205,9 @@ class TestClusterRegressions:
             cluster = make_cluster()
             await cluster.start()
             await asyncio.sleep(0.5)
-            await cluster.crash_node(0)
+            cluster.crash(0)
             await asyncio.sleep(0.2)
-            await cluster.restart_node(0)
+            cluster.restart(0)
             # The factory would give node 0 the token at cluster birth;
             # a rebuild must come back empty-handed.
             assert not cluster.drivers[0].core.has_token
@@ -221,11 +221,11 @@ class TestClusterRegressions:
             cluster = make_cluster()
             await cluster.start()
             await asyncio.sleep(0.2)
-            await cluster.crash_node(2)
+            cluster.crash(2)
             waiter = asyncio.create_task(cluster.acquire(2, timeout=20.0))
             await asyncio.sleep(0.2)
             assert cluster.pending_acquires(2) == 1
-            await cluster.restart_node(2)
+            cluster.restart(2)
             await waiter  # re-armed on restart, served by rotation
             cluster.release(2)
             await cluster.stop()
@@ -239,8 +239,8 @@ class TestClusterRegressions:
             await asyncio.sleep(0.5)  # rotation builds dedup state
             old_state = cluster.drivers[1].channel.export_recv_state()
             assert old_state  # the ring has been talking to node 1
-            await cluster.crash_node(1)
-            await cluster.restart_node(1)
+            cluster.crash(1)
+            cluster.restart(1)
             fresh = cluster.drivers[1].channel
             for src, (inc, low, seen) in old_state.items():
                 assert fresh._seen[src] == (inc, low, seen)
@@ -253,11 +253,11 @@ class TestClusterRegressions:
             cluster = make_cluster()
             await cluster.start()
             assert cluster.drivers[3].channel.incarnation == 0
-            await cluster.crash_node(3)
-            await cluster.restart_node(3)
+            cluster.crash(3)
+            cluster.restart(3)
             assert cluster.drivers[3].channel.incarnation == 1
-            await cluster.crash_node(3)
-            await cluster.restart_node(3)
+            cluster.crash(3)
+            cluster.restart(3)
             assert cluster.drivers[3].channel.incarnation == 2
             await cluster.stop()
 
@@ -313,7 +313,7 @@ class TestParkedToken:
                 await asyncio.sleep(0.0001)
             assert parked, "the token never came to rest"
             crashed_at = loop.time()
-            await cluster.crash_node(parked[0])
+            cluster.crash(parked[0])
             successor = (parked[0] + 1) % 3
             await cluster.acquire(successor, timeout=30.0)
             waited = loop.time() - crashed_at

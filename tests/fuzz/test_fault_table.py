@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FuzzCaseError
 from repro.fuzz import FAULT_OPS, FuzzCase, run_case, skip_reason
-from repro.fuzz.runner import _AIO_FAULTS, _SIM_FAULTS
+from repro.fuzz.runner import _FAULTS
 
 
 def impl_case(**changes) -> FuzzCase:
@@ -72,10 +72,12 @@ class TestSupportMatrix:
             return {op for op, (_f, targets) in FAULT_OPS.items()
                     if target in targets}
 
-        assert granted("des") == set(_SIM_FAULTS)
-        assert granted("fabric") == set(_SIM_FAULTS) - {"corrupt"}
-        assert granted("wire") == set(_AIO_FAULTS)
-        assert granted("aio") == set(_AIO_FAULTS) - {"reset"}
+        assert set(FAULT_OPS) == set(_FAULTS)
+        assert granted("des") == set(_FAULTS) - {"reset"}
+        assert granted("fabric") == set(_FAULTS) - {"corrupt", "reset"}
+        assert granted("wire") == set(_FAULTS) - {"recover", "token_loss"}
+        assert granted("aio") == set(_FAULTS) - {"recover", "reset",
+                                                 "token_loss"}
         assert granted("fast") == set()
 
     @pytest.mark.parametrize("op,backend", [

@@ -202,7 +202,7 @@ class TestClusterConformance:
             try:
                 await asyncio.wait_for(cluster.acquire(0), timeout=20)
                 cluster.release(0)
-                await cluster.crash_node(1)
+                cluster.crash(1)
                 await wait_until(
                     lambda: supervisor.restarts.get(1, 0) >= 1, timeout=30.0)
                 await wait_until(
