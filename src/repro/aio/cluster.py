@@ -39,7 +39,7 @@ class AioCluster(Cluster):
         delay: float = 0.001,
         loss_rate: float = 0.0,
         dup_rate: float = 0.0,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = True,
         reliability: Optional[ReliabilityConfig] = None,
         transport: Optional[Network] = None,
     ) -> None:

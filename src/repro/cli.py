@@ -4,11 +4,8 @@ Usage (also available as ``python -m repro``):
 
     python -m repro simulate --protocol binary_search -n 100 \\
         --mean-interval 10 --rounds 300 --seed 7
-    python -m repro compare -n 100 --mean-interval 100 --rounds 300
-    python -m repro figure9 [--rounds 300]
-    python -m repro figure10 [--rounds 300]
-    python -m repro ablations [--rounds 200]
-    python -m repro refinement [-n 4 --steps 200]
+    python -m repro simulate --protocol ring binary_search --mean-interval 100
+    python -m repro figure {9,10,ablations} [-n 100 --rounds 300]
     python -m repro report [--out report.md --seeds 1 2 3]
     python -m repro lint [--json --strict --max-states 300]
     python -m repro fabric [--keys 256 --grants 6400 --json]
@@ -27,7 +24,8 @@ variable) to fan independent cells out over N worker processes; the output
 is identical to a serial run.
 
 Every command prints plain-text tables (see :mod:`repro.analysis.tables`)
-and returns a process exit code of 0 on success.
+and returns a process exit code of 0 on success; a bad argument prints one
+``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from repro.analysis.experiments import (
 from repro.analysis.tables import format_series, format_table
 from repro.core.config import ProtocolConfig
 from repro.core.protocols import PROTOCOLS
+from repro.errors import ConfigError, ExperimentCellError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,8 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one protocol once")
-    sim.add_argument("--protocol", choices=PROTOCOLS, default="binary_search")
+    sim = sub.add_parser("simulate",
+                         help="run each given protocol once on one load")
+    sim.add_argument("--protocol", choices=PROTOCOLS, nargs="+",
+                     default=["binary_search"])
     sim.add_argument("-n", "--nodes", type=int, default=100)
     sim.add_argument("--mean-interval", type=float, default=10.0,
                      help="mean time between requests (global Poisson)")
@@ -84,31 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trap-gc", choices=("none", "rotation", "inverse"),
                      default="rotation")
     _add_common(sim)
+    _add_jobs(sim)
 
-    cmp_ = sub.add_parser("compare", help="ring vs binary search, one load")
-    cmp_.add_argument("-n", "--nodes", type=int, default=100)
-    cmp_.add_argument("--mean-interval", type=float, default=100.0)
-    _add_common(cmp_)
-    _add_jobs(cmp_)
-
-    fig9 = sub.add_parser("figure9", help="regenerate the paper's Figure 9")
-    _add_common(fig9)
-    _add_jobs(fig9)
-
-    fig10 = sub.add_parser("figure10", help="regenerate the paper's Figure 10")
-    fig10.add_argument("-n", "--nodes", type=int, default=100)
-    _add_common(fig10)
-    _add_jobs(fig10)
-
-    abl = sub.add_parser("ablations", help="run the A1-A5 ablation suite")
-    _add_common(abl)
-    _add_jobs(abl)
-
-    ref = sub.add_parser("refinement",
-                         help="machine-check the TRS refinement chain")
-    ref.add_argument("-n", "--nodes", type=int, default=4)
-    ref.add_argument("--steps", type=int, default=200)
-    ref.add_argument("--seed", type=int, default=42)
+    fig = sub.add_parser("figure",
+                         help="regenerate the paper's Figure 9 or 10, or "
+                              "run the A1-A5 ablation suite")
+    fig.add_argument("which", choices=tuple(_FIGURES))
+    fig.add_argument("-n", "--nodes", type=int, default=100,
+                     help="Figure 10's ring size (default 100)")
+    _add_common(fig)
+    _add_jobs(fig)
 
     rep = sub.add_parser("report",
                          help="run the figures with replication and write "
@@ -303,68 +289,52 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    config = ProtocolConfig(idle_pause=args.idle_pause, trap_gc=args.trap_gc)
-    row = run_protocol_once(
-        args.protocol, n=args.nodes, mean_interval=args.mean_interval,
-        rounds=args.rounds, seed=args.seed, config=config,
-    )
-    print(format_table(
-        [row],
-        ["protocol", "n", "grants", "avg_responsiveness",
-         "max_responsiveness", "avg_waiting", "messages_total",
-         "messages_cheap", "token_passes"],
-        title=(f"{args.protocol} | n={args.nodes} "
-               f"interval={args.mean_interval:g} rounds={args.rounds}"),
-    ))
-    return 0
-
-
-def _cmd_compare(args) -> int:
     from repro.analysis.runner import Cell, run_cells
 
     rows = run_cells(
-        [Cell(key=("compare", protocol), fn=run_protocol_once,
+        [Cell(key=("simulate", protocol), fn=run_protocol_once,
               kwargs=dict(protocol=protocol, n=args.nodes,
                           mean_interval=args.mean_interval,
-                          rounds=args.rounds, seed=args.seed))
-         for protocol in ("ring", "binary_search")],
+                          rounds=args.rounds, seed=args.seed,
+                          config=ProtocolConfig(idle_pause=args.idle_pause,
+                                                trap_gc=args.trap_gc)))
+         for protocol in args.protocol],
         jobs=args.jobs,
     )
     print(format_table(
         rows,
-        ["protocol", "avg_responsiveness", "max_responsiveness",
-         "grants", "messages_total"],
-        title=(f"ring vs binary_search | n={args.nodes} "
-               f"interval={args.mean_interval:g} "
-               f"(n/2={args.nodes // 2}, log2(n)="
-               f"{math.log2(args.nodes):.2f})"),
+        ["protocol", "n", "grants", "avg_responsiveness",
+         "max_responsiveness", "avg_waiting", "messages_total",
+         "messages_cheap", "token_passes"],
+        title=(f"{' vs '.join(args.protocol)} | n={args.nodes} "
+               f"interval={args.mean_interval:g} rounds={args.rounds} "
+               f"(n/2={args.nodes // 2}, "
+               f"log2(n)={math.log2(args.nodes):.2f})"),
     ))
     return 0
 
 
-def _cmd_figure9(args) -> int:
-    rows = run_figure9(rounds=args.rounds, seed=args.seed, jobs=args.jobs)
+def _figure9(args) -> None:
     print(format_series(
-        rows, index="n", series="protocol", value="avg_responsiveness",
+        run_figure9(rounds=args.rounds, seed=args.seed, jobs=args.jobs),
+        index="n", series="protocol", value="avg_responsiveness",
         title="Figure 9 — avg responsiveness vs processors (fixed load)",
     ))
-    return 0
 
 
-def _cmd_figure10(args) -> int:
-    rows = run_figure10(n=args.nodes, rounds=args.rounds, seed=args.seed,
-                        jobs=args.jobs)
+def _figure10(args) -> None:
     print(format_series(
-        rows, index="mean_interval", series="protocol",
+        run_figure10(n=args.nodes, rounds=args.rounds, seed=args.seed,
+                     jobs=args.jobs),
+        index="mean_interval", series="protocol",
         value="avg_responsiveness",
         title=(f"Figure 10 — avg responsiveness vs load (n={args.nodes}; "
                f"log2(n)={math.log2(args.nodes):.2f}, "
                f"n/2={args.nodes // 2})"),
     ))
-    return 0
 
 
-def _cmd_ablations(args) -> int:
+def _ablations(args) -> None:
     print(format_table(
         run_gc_ablation(rounds=args.rounds, seed=args.seed, jobs=args.jobs),
         ["trap_gc", "grants", "dummy_per_grant", "avg_responsiveness"],
@@ -400,54 +370,13 @@ def _cmd_ablations(args) -> int:
         ["idle_pause", "grants", "messages_per_time", "avg_responsiveness"],
         title="A5 — adaptive token speed",
     ))
-    return 0
 
 
-def _cmd_refinement(args) -> int:
-    from repro.specs import (
-        system_binary_search,
-        system_message_passing,
-        system_s,
-        system_s1,
-        system_search,
-        system_token,
-    )
-    from repro.specs.properties import prefix_property
-    from repro.specs.refinement import (
-        binary_search_to_s1,
-        check_refinement,
-        mp_to_s1,
-        s1_to_s,
-        search_to_s1,
-        token_to_s1,
-    )
+_FIGURES = {"9": _figure9, "10": _figure10, "ablations": _ablations}
 
-    n = args.nodes
-    coarse_s, _ = system_s.make_system(n)
-    coarse_s1, _ = system_s1.make_system(n)
-    chain = [
-        ("S1 -> S (Lemma 1)", system_s1.make_system(n), s1_to_s,
-         coarse_s, 1, {}),
-        ("Token -> S1 (Lemma 2)", system_token.make_system(n), token_to_s1,
-         coarse_s1, 2, {}),
-        ("MP -> S1 (Lemma 3)", system_message_passing.make_system(n),
-         mp_to_s1, coarse_s1, 2, {}),
-        ("Search -> S1", system_search.make_system(n), search_to_s1,
-         coarse_s1, 2, {"5": 0.5, "6": 0.8}),
-        ("BinarySearch -> S1 (Thm 1)", system_binary_search.make_system(n),
-         binary_search_to_s1, coarse_s1, 2,
-         {"1": 1.5, "2": 3.0, "5": 0.6}),
-    ]
-    for label, (rewriter, initial), mapping, coarse, depth, weights in chain:
-        reduction = rewriter.random_reduction(initial, args.steps,
-                                              seed=args.seed,
-                                              weights=weights or None)
-        reduction.check_invariant(prefix_property)
-        simulated = check_refinement(reduction, mapping, coarse,
-                                     max_depth=depth)
-        print(f"  {label:<28} OK ({len(reduction)} steps, "
-              f"{simulated} simulated)")
-    print("refinement chain verified")
+
+def _cmd_figure(args) -> int:
+    _FIGURES[args.which](args)
     return 0
 
 
@@ -520,9 +449,8 @@ def _cmd_lint(args) -> int:
         known = [t.name for t in targets()]
         unknown = [name for name in args.system if name not in known]
         if unknown:
-            print(f"error: unknown system(s) {', '.join(unknown)}; "
-                  f"choose from: {', '.join(known)}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown system(s) {', '.join(unknown)}; "
+                              f"choose from: {', '.join(known)}")
 
     report = run_all(
         max_states=args.max_states,
@@ -647,16 +575,6 @@ def _describe(result) -> str:
 
 
 def _cmd_run(args) -> int:
-    from repro.errors import ConfigError
-
-    try:
-        return _run(args)
-    except ConfigError as exc:  # unknown backend/profile, malformed file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args) -> int:
     from repro.fuzz import FuzzCase, fuzz_run, run_case, shrink
 
     if args.measure is not None:
@@ -664,13 +582,11 @@ def _run(args) -> int:
         from repro.stabilize import measure_convergence
 
         if args.profile != "stabilize":
-            print("error: --measure needs --profile stabilize",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--measure needs --profile stabilize")
         n = args.measure
         corruptions = [
-            (CORRUPTION_KINDS[i % len(CORRUPTION_KINDS)],
-             (i * 3 + 1) % n, args.seed + i * 17)
+            (CORRUPTION_KINDS[i % len(CORRUPTION_KINDS)], i * 3 + 1,
+             args.seed + i * 17)
             for i in range(args.episodes)
         ]
         doc = measure_convergence(n, corruptions, seed=args.seed)
@@ -922,11 +838,7 @@ def _cmd_loadgen(args) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "figure9": _cmd_figure9,
-    "figure10": _cmd_figure10,
-    "ablations": _cmd_ablations,
-    "refinement": _cmd_refinement,
+    "figure": _cmd_figure,
     "report": _cmd_report,
     "lint": _cmd_lint,
     "fabric": _cmd_fabric,
@@ -940,7 +852,16 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ExperimentCellError as exc:
+        if not isinstance(exc.__cause__, ConfigError):
+            raise
+        error = exc.__cause__
+    except ConfigError as exc:
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

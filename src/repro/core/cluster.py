@@ -34,7 +34,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocols import REGISTRY
 from repro.errors import ConfigError, MembershipError, SimulationError, TokenSafetyError
 from repro.faults.membership import MembershipService, RingView
-from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
+from repro.lint.sanitizer import ClusterSanitizer
 from repro.metrics.counters import MessageCounters, ReliabilityCounters
 from repro.metrics.fairness import FairnessAuditor
 from repro.metrics.responsiveness import ResponsivenessTracker
@@ -83,7 +83,7 @@ class Cluster:
         loss_rate: float = 0.0,
         dup_rate: float = 0.0,
         track_fairness: bool = False,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = True,
         sim: Any = None,
         network: Optional[Network] = None,
         reliability: Optional[ReliabilityConfig] = None,
@@ -108,10 +108,7 @@ class Cluster:
         self.responsiveness = ResponsivenessTracker()
         self.messages = MessageCounters()
         self.fairness = FairnessAuditor() if track_fairness else None
-        # The transition sanitizer is on unless REPRO_SANITIZE disables it
-        # (or the caller pins `sanitize` explicitly).
-        enabled = sanitize_enabled() if sanitize is None else sanitize
-        self.sanitizer = ClusterSanitizer() if enabled else None
+        self.sanitizer = ClusterSanitizer() if sanitize else None
         self.reliability = reliability
         self.reliability_counters = (
             ReliabilityCounters() if reliability is not None else None
@@ -265,6 +262,12 @@ class Cluster:
         satisfied requests (``grants``)."""
         if rounds is None and until is None and max_events is None and grants is None:
             raise SimulationError("run() needs at least one stopping bound")
+        if rounds is not None and len(self.drivers) < 2:
+            # A lone node keeps the token: no visit is ever delivered, so
+            # the rounds bound could only end on the event budget.
+            raise ConfigError(
+                f"a rounds bound needs a ring of at least 2 nodes, "
+                f"got {len(self.drivers)}")
         self.start()
         budget = max_events if max_events is not None else 200_000_000
         # Small chunks keep the rounds/grants bounds tight (we only check

@@ -47,7 +47,7 @@ class TokenFabric:
     def __init__(
         self,
         seed: int = 0,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = True,
         track_fairness: bool = False,
     ) -> None:
         self.seed = seed

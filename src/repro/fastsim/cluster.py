@@ -37,8 +37,8 @@ class FastCluster:
         loss_rate: float = 0.0,
         dup_rate: float = 0.0,
         digest: bool = False,
-        sanitize: Optional[bool] = None,  # accepted for drop-in calls; the
-        track_fairness: bool = False,     # fast path has neither subsystem
+        sanitize: bool = True,  # accepted for drop-in calls; the fast
+        track_fairness: bool = False,  # path has neither subsystem
     ) -> None:
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")

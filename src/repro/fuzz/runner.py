@@ -471,7 +471,7 @@ async def _execute(case: FuzzCase) -> FuzzResult:
         transport=transport, reliability=ReliabilityConfig(),
         # The at-rest sanitizer would (rightly) reject injected illegal
         # states; convergence is such a run's verdict.
-        sanitize=False if converging else None,
+        sanitize=not converging,
     )
     # Core timers run in message delays, which the driver scales by the hop.
     bound = convergence_bound(config, case.n, 1.0) * hop * tick

@@ -9,9 +9,9 @@ Three layers:
   paper's refinement chain (restriction differentials and sampled
   simulation checks);
 - :mod:`repro.lint.sanitizer` — runtime invariant auditing for the
-  executable protocol cores (:class:`ClusterSanitizer`), on by default
-  via ``REPRO_SANITIZE``; :mod:`repro.lint.rewriter` is its TRS-engine
-  counterpart (:class:`SanitizedRewriter`).
+  executable protocol cores (:class:`ClusterSanitizer`), on unless a
+  cluster is built with ``sanitize=False``; :mod:`repro.lint.rewriter`
+  is its TRS-engine counterpart (:class:`SanitizedRewriter`).
 
 ``repro lint`` (see :mod:`repro.cli`) runs every registered pass and
 emits a human or JSON report; see :mod:`repro.lint.registry`.
@@ -29,7 +29,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.lint.registry": ["run_all", "run_dynamic", "run_static", "targets"],
     "repro.lint.rewriter": ["SanitizedRewriter"],
     "repro.lint.rules": ["lint_rules", "sample_states"],
-    "repro.lint.sanitizer": ["ClusterSanitizer", "sanitize_enabled"],
+    "repro.lint.sanitizer": ["ClusterSanitizer"],
 })
 
 __all__ = [
@@ -46,6 +46,5 @@ __all__ = [
     "run_dynamic",
     "run_static",
     "sample_states",
-    "sanitize_enabled",
     "targets",
 ]

@@ -5,9 +5,8 @@ asyncio drivers: after every handler invocation it audits the
 cluster-level analogues of the paper's safety invariants — at most one
 token per epoch observable at rest (held or on loan; regeneration
 legitimately retires an epoch), per-core visit-clock monotonicity, and
-grant/request sequencing.  The clusters attach one unless the
-``REPRO_SANITIZE`` environment switch (default **on**) says
-``REPRO_SANITIZE=0``.
+grant/request sequencing.  The clusters attach one unless built with
+``sanitize=False``.
 
 The TRS-level guard, :class:`~repro.lint.rewriter.SanitizedRewriter`, is
 in :mod:`repro.lint.rewriter`: every simulation imports this module, and
@@ -16,25 +15,11 @@ it stays free of the TRS engine and the spec systems.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 from repro.lint.findings import LintViolation
 
-__all__ = [
-    "sanitize_enabled",
-    "ClusterSanitizer",
-]
-
-_FALSY = ("0", "off", "false", "no")
-
-
-def sanitize_enabled(default: bool = True) -> bool:
-    """The ``REPRO_SANITIZE`` switch; unset means ``default`` (on)."""
-    value = os.environ.get("REPRO_SANITIZE")
-    if value is None:
-        return default
-    return value.strip().lower() not in _FALSY
+__all__ = ["ClusterSanitizer"]
 
 
 class ClusterSanitizer:

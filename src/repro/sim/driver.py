@@ -34,7 +34,7 @@ The runtime's seams (empty, and so free, on the simulator):
   invariant oracle the quiescent points it needs.
 
 When a :class:`~repro.lint.sanitizer.ClusterSanitizer` is attached (the
-clusters wire one by default, see ``REPRO_SANITIZE``), the driver reports
+clusters wire one unless built with ``sanitize=False``), the driver reports
 every handled event to it so cluster-level safety invariants are audited
 as the run goes.
 """

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
+from repro.errors import ConfigError
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.oracle import OracleViolation
 from repro.fuzz.runner import run_case
@@ -51,6 +52,8 @@ def measure_case(n: int, corruptions: Sequence[Tuple[str, int, int]],
     running throughout (an idle cluster would hide queue/served
     corruption entirely).
     """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     spacing = 1.25 * convergence_bound(default_stabilize_config(), n, _DELAY)
     horizon = spacing * (len(corruptions) + 2)
     requests: List[Tuple[float, int]] = []

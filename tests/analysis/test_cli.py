@@ -25,13 +25,12 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--protocol", "bogus"])
 
-
-class TestCompare:
     def test_prints_both_protocols(self, capsys):
-        assert main(["compare", "-n", "32", "--mean-interval", "50",
+        assert main(["simulate", "--protocol", "ring", "binary_search",
+                     "-n", "32", "--mean-interval", "50",
                      "--rounds", "40"]) == 0
         out = capsys.readouterr().out
-        assert "ring" in out and "binary_search" in out
+        assert "ring vs binary_search" in out
         assert "log2(n)" in out
 
 
@@ -45,7 +44,7 @@ class TestFigures:
                                jobs=jobs)
 
         monkeypatch.setattr(cli, "run_figure9", tiny)
-        assert main(["figure9", "--rounds", "20"]) == 0
+        assert main(["figure", "9", "--rounds", "20"]) == 0
         out = capsys.readouterr().out
         assert "Figure 9" in out
 
@@ -58,22 +57,14 @@ class TestFigures:
                                 seed=seed, jobs=jobs)
 
         monkeypatch.setattr(cli, "run_figure10", tiny)
-        assert main(["figure10", "-n", "16", "--rounds", "20"]) == 0
+        assert main(["figure", "10", "-n", "16", "--rounds", "20"]) == 0
         assert "Figure 10" in capsys.readouterr().out
 
 
-class TestRefinement:
-    def test_chain_verifies(self, capsys):
-        assert main(["refinement", "-n", "3", "--steps", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "refinement chain verified" in out
-        assert "Thm 1" in out
-
+class TestParser:
     def test_module_entry_point_exists(self):
         import repro.__main__  # noqa: F401 — importable means runnable
 
-
-class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -88,11 +79,22 @@ class TestParser:
                  if isinstance(action, argparse._SubParsersAction)]
         documented = set(re.findall(r"python -m repro (\w+)", cli.__doc__))
         assert set(sub.choices) == set(cli._COMMANDS) == documented
-        assert len(documented) == 13 and "bench" not in documented
+        assert len(documented) == 9 and "bench" not in documented
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "0"],
+        ["fabric", "--keys", "0"],
+        ["fabric", "--ring", "0"],
+        ["run", "--profile", "stabilize", "--measure", "0"],
+    ])
+    def test_bad_argument_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestReport:

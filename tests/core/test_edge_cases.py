@@ -26,6 +26,12 @@ class TestTinyRings:
         assert cluster.responsiveness.grants() == 1
         assert cluster.responsiveness.waiting_samples[0] == 0.0
 
+    def test_single_node_rejects_rounds_bound(self):
+        # The token never moves, so a rounds bound could only end on the
+        # event budget.
+        with pytest.raises(ConfigError, match="at least 2 nodes"):
+            Cluster.build("ring", n=1).run(rounds=1, max_events=10_000)
+
     @pytest.mark.parametrize("protocol", ["ring", "binary_search",
                                           "linear_search",
                                           "directed_search"])

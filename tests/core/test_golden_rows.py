@@ -4,7 +4,7 @@
 ``label checksum ok|FAIL events`` line of every case of the ``clean`` (60),
 ``faults`` (60) and ``stabilize`` (10) fuzz batches on ``des`` — 260
 cases that between them run all eight protocol names — plus the text of
-``repro ablations --rounds 100`` (A2/A3 cover directed/push/hybrid up to
+``repro figure ablations --rounds 100`` (A2/A3 cover directed/push/hybrid up to
 n=256).  It was generated on the commit *before* the protocol-table
 refactor; a refactor of the cores has to reproduce it byte for byte, and
 a deliberate behaviour change updates the lines it moves in the same
@@ -41,7 +41,7 @@ def _batch(profile: str, seed: int, runs: int) -> list:
 def _ablations() -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["ablations", "--rounds", "100"]) == 0
+        assert main(["figure", "ablations", "--rounds", "100"]) == 0
     return out.getvalue().splitlines()
 
 

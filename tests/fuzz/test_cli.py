@@ -110,7 +110,9 @@ def test_unknown_backend_or_profile_is_a_usage_error(capsys):
     assert "unknown profile" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["fuzz", "chaos", "stabilize", "wire-smoke"])
+@pytest.mark.parametrize("verb", ["fuzz", "chaos", "stabilize", "wire-smoke",
+                                  "compare", "figure9", "figure10",
+                                  "ablations", "refinement"])
 def test_replaced_verbs_are_gone(verb, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([verb])

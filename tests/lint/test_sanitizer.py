@@ -8,7 +8,7 @@ from repro.core.cluster import Cluster
 from repro.core.protocols import REGISTRY
 from repro.lint.findings import LintViolation
 from repro.lint.rewriter import SanitizedRewriter, minimize_state
-from repro.lint.sanitizer import ClusterSanitizer, sanitize_enabled
+from repro.lint.sanitizer import ClusterSanitizer
 from repro.specs import system_message_passing as mp
 from repro.specs import system_s
 from repro.specs.common import datum
@@ -20,28 +20,15 @@ from repro.workload.generators import FixedRateWorkload
 
 
 class TestEnvironmentSwitches:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert sanitize_enabled() is True
+    """The sanitizer has one switch, the clusters' ``sanitize=``
+    argument; nothing in the environment overrides it."""
 
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SANITIZE", value)
-        assert sanitize_enabled() is False
+    def test_default_on(self):
+        assert Cluster.build("ring", n=2, seed=1).sanitizer is not None
 
-    def test_truthy_values_enable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_enabled() is True
-
-    def test_cluster_respects_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        cluster = Cluster.build("ring", n=2, seed=1)
+    def test_cluster_respects_disable(self):
+        cluster = Cluster.build("ring", n=2, seed=1, sanitize=False)
         assert cluster.sanitizer is None
-
-    def test_explicit_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        cluster = Cluster.build("ring", n=2, seed=1, sanitize=True)
-        assert cluster.sanitizer is not None
 
 
 class TestSanitizedRewriter:
