@@ -7,16 +7,19 @@ over a lossy transport, a supervisor whose phi-accrual failure detector
 learns the heartbeat cadence instead of trusting a fixed timeout, and
 the invariant oracle watching token conservation throughout.
 
-The scenario: a client pins the token on node 2, and we crash node 2
-while it holds it.  The token is gone — but a competing request on
-node 4 is already waiting, so detection is demand-driven: node 4's
-adaptive suspect timer fires, a who-has census finds no holder, reaches
-quorum, and a replacement token is minted under a higher epoch.  The
-supervisor meanwhile suspects node 2 via missing heartbeats, restarts
-it from its last state snapshot (clock, epoch, last visit — never token
-ownership), and the reborn node rejoins the rotation.  The whole run
-executes in *virtual* time: deterministic, instant, bit-exact across
-machines.
+The scenario: the idle token parks at node 4, a client pins it on
+node 2 (node 4 *lends* it), and we crash node 2 while it holds the
+loan.  The token is gone — but node 4 wants it back for its own waiting
+request, so recovery is demand-driven: the lender's reclaim timer fires
+and node 4 re-mints the token under a higher epoch, which fences any
+copy that might still surface.  (Had node 2 owned the token outright,
+node 4's suspect timer would have fired instead: a who-has census finds
+no holder, reaches quorum, and a replacement is minted — ~1.7 s here,
+the 160-delay floor plus the census window.)  The supervisor meanwhile
+suspects node 2 via missing heartbeats, restarts it from its last state
+snapshot (clock, epoch, last visit — never token ownership), and the
+reborn node rejoins the rotation.  The whole run executes in *virtual*
+time: deterministic, instant, bit-exact across machines.
 
 Run:  python examples/chaos_recovery.py
 """
@@ -40,11 +43,11 @@ SEED = 7
 async def main() -> None:
     loop = asyncio.get_running_loop()
     # service_config: rotation trap GC, quorum-gated regeneration, a
-    # 30-delay regen timeout that is only the fallback -- phi-accrual
-    # adapts below it -- and an idle token that parks for 2 delays
-    # between hops.  The token-sighting detector learns that slower
-    # cadence, so node 4 is granted ~3 s after the crash below, where a
-    # token rotating at full speed had it granted after ~0.7 s.
+    # suspect timer learned from each node's own grant waits (never below
+    # 160 delays), and an idle token that parks for 10 delays between
+    # hops.  Node 4 is granted ~0.7 s after the crash below; while the
+    # suspect timer was learned from token sightings instead, parking
+    # stretched it and the same grant came after ~3.2 s.
     cluster = AioCluster(
         "fault_tolerant", N, seed=SEED,
         config=service_config("fault_tolerant"),
@@ -77,8 +80,9 @@ async def main() -> None:
 
     await waiter
     t_grant = loop.time()
-    print(f"[t={t_grant:6.2f}] node 4 granted after census + regeneration "
-          f"({t_grant - t_crash:.2f}s after the crash)")
+    print(f"[t={t_grant:6.2f}] node 4 granted a regenerated token "
+          f"(epoch {cluster.drivers[4].core.epoch}, "
+          f"{t_grant - t_crash:.2f}s after the crash)")
     cluster.release(4)
 
     # Give the supervisor room to restart node 2 and clear suspicion.

@@ -9,12 +9,18 @@ available" and leaves the constant to the deployment.
   beacons to its ring neighbours **over the real transport** (so crashes
   and partitions silence them exactly like any other traffic), and a
   :class:`~repro.faults.detector.PhiAccrualDetector` per peer turns the
-  observed arrival cadence into a continuous suspicion level;
-- a second detector per node watches **token sightings** (the rotating
-  token is its own liveness signal) and is wired into the fault-tolerant
-  core's ``regen_delay_provider``, replacing the fixed ``regen_timeout``
-  with an adaptive one — fast rings suspect token loss in milliseconds,
-  slow rings wait proportionally;
+  observed arrival cadence (each beat once, whichever neighbour it
+  reached) into a continuous suspicion level;
+- a second detector per node learns how long that node's own requests
+  wait for their grant, in message delays, and is wired into the
+  fault-tolerant core's ``regen_delay_provider``: a requester suspects the
+  token lost once it has waited ``phi_threshold``·ln 10 times its mean
+  wait (≈ 18.4 at phi 8), never sooner than the configured
+  ``regen_timeout``.  The paper times the requester ("until some other
+  node y needs the token"), and so does this: how slowly an *unwanted*
+  token circulates (``idle_pause``) does not enter it, and a wait that
+  spanned a census or a regeneration times a recovery, not the token,
+  so it is left out;
 - peers whose phi crosses the threshold are pushed into every live core's
   ``suspected`` set, so rotation and loans route around them (and are
   cleared again once their heartbeats resume);
@@ -75,9 +81,13 @@ class ClusterSupervisor:
         self.fallback_timeout = 10.0 * self.interval
         #: Liveness detectors, one per peer, fed by heartbeat arrivals.
         self.peer_detectors: Dict[int, PhiAccrualDetector] = {}
-        #: Token-cadence detectors, one per node, fed by token sightings;
-        #: wired into ``core.regen_delay_provider``.
-        self.token_detectors: Dict[int, PhiAccrualDetector] = {}
+        #: The last heartbeat ``seq`` observed per sender: a beat reaches
+        #: both ring neighbours, and its second copy is no new arrival.
+        self._beats_seen: Dict[int, int] = {}
+        #: Grant-wait detectors, one per node, fed with that node's
+        #: request-to-grant waits in delays; wired into
+        #: ``core.regen_delay_provider``.
+        self.wait_detectors: Dict[int, PhiAccrualDetector] = {}
         self.suspected: Set[int] = set()
         self.restarts: Dict[int, int] = {}
         self.events: List[dict] = []
@@ -119,7 +129,7 @@ class ClusterSupervisor:
             # Suspicion is the regeneration layer's business: a row
             # without it neither fences nor mints, and is left to behave
             # under a crash exactly as the plain protocol does.
-            detector = self.token_detectors.setdefault(
+            detector = self.wait_detectors.setdefault(
                 node, PhiAccrualDetector())
             core.regen_delay_provider = self._make_delay_provider(detector)
             core.alive_provider = self._alive_view
@@ -127,22 +137,20 @@ class ClusterSupervisor:
     def _heartbeat_sink(self, src: int, msg: object) -> bool:
         if not isinstance(msg, HeartbeatMsg):
             return False
-        detector = self.peer_detectors.get(msg.sender)
-        if detector is None:
-            detector = self.peer_detectors[msg.sender] = PhiAccrualDetector()
-        detector.observe(self.cluster.sim.time())
+        if self._beats_seen.get(msg.sender, 0) < msg.seq:
+            self._beats_seen[msg.sender] = msg.seq
+            detector = self.peer_detectors.get(msg.sender)
+            if detector is None:
+                detector = self.peer_detectors[msg.sender] = \
+                    PhiAccrualDetector()
+            detector.observe(self.cluster.sim.time())
         return True  # runtime traffic: never reaches the core
 
     def _make_delay_provider(self, detector: PhiAccrualDetector):
         def provider() -> Optional[float]:
-            # Core timers run in message-delay units; convert the adaptive
-            # silence threshold (seconds) through the driver's scale.
             if detector.samples < 3:
-                return None  # not enough cadence history: use the config
-            timeout = detector.timeout_after(self.policy.phi_threshold)
-            if timeout is None:
-                return None
-            return timeout / max(self.cluster.network.delay, 1e-6)
+                return None  # too little wait history: the config decides
+            return detector.timeout_after(self.policy.phi_threshold)
 
         return provider
 
@@ -155,10 +163,13 @@ class ClusterSupervisor:
 
     def _on_app_event(self, node: int, kind: str, payload: tuple,
                       now: float) -> None:
-        if kind == "token_visit":
-            detector = self.token_detectors.setdefault(
-                node, PhiAccrualDetector())
-            detector.observe(now)
+        if kind == "granted":
+            core = self.cluster.drivers[node].core
+            if isinstance(core, Regeneration) and core.granted_since is not None:
+                # Core timers run in message-delay units: so do the waits.
+                self.wait_detectors[node].record(
+                    (now - core.granted_since)
+                    / max(self.cluster.network.delay, 1e-6))
         if kind in ("token_visit", "granted", "regenerated"):
             self._snapshot(node)
 

@@ -6,7 +6,9 @@ Section 5).
 :class:`~repro.core.machine.TokenMachine` it adds:
 
 - **time-out detection** — a requester whose wait exceeds
-  ``config.regen_timeout`` polls the ring with (cheap) who-has messages;
+  ``config.regen_timeout`` (or the longer adaptive delay a
+  ``regen_delay_provider`` learns from past grant waits) polls the ring
+  with (cheap) who-has messages;
 - **census + election** — replies collected for ``config.census_window``;
   if nobody claims the token, the non-responders become *suspects*, and
   the first responsive successor of the freshest sighting (operationally,
@@ -27,7 +29,7 @@ with no requester, a lost token goes unnoticed — and harmlessly so.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
@@ -59,17 +61,23 @@ class Regeneration:
         #: the baseline for the progress check (see _on_census_deadline).
         self._fleet_max: Optional[int] = None
         #: Optional adaptive detection hook (the asyncio supervisor wires a
-        #: phi-accrual estimate here): returns the suspect-timer delay in
-        #: message-delay units, or None to fall back to the configured
-        #: fixed ``regen_timeout``.
+        #: phi-accrual estimate over this node's grant waits here): returns
+        #: the suspect-timer delay in message-delay units, or None.  The
+        #: configured ``regen_timeout`` is its floor.
         self.regen_delay_provider: Optional[Callable[[], Optional[float]]] = None
+        #: (time, census count, epoch) when the pending request was made.
+        self._asked: Optional[Tuple[float, int, int]] = None
+        #: When the request just granted was made, or None if a census ran
+        #: or a regenerated token arrived while it waited: such a wait
+        #: times a recovery, not the token (read by the supervisor).
+        self.granted_since: Optional[float] = None
 
     def _suspect_delay(self) -> float:
         """Delay before this requester suspects the token is lost."""
         if self.regen_delay_provider is not None:
             adaptive = self.regen_delay_provider()
-            if adaptive is not None and adaptive > 0:
-                return adaptive
+            if adaptive is not None:
+                return max(self.config.regen_timeout, adaptive)
         return self.config.regen_timeout
 
     def _ring_members(self) -> List[int]:
@@ -150,6 +158,8 @@ class Regeneration:
     # -- detection ------------------------------------------------------------------------
 
     def on_request(self, now: float) -> None:
+        if not self.ready:  # a repeated request keeps the first stamp
+            self._asked = (now, self._probe_seq, self.epoch)
         super().on_request(now)
         if self.ready and self.config.regen_timeout > 0:
             self.out.timer((_SUSPECT, self.req_seq), self._suspect_delay())
@@ -164,6 +174,12 @@ class Regeneration:
             self._on_loan_timeout(key[1], now)
         else:
             super().on_timer(key, now)
+
+    def _grant(self) -> bool:
+        asked, self._asked = self._asked, None
+        clean = asked is not None and asked[1:] == (self._probe_seq, self.epoch)
+        self.granted_since = asked[0] if clean else None
+        return super()._grant()
 
     def _on_suspect(self, req_seq: int) -> None:
         if not self.ready or req_seq != self.req_seq:

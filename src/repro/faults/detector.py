@@ -12,6 +12,10 @@ should mint the replacement — the paper elects the failed holder's
 neighbours; operationally that is the first *responder* after the node
 with the freshest token sighting, i.e. the successor that would have
 received the token next.
+
+:class:`PhiAccrualDetector` turns a history of intervals into a timeout:
+heartbeat gaps per supervised peer, and request-to-grant waits per
+requester — the "time-out based detection" the quote assumes.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ class PhiAccrualDetector:
     fast rings suspect in milliseconds, slow rings wait proportionally,
     with no hand-tuned constant in sight.
 
-    The *heartbeat source* need not be a literal heartbeat: the runtime
-    feeds one detector per node with **token sightings** (the rotating
-    token is its own liveness signal, exactly the paper's demand-driven
-    observation) and one per supervised peer with explicit heartbeats.
+    The intervals need not come from a literal heartbeat: the runtime
+    feeds one detector per supervised peer with heartbeat arrivals, and
+    one per node with the **grant waits** of its own requests
+    (:meth:`record`), so a requester suspects the token lost once it has
+    waited far longer than its requests usually do — the paper's
+    demand-driven detection, timed where Section 5 times it.
 
     Deterministic, windowed, stdlib-only.
     """
@@ -65,9 +71,12 @@ class PhiAccrualDetector:
     def observe(self, now: float) -> None:
         """Record one arrival at time ``now``."""
         if self.last_arrival is not None and now >= self.last_arrival:
-            self._intervals.append(
-                max(now - self.last_arrival, self.min_interval))
+            self.record(now - self.last_arrival)
         self.last_arrival = now
+
+    def record(self, interval: float) -> None:
+        """Record one interval that was measured elsewhere (a grant wait)."""
+        self._intervals.append(max(interval, self.min_interval))
 
     # -- statistics ---------------------------------------------------------
 

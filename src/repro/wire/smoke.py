@@ -34,36 +34,40 @@ def service_config(protocol: str) -> ProtocolConfig:
     """The protocol stack a supervised runtime cluster runs.  For a row
     with the regeneration layer (and stabilization on top of it): rotation
     trap GC, quorum-gated regeneration, timers in message-delay units
-    that the driver scales by the transport delay — ``regen_timeout`` is
-    the *fallback*; once the ring has cadence history, the supervisor's
-    phi provider overrides it.
+    that the driver scales by the transport delay.
+
+    A requester suspects the token lost after ``max(regen_timeout,
+    8·ln 10 · mean grant wait)`` delays: the supervisor learns each
+    node's own request-to-grant waits.  The floor is 160 delays.  On the
+    ledger's light closed loop (``wire_light_n3``) the token-sighting
+    detector this replaced chose at most 154 delays, so no census there
+    comes earlier than it did; and a crashed holder costs its successor the
+    floor plus the 8-delay census window, 168 ms at n = 3, 1 ms.
 
     The token parks when idle (``idle_pause``, the paper's demand-adaptive
-    token speed, Section 4.4): a holder that has seen no demand waits two
-    delays before forwarding, so an idle ring makes a third of the hops it
-    would at full speed.  The pause stays at 2 because the supervisor's
-    token-cadence detector learns its timeout from sightings, and a parked
-    circulation stretches that timeout with it.  Measured in virtual time
-    (crash the holder of a parked token, acquire at its successor):
-    0.174 s at pause 2 and 0.616 s at pause 10 for n = 3, 1 ms; 2.84 s
-    and 10.2 s for n = 5, 10 ms, where crashes a second apart also
-    compound (DESIGN.md §10, "The idle token parks")."""
+    token speed, Section 4.4): a holder that has seen no demand waits ten
+    delays before forwarding, so an idle ring makes an eleventh of the
+    hops it would at full speed.  Recovery no longer grows with the
+    pause: a waiting requester, not the resting token, sets the timer.
+    Crash the holder of a parked token, acquire at its successor: 0.168 s
+    at n = 3, 1 ms and 1.68 s at n = 5, 10 ms, at pause 2 and at pause 10
+    alike (DESIGN.md §10, "The idle token parks")."""
     row = ROWS[protocol]
     if row.has(Regeneration):
         config = ProtocolConfig(
             trap_gc="rotation",
             single_outstanding=True,
             retry_timeout=25.0,
-            regen_timeout=30.0,
+            regen_timeout=160.0,
             census_window=8.0,
             loan_timeout=80.0,
             regen_quorum=True,
-            idle_pause=2.0,
+            idle_pause=10.0,
         )
         if row.has(Stabilization):
-            # The watchdog census would race the quorum-gated
-            # demand-driven regeneration; its staggered cadence sits well
-            # above it.
+            # The watchdog's staggered census is the safety net for a
+            # token lost while nobody waits, which no requester's timer
+            # would ever notice.
             config.stabilize_watch = 50.0
             config.stabilize_reset = True
         return config

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.experiments import (
     run_adaptive_speed_ablation,
-    run_aio_recovery,
     run_directed_ablation,
     run_figure9,
     run_figure10,
@@ -32,16 +31,6 @@ class TestRunners:
         row = run_protocol_once("binary_search", n=64, mean_interval=10.0,
                                 rounds=40, seed=2001)
         assert (row["grants"], row["messages_total"]) == (444, 7305)
-
-    def test_aio_recovery_n5_pinned(self):
-        # Virtual seconds from the supervised asyncio stack: bit-exact
-        # across hosts, so pinned to the microsecond.  The service
-        # configuration parks an idle token (idle_pause=2): a change to
-        # the pause moves these.
-        row = run_aio_recovery(cycles=4)
-        assert (row["cycles"], row["grants"], row["restarts"]) == (4, 4, 4)
-        assert round(row["mttr"] * 1e6) == 139_038
-        assert round(row["max_ttr"] * 1e6) == 496_032
 
     def test_figure9_small_shape(self):
         rows = run_figure9(sizes=(8, 32), rounds=60, seed=1)

@@ -21,7 +21,12 @@ def corrupt_scenario(**changes) -> FuzzCase:
                  "what": "duplicate_token", "arg": 11},
                 {"t": 2.0, "op": "corrupt", "a": 0,
                  "what": "scramble_stamp", "arg": 4}],
-        horizon=12.0, label="handmade-corrupt", backend="aio")
+        horizon=12.0, label="handmade-corrupt", backend="aio",
+        # Sized on a token that parks for 2 delays: at the served pause
+        # of 10, node 2 holds the token at t = 1.0, so the conjured
+        # "duplicate" is the token itself and the canary below would
+        # test no reduction at all.
+        config={"idle_pause": 2.0})
     base.update(changes)
     return FuzzCase(**base).validate()
 
