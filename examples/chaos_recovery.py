@@ -3,9 +3,10 @@
 
 A five-node fault-tolerant cluster runs under the full robustness stack:
 reliable delivery (ARQ with sequence numbers, dedup and bounded retries)
-over a lossy transport, a supervisor whose phi-accrual failure detector
-learns the heartbeat cadence instead of trusting a fixed timeout, and
-the invariant oracle watching token conservation throughout.
+over a lossy transport, a supervisor that hears each node's liveness in
+the frames the ring already sends (a node beacons only when nothing of
+it was heard lately), and the invariant oracle watching token
+conservation throughout.
 
 The scenario: the idle token parks at node 4, a client pins it on
 node 2 (node 4 *lends* it), and we crash node 2 while it holds the
@@ -16,9 +17,9 @@ copy that might still surface.  (Had node 2 owned the token outright,
 node 4's suspect timer would have fired instead: a who-has census finds
 no holder, reaches quorum, and a replacement is minted — ~1.7 s here,
 the 160-delay floor plus the census window.)  The supervisor meanwhile
-suspects node 2 via missing heartbeats, restarts it from its last state
-snapshot (clock, epoch, last visit — never token ownership), and the
-reborn node rejoins the rotation.  The whole run executes in *virtual*
+suspects node 2 once nothing of it has arrived for 92 delays, restarts
+it from its last state snapshot (clock, epoch, last visit — never token
+ownership), and the reborn node rejoins the rotation.  The whole run executes in *virtual*
 time: deterministic, instant, bit-exact across machines.
 
 Run:  python examples/chaos_recovery.py
@@ -56,15 +57,16 @@ async def main() -> None:
     )
     oracle = InvariantOracle(cluster, protocol="fault_tolerant")
     oracle.attach()
-    # Default policy: heartbeats every 5 delays, restart after 20, phi 8.
+    # Default policy: suspect after 8·ln 10·5 = 92.1 silent delays,
+    # restart after 20.
     supervisor = ClusterSupervisor(cluster)
     await cluster.start()
     await supervisor.start()
 
     print(f"{N} nodes up: lossy transport (5%), ARQ reliability, "
-          f"phi-accrual supervision")
+          f"traffic-heard supervision")
 
-    # Let rotation run so the failure detectors learn the cadence.
+    # Let the ring run for a second first.
     await asyncio.sleep(1.0)
 
     # Pin the token on node 2, then line up a competing request on

@@ -114,8 +114,14 @@ class AioCluster(Cluster):
         """Await the token for ``node`` (mutual-exclusion entry)."""
         driver = self._member(node)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._grant_waiters.setdefault(node, []).append(future)
-        driver.request()
+        waiters = self._grant_waiters.setdefault(node, [])
+        waiters.append(future)
+        if len(waiters) == 1:
+            # Only the first waiter asks: a repeated request would re-arm
+            # the core's suspect timer, so a trickle of acquires would
+            # postpone token-loss detection.  Each grant re-requests for
+            # the next waiter.
+            driver.request()
         try:
             await asyncio.wait_for(future, timeout)
         except (asyncio.TimeoutError, asyncio.CancelledError):

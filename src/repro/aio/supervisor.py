@@ -1,18 +1,26 @@
-"""Node supervision for the asyncio runtime: heartbeats, phi-accrual
-failure detection, state snapshots, and automatic restart.
+"""Node supervision for the asyncio runtime: liveness read off the
+traffic, request-timed token-loss detection, state snapshots, and
+automatic restart.
 
 The paper's Section 5 sketch assumes "a time-out based detection is
 available" and leaves the constant to the deployment.
-:class:`ClusterSupervisor` supplies that detection *adaptively*:
+:class:`ClusterSupervisor` supplies that detection:
 
-- every live node emits periodic :class:`~repro.core.messages.HeartbeatMsg`
-  beacons to its ring neighbours **over the real transport** (so crashes
-  and partitions silence them exactly like any other traffic), and a
-  :class:`~repro.faults.detector.PhiAccrualDetector` per peer turns the
-  observed arrival cadence (each beat once, whichever neighbour it
-  reached) into a continuous suspicion level;
-- a second detector per node learns how long that node's own requests
-  wait for their grant, in message delays, and is wired into the
+- every frame the network hands to a live node (the ``on_deliver``
+  hook: data, acks, duplicates and beacons alike) proves its sender
+  alive.  That hook sees nothing a crash or a partition stopped, so
+  those silence a node exactly like any other traffic.  A peer is
+  suspected once nothing of it has been delivered for ``suspect_after``
+  = ``phi_threshold``·ln 10·``heartbeat_interval`` (92.1 delays at the
+  defaults: the silence a phi-accrual detector tolerates at a steady
+  beat of one per interval);
+- only a live member whose frames nobody has received for a quarter of
+  ``suspect_after`` sends a :class:`~repro.core.messages.HeartbeatMsg`
+  beacon to its ring neighbours, so a node whose traffic flows never
+  beacons.  "Received", not "sent": a node that keeps sending to a
+  crashed or partitioned peer is still unheard, and beacons;
+- a phi-accrual detector per node learns how long that node's own
+  requests wait for their grant, in message delays, and is wired into the
   fault-tolerant core's ``regen_delay_provider``: a requester suspects the
   token lost once it has waited ``phi_threshold``·ln 10 times its mean
   wait (≈ 18.4 at phi 8), never sooner than the configured
@@ -21,22 +29,25 @@ available" and leaves the constant to the deployment.
   token circulates (``idle_pause``) does not enter it, and a wait that
   spanned a census or a regeneration times a recovery, not the token,
   so it is left out;
-- peers whose phi crosses the threshold are pushed into every live core's
-  ``suspected`` set, so rotation and loans route around them (and are
-  cleared again once their heartbeats resume);
+- suspected peers are pushed into every live core's ``suspected`` set,
+  so rotation and loans route around them (and are cleared again once
+  their frames arrive again);
 - a crashed node is restarted after ``restart_delay``, restored from the
   supervisor's last **snapshot** of its durable state (epoch, visit clock
   — never ``has_token``: a crashed holder's token is genuinely lost and
   the census/regeneration machinery recovers it), under a bumped
   reliability incarnation, up to ``max_restarts`` times.
 
-Everything is deterministic under :mod:`repro.aio.virtualtime`: the
-supervisor introduces no randomness of its own.
+The supervisor is one coroutine that wakes every quarter of
+``suspect_after``, or sooner when a peer's suspicion deadline or a
+restart falls due.  Everything is deterministic under :mod:`repro.aio.virtualtime`:
+the supervisor introduces no randomness of its own.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -48,11 +59,19 @@ from repro.sim.driver import NodeDriver
 
 __all__ = ["RestartPolicy", "ClusterSupervisor"]
 
+#: The supervisor wakes at least once per this fraction of
+#: ``suspect_after``, and a live node beacons once nothing of it was heard
+#: for as long: a silent node is heard again within half of
+#: ``suspect_after``, so one lost beacon still leaves it unsuspected.
+SILENT_FRACTION = 0.25
+
 
 @dataclass
 class RestartPolicy:
     """Supervision knobs.  Zero-valued timings scale with the transport
-    delay (heartbeats every 5 delays, restart after 20)."""
+    delay (restart after 20 delays).  ``heartbeat_interval`` (default 5
+    delays) is the unit peer suspicion counts in: a peer unheard for
+    ``phi_threshold``·ln 10 intervals is suspected."""
 
     restart_delay: float = 0.0
     max_restarts: int = 5
@@ -70,20 +89,19 @@ class ClusterSupervisor:
         self.cluster = cluster
         self.policy = policy if policy is not None else RestartPolicy()
         delay = cluster.network.delay
-        self.interval = (self.policy.heartbeat_interval
-                         if self.policy.heartbeat_interval > 0
-                         else max(5.0 * delay, 1e-3))
+        interval = (self.policy.heartbeat_interval
+                    if self.policy.heartbeat_interval > 0
+                    else max(5.0 * delay, 1e-3))
         self.restart_delay = (self.policy.restart_delay
                               if self.policy.restart_delay > 0
                               else max(20.0 * delay, 2e-3))
-        #: Silence after which a peer with too little phi history is
-        #: suspected anyway (covers crash-before-first-heartbeat).
-        self.fallback_timeout = 10.0 * self.interval
-        #: Liveness detectors, one per peer, fed by heartbeat arrivals.
-        self.peer_detectors: Dict[int, PhiAccrualDetector] = {}
-        #: The last heartbeat ``seq`` observed per sender: a beat reaches
-        #: both ring neighbours, and its second copy is no new arrival.
-        self._beats_seen: Dict[int, int] = {}
+        #: Silence after which a peer is suspected.
+        self.suspect_after = (self.policy.phi_threshold * math.log(10.0)
+                              * interval)
+        #: Silence after which a live node beacons; the longest sleep.
+        self.beacon_after = SILENT_FRACTION * self.suspect_after
+        #: When a frame from each node was last delivered to another.
+        self.heard: Dict[int, float] = {}
         #: Grant-wait detectors, one per node, fed with that node's
         #: request-to-grant waits in delays; wired into
         #: ``core.regen_delay_provider``.
@@ -94,8 +112,8 @@ class ClusterSupervisor:
         self._snapshots: Dict[int, dict] = {}
         self._restart_at: Dict[int, float] = {}
         self._hb_seq = 0
+        self._time = cluster.sim.time
         self._task: Optional[asyncio.Task] = None
-        self._started_at = 0.0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -103,7 +121,9 @@ class ClusterSupervisor:
         """Wire every driver (current and future) and begin supervising."""
         if self._task is not None:
             return
-        self._started_at = self.cluster.sim.time()
+        # Read once per delivered frame: bind the loop's clock itself.
+        self._time = asyncio.get_running_loop().time
+        self.cluster.network.on_deliver.append(self._on_deliver)
         self.cluster.on_driver.append(self._wire)
         for node, driver in self.cluster.drivers.items():
             self._wire(node, driver)
@@ -122,6 +142,9 @@ class ClusterSupervisor:
     # -- wiring ---------------------------------------------------------------
 
     def _wire(self, node: int, driver: NodeDriver) -> None:
+        # A node joining or reborn is heard now: it gets a full
+        # ``suspect_after`` to be heard again.
+        self.heard[node] = self._time()
         driver.on_control.append(self._heartbeat_sink)
         driver.subscribe(self._on_app_event)
         core = driver.core
@@ -134,17 +157,14 @@ class ClusterSupervisor:
             core.regen_delay_provider = self._make_delay_provider(detector)
             core.alive_provider = self._alive_view
 
+    def _on_deliver(self, src: int, dst: int, msg: object) -> None:
+        if src != dst:
+            self.heard[src] = self._time()
+
     def _heartbeat_sink(self, src: int, msg: object) -> bool:
-        if not isinstance(msg, HeartbeatMsg):
-            return False
-        if self._beats_seen.get(msg.sender, 0) < msg.seq:
-            self._beats_seen[msg.sender] = msg.seq
-            detector = self.peer_detectors.get(msg.sender)
-            if detector is None:
-                detector = self.peer_detectors[msg.sender] = \
-                    PhiAccrualDetector()
-            detector.observe(self.cluster.sim.time())
-        return True  # runtime traffic: never reaches the core
+        # Its delivery already stamped ``heard``; runtime traffic never
+        # reaches the core.
+        return isinstance(msg, HeartbeatMsg)
 
     def _make_delay_provider(self, detector: PhiAccrualDetector):
         def provider() -> Optional[float]:
@@ -155,9 +175,9 @@ class ClusterSupervisor:
         return provider
 
     def _alive_view(self) -> set:
-        """Peers with fresh liveness evidence (heartbeats flowing, not
+        """Peers with fresh liveness evidence (heard lately, not
         crash-stopped) — wired into every core's ``alive_provider`` so
-        routing trusts heartbeats over stale suspicion gossip."""
+        routing trusts delivered frames over stale suspicion gossip."""
         return {peer for peer, driver in self.cluster.drivers.items()
                 if not driver.crashed and peer not in self.suspected}
 
@@ -198,51 +218,57 @@ class ClusterSupervisor:
     # -- supervision loop -----------------------------------------------------
 
     async def _monitor(self) -> None:
+        now = self._time()
         while True:
-            await asyncio.sleep(self.interval)
-            now = self.cluster.sim.time()
-            self._send_heartbeats()
+            await asyncio.sleep(self._next_wake(now) - self._time())
+            now = self._time()
+            self._send_beacons(now)
             self._update_suspicions(now)
             self._maybe_restart(now)
 
-    def _send_heartbeats(self) -> None:
+    def _next_wake(self, now: float) -> float:
+        """A quarter of ``suspect_after`` away, or sooner: the suspicion
+        deadline of an unsuspected member, or a restart."""
         view = self.cluster.membership.view
+        return min([now + self.beacon_after,
+                    *(self.heard[node] + self.suspect_after
+                      for node in self.cluster.drivers
+                      if node in view and node not in self.suspected),
+                    *self._restart_at.values()])
+
+    def _send_beacons(self, now: float) -> None:
+        view = self.cluster.membership.view
+        due = [node for node, driver in self.cluster.drivers.items()
+               if not driver.crashed and node in view
+               and now >= self.heard[node] + self.beacon_after]
+        if not due:
+            return
         self._hb_seq += 1
-        for node, driver in list(self.cluster.drivers.items()):
-            if driver.crashed or node not in view:
-                continue
+        for node in due:
             beat = HeartbeatMsg(
                 sender=node, seq=self._hb_seq,
-                last_visit=driver.core.last_visit)
+                last_visit=self.cluster.drivers[node].core.last_visit)
             for dst in {view.succ(node), view.pred(node)} - {node}:
                 self.cluster.network.send(node, dst, beat)
-
-    def _is_suspicious(self, peer: int, now: float) -> bool:
-        detector = self.peer_detectors.get(peer)
-        if detector is None:
-            return now - self._started_at > self.fallback_timeout
-        if detector.samples < 2:
-            last = (detector.last_arrival if detector.last_arrival is not None
-                    else self._started_at)
-            return now - last > self.fallback_timeout
-        return detector.suspicious(now, self.policy.phi_threshold)
 
     def _update_suspicions(self, now: float) -> None:
         view = self.cluster.membership.view
         current = {peer for peer in self.cluster.drivers
-                   if peer in view and self._is_suspicious(peer, now)}
+                   if peer in view
+                   and now >= self.heard[peer] + self.suspect_after}
         newly, cleared = current - self.suspected, self.suspected - current
         self.suspected = current
         for peer in sorted(newly):
             self.events.append({"t": now, "event": "suspect", "node": peer})
         for peer in sorted(cleared):
             self.events.append({"t": now, "event": "clear", "node": peer})
-        # Sync every live core to the heartbeat-proven view on *every*
-        # tick, not just on transitions: token messages gossip their
+        # Sync every live core to the traffic-proven view on *every*
+        # wake, not just on transitions: token messages gossip their
         # holder's ``suspects`` tuple, so one stale in-flight token can
         # re-infect the ring right after a one-shot clear — and a node
         # everyone still suspects is skipped by rotation and loans
-        # forever, starving it.  Heartbeats are the fresher evidence.
+        # forever, starving it.  Delivered frames are the fresher
+        # evidence.
         alive = {peer for peer, driver in self.cluster.drivers.items()
                  if peer in view and peer not in current
                  and not driver.crashed}
@@ -274,12 +300,8 @@ class ClusterSupervisor:
             self.restarts[node] = self.restarts.get(node, 0) + 1
             restore = (self.snapshot_of(node)
                        if self.policy.snapshot_restore else None)
+            # The reborn driver is wired (and heard) as it is made.
             self.cluster.restart(node, restore=restore)
-            # Fresh liveness history, primed with "seen now": the reborn
-            # node gets a full fallback window to resume heartbeats.
-            detector = PhiAccrualDetector()
-            detector.observe(now)
-            self.peer_detectors[node] = detector
             self.events.append(
                 {"t": now, "event": "restart", "node": node,
                  "attempt": self.restarts[node],
@@ -289,14 +311,14 @@ class ClusterSupervisor:
 
     def status(self) -> Dict[int, dict]:
         """Per-node supervision view (diagnostics, chaos reports)."""
-        now = self.cluster.sim.time()
+        now = self._time()
         out: Dict[int, dict] = {}
         for node, driver in sorted(self.cluster.drivers.items()):
-            detector = self.peer_detectors.get(node)
             out[node] = {
                 "crashed": driver.crashed,
                 "suspected": node in self.suspected,
                 "restarts": self.restarts.get(node, 0),
-                "phi": round(detector.phi(now), 3) if detector else 0.0,
+                # Seconds since a frame of it was last delivered.
+                "silence": round(now - self.heard.get(node, now), 6),
             }
         return out

@@ -225,9 +225,10 @@ class RegenerateMsg(Message):
 
 @dataclass(frozen=True)
 class HeartbeatMsg(Message):
-    """Runtime liveness beacon (cheap): a supervised node's periodic "I am
-    alive" to its ring neighbours, feeding their phi-accrual detectors.
-    Consumed by the driver layer; never reaches a protocol core."""
+    """Runtime liveness beacon (cheap): a supervised node's "I am alive"
+    to its ring neighbours, sent only when nothing of it was heard
+    lately.  Consumed by the driver layer; never reaches a protocol
+    core."""
 
     sender: int
     seq: int

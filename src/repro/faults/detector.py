@@ -13,9 +13,9 @@ neighbours; operationally that is the first *responder* after the node
 with the freshest token sighting, i.e. the successor that would have
 received the token next.
 
-:class:`PhiAccrualDetector` turns a history of intervals into a timeout:
-heartbeat gaps per supervised peer, and request-to-grant waits per
-requester — the "time-out based detection" the quote assumes.
+:class:`PhiAccrualDetector` turns a history of request-to-grant waits
+per requester into a timeout — the "time-out based detection" the quote
+assumes.
 """
 
 from __future__ import annotations
@@ -30,29 +30,26 @@ _LN10 = math.log(10.0)
 
 
 class PhiAccrualDetector:
-    """Adaptive accrual failure detection (Hayashibara et al. 2004).
+    """Adaptive accrual timeout (Hayashibara et al. 2004), fed with waits.
 
-    Instead of a boolean "failed after T seconds", the detector accrues a
-    continuous suspicion level phi from the observed inter-arrival times of
-    a heartbeat source.  We use the exponential-tail form deployed by
-    Cassandra and Akka: with mean inter-arrival ``m``, the probability of
-    seeing no arrival for ``t`` seconds is ``exp(-t/m)``, so
+    An accrual detector keeps a continuous suspicion level phi over a
+    history of intervals.  We use the exponential-tail form deployed by
+    Cassandra and Akka: with mean interval ``m``, the probability of
+    waiting ``t`` without the awaited event is ``exp(-t/m)``, so
 
         ``phi(t) = -log10 P = t / (m * ln 10)``.
 
-    phi = 1 means "90 % sure it's dead", phi = 8 "99.999999 %".  The
-    closed form also inverts cleanly: phi crosses a threshold exactly
-    ``threshold * m * ln 10`` after the last arrival, which is what the
+    phi = 1 means "90 % sure it's lost", phi = 8 "99.999999 %".  The
+    closed form inverts cleanly: phi crosses a threshold exactly
+    ``threshold * m * ln 10`` into a wait, which is what the
     fault-tolerant runtime uses as its **adaptive detection timeout** —
     fast rings suspect in milliseconds, slow rings wait proportionally,
     with no hand-tuned constant in sight.
 
-    The intervals need not come from a literal heartbeat: the runtime
-    feeds one detector per supervised peer with heartbeat arrivals, and
-    one per node with the **grant waits** of its own requests
-    (:meth:`record`), so a requester suspects the token lost once it has
-    waited far longer than its requests usually do — the paper's
-    demand-driven detection, timed where Section 5 times it.
+    The runtime feeds one detector per node with the **grant waits** of
+    its own requests (:meth:`record`), so a requester suspects the token
+    lost once it has waited far longer than its requests usually do — the
+    paper's demand-driven detection, timed where Section 5 times it.
 
     Deterministic, windowed, stdlib-only.
     """
@@ -64,59 +61,26 @@ class PhiAccrualDetector:
         self.window = window
         self.min_interval = min_interval
         self._intervals: Deque[float] = deque(maxlen=window)
-        self.last_arrival: Optional[float] = None
-
-    # -- ingestion ----------------------------------------------------------
-
-    def observe(self, now: float) -> None:
-        """Record one arrival at time ``now``."""
-        if self.last_arrival is not None and now >= self.last_arrival:
-            self.record(now - self.last_arrival)
-        self.last_arrival = now
 
     def record(self, interval: float) -> None:
-        """Record one interval that was measured elsewhere (a grant wait)."""
+        """Record one interval (a grant wait)."""
         self._intervals.append(max(interval, self.min_interval))
-
-    # -- statistics ---------------------------------------------------------
 
     @property
     def samples(self) -> int:
-        """Recorded inter-arrival intervals."""
+        """Recorded intervals."""
         return len(self._intervals)
 
     def mean_interval(self) -> Optional[float]:
-        """Windowed mean inter-arrival time (None with < 1 sample)."""
+        """Windowed mean interval (None with < 1 sample)."""
         if not self._intervals:
             return None
         return sum(self._intervals) / len(self._intervals)
 
-    def std_interval(self) -> float:
-        """Windowed inter-arrival standard deviation (diagnostics)."""
-        if len(self._intervals) < 2:
-            return 0.0
-        mean = sum(self._intervals) / len(self._intervals)
-        var = sum((x - mean) ** 2 for x in self._intervals) / len(self._intervals)
-        return math.sqrt(var)
-
-    # -- suspicion ----------------------------------------------------------
-
-    def phi(self, now: float) -> float:
-        """Current suspicion level (0.0 while there is no history)."""
-        mean = self.mean_interval()
-        if mean is None or self.last_arrival is None:
-            return 0.0
-        elapsed = max(now - self.last_arrival, 0.0)
-        return elapsed / (mean * _LN10)
-
-    def suspicious(self, now: float, threshold: float) -> bool:
-        """True once phi accrued past ``threshold``."""
-        return self.phi(now) >= threshold
-
     def timeout_after(self, threshold: float) -> Optional[float]:
-        """Silence (seconds since the last arrival) at which phi crosses
-        ``threshold`` — the adaptive stand-in for a fixed timeout.  None
-        while there is no history to adapt to."""
+        """Wait at which phi crosses ``threshold`` — the adaptive stand-in
+        for a fixed timeout.  None while there is no history to adapt
+        to."""
         mean = self.mean_interval()
         if mean is None:
             return None

@@ -189,7 +189,7 @@ class RecoveryTracker:
     def ingest_supervisor_events(self, events: List[Dict]) -> None:
         """Fold a :class:`~repro.aio.supervisor.ClusterSupervisor` event
         log into the tracker: ``suspect`` opens a node's outage, ``clear``
-        (heartbeats resumed after repair) closes it."""
+        (its frames heard again after repair) closes it."""
         for event in events:
             if event["event"] == "suspect":
                 self.fault(("node", event["node"]), event["t"])
