@@ -115,8 +115,8 @@ class Cluster:
         )
         self.membership = MembershipService(range(n))
         #: ``hook(node_id, driver)`` — fired whenever a driver is (re)built
-        #: (construction, restart, join).  The supervisor and the runtime
-        #: oracle re-wire their per-driver hooks onto the fresh incarnation.
+        #: (construction, restart, join).  The supervisor, the oracle and
+        #: the fuzz digest wire their per-driver hooks onto the fresh one.
         self.on_driver: List[Callable[[int, NodeDriver], None]] = []
         self.drivers: Dict[int, NodeDriver] = {}
         self._ring: Optional[RingView] = None

@@ -1,4 +1,4 @@
-"""The invariant oracle: one token-unit census, two wirings, a verdict.
+"""The invariant oracle: one token-unit census, one wiring, a verdict.
 
 An :class:`InvariantOracle` watches a live cluster through four
 backend-neutral events — a **logical send** (:meth:`~InvariantOracle.sent`),
@@ -9,27 +9,39 @@ a **terminal settle** of an in-flight lineage message, delivered or lost
 check is drawn from: holders + borrowers + in-flight token-lineage
 messages (``TokenMsg``/``LoanMsg``/``LoanReturnMsg``), bucketed by epoch.
 
-**Wiring** is chosen from the clock of the
-:class:`~repro.core.cluster.Cluster` it is given, as the driver chooses
-its exception policy:
+**Wiring** is the same on every clock: the seam of the one
+:class:`~repro.core.cluster.Cluster` and its node drivers
+(:class:`~repro.sim.driver.NodeDriver`), on the simulator, the in-memory
+runtime and the socket transport alike.  Per driver:
 
-- on a :class:`~repro.sim.kernel.Simulator` it intercepts
-  ``network._deliver``; a breach *raises* :class:`OracleViolation` out of
-  ``cluster.run()``;
-- on an event loop (an :class:`~repro.aio.cluster.AioCluster`, in-memory
-  or real-socket transport alike) it is wired through the driver seam — ``on_send_msg``
-  fires once per protocol payload, never per ARQ retransmission, so a
-  retransmitted token is not two units — and settles at *terminal*
-  events only: the core fully handled the payload (``on_handled``), the
-  reliability channel surrendered it (``on_give_up``), or the transport
-  dropped an unframed reliable message (``on_drop``).  The hooks run deep
-  inside a node's handlers, where a raise would kill that one node
-  asymmetrically, so a breach is *captured* in :attr:`violation` (first
-  one wins) for the runner to read.  Known over-count: a lineage payload
-  whose frame evaporates after its sender crashed (channel stopped, no
-  give-up will fire) stays in the ledger — phantom units at stale epochs
-  are harmless to the newest-epoch check, under-counting could mask a
-  real duplication.
+- ``on_send_msg`` feeds :meth:`~InvariantOracle.sent` once per protocol
+  payload, never per ARQ retransmission, so a retransmitted token is not
+  two units;
+- ``on_control`` sees a payload arrive at the core: a lineage message
+  settles there (and a loan is accepted), or, when
+  :meth:`~InvariantOracle.lose_token` armed a loss, the next token is
+  swallowed as a declared loss;
+- ``on_handled`` draws :meth:`~InvariantOracle.check` after every handled
+  payload;
+- the reliability channel's ``on_give_up`` settles a surrendered payload
+  as lost, then checks.
+
+Drivers a restart or a join builds are wired as ``cluster.on_driver``
+announces them, and their shadow history starts from the fresh core.
+``network.on_drop`` settles a raw lineage message that dies in the
+network (its addressee is dead, or on the socket transport it was never
+framed); a drop at a dead or detached node is a check point too.
+
+One policy follows the clock, as the driver's exception policy does: on
+a :class:`~repro.sim.kernel.Simulator` a breach *raises*
+:class:`OracleViolation` out of ``cluster.run()``; on an event loop the
+hooks run inside a node's handlers, where a raise would kill that one
+node asymmetrically, so the first breach is *captured* in
+:attr:`~InvariantOracle.violation` for the runner to read.  Known
+over-count: a lineage payload whose frame evaporates after its sender
+crashed (channel stopped, no give-up will fire) stays in the ledger —
+phantom units at stale epochs are harmless to the newest-epoch check,
+under-counting could mask a real duplication.
 
 The **verdict** is a value, not a subclass (:func:`safety`,
 :func:`convergence`):
@@ -60,9 +72,10 @@ The **verdict** is a value, not a subclass (:func:`safety`,
 
 Conservation is only decidable at quiescent points — a core handler's
 sends reach the network while the handler runs, so mid-handler the token
-can legitimately be counted twice or nowhere — which is why both wirings
-call :meth:`~InvariantOracle.check` after a delivery has fully
-completed, when every send the handler made has been counted.
+can legitimately be counted twice or nowhere — which is why
+:meth:`~InvariantOracle.check` runs after a payload has been fully
+handled, given up or dropped at a dead node, when every send a handler
+made has been counted.
 
 Spec-level runs go through :func:`check_spec_reduction`, which replays a
 recorded reduction and differentially compares each rule-6 forwarding
@@ -75,9 +88,8 @@ implementation clockwise — and are exempt.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
@@ -139,19 +151,16 @@ class InvariantOracle:
         self.verdict = verdict
         self.checks = 0
         self.injected_token_losses = 0
-        #: Optional predicate ``(src, dst, msg) -> bool`` consulted at
-        #: delivery time by the sim wiring; True swallows an in-flight
-        #: token (fault injection for regeneration runs).
-        self.drop_token: Optional[Callable[[int, int, object], bool]] = None
-        #: First breach seen by the aio wiring (the sim wiring raises).
+        #: First breach seen on an event loop (on a simulator it raises).
         self.violation: Optional[OracleViolation] = None
         # Shadow state, reconstructed from the message/event stream.
         self._seen: Dict[int, int] = {}          # node -> |ring(H_x)| - 1
         self._inflight: Dict[int, int] = {}      # epoch -> lineage msgs
         self._stamps: Dict[Tuple[int, int], Set[int]] = {}  # (z, seq) -> stamps
         self._lineage_lost = 0                   # units a fault destroyed
+        self._losses_armed = 0                   # tokens to swallow on arrival
         self._attached = False
-        self._capture = False
+        self._raise = isinstance(cluster.sim, Simulator)
         # Convergence verdict state.
         #: Closed injection-to-legitimacy intervals, in clock units (where
         #: a RecoveryTracker measures *service* restoration after a crash,
@@ -170,33 +179,25 @@ class InvariantOracle:
         if self._attached:
             return
         self._attached = True
-        if not isinstance(self.cluster.sim, Simulator):
-            self._capture = True
-            self.cluster.network.on_drop.append(self._on_transport_drop)
-            self.cluster.on_driver.append(self._wire_driver)
-            for node, driver in self.cluster.drivers.items():
-                self._wire_driver(node, driver)
-        else:
-            net = self.cluster.network
-            self._orig_deliver = net._deliver
-            net._deliver = self._deliver
-            net.on_send.append(self.sent)
-            for driver in self.cluster.drivers.values():
-                driver.subscribe(self._on_app_event)
+        self.cluster.network.on_drop.append(self._on_drop)
+        self.cluster.on_driver.append(self._wire_driver)
+        for node, driver in self.cluster.drivers.items():
+            self._wire_driver(node, driver)
         self._pending = self._now()
 
+    def lose_token(self) -> None:
+        """Injected token loss: the next token that reaches a live node
+        vanishes instead, a declared loss that relaxes strict
+        conservation."""
+        self._losses_armed += 1
+
     def _now(self) -> float:
-        if not self._capture:
-            return self.cluster.sim.now
-        try:
-            return asyncio.get_running_loop().time()
-        except RuntimeError:
-            return -1.0
+        return self.cluster.sim.time()
 
     def _fail(self, invariant: str, detail: str, **context) -> None:
         context.setdefault("now", self._now())
         violation = OracleViolation(invariant, detail, context)
-        if not self._capture:
+        if self._raise:
             raise violation
         if self.violation is None:
             self.violation = violation
@@ -204,62 +205,51 @@ class InvariantOracle:
     def _core(self, node: int):
         return self.cluster.drivers[node].core
 
-    # -- sim wiring: delivery interception ------------------------------------
-
-    def _deliver(self, src: int, dst: int, msg: object) -> None:
-        net = self.cluster.network
-        if isinstance(msg, _LINEAGE):
-            if dst in net._down or dst not in net._handlers:
-                # The addressee is dead: a reliable lineage message (and
-                # its token unit) evaporates here.
-                self.settled(msg, lost=True)
-            elif isinstance(msg, TokenMsg) and self.drop_token is not None \
-                    and self.drop_token(src, dst, msg):
-                # Injected token loss: the unit vanishes in flight.
-                self.injected_token_losses += 1
-                self.settled(msg, lost=True)
-                net.dropped_count += 1
-                return
-            else:
-                self.settled(msg, lost=False)
-                self.loan_accepted(dst, msg)
-        self._orig_deliver(src, dst, msg)
-        self.check()
-
-    def _on_app_event(self, node: int, kind: str, payload: tuple, now: float) -> None:
-        if kind == "token_visit":
-            # payload = (node_id, clock): the canonical visit event.
-            self.visited(node, payload[1])
-
-    # -- aio wiring: driver / channel / transport hooks -----------------------
-
     def _wire_driver(self, node: int, driver) -> None:
         driver.on_send_msg.append(self.sent)
-        driver.on_handled.append(lambda src, msg: self._terminal(msg, False))
         driver.on_control.append(
-            lambda src, msg, _node=node: self.loan_accepted(_node, msg))
+            lambda src, msg, _node=node: self._arrived(_node, msg))
+        driver.on_handled.append(lambda src, msg: self.check())
         driver.subscribe(self._on_app_event)
         if driver.channel is not None:
-            driver.channel.on_give_up.append(
-                lambda src, dst, msg: self._terminal(msg, True))
+            driver.channel.on_give_up.append(self._given_up)
         # (Re)sync the shadow history with the core we now observe: a
         # restarted node's restored ``last_visit`` *is* its observable
         # history (the pre-crash tail is genuinely forgotten).
         self._seen[node] = driver.core.last_visit
 
-    def _terminal(self, msg: object, lost: bool) -> None:
-        """The core fully handled a payload, or the channel gave it up."""
-        if isinstance(msg, _LINEAGE):
-            self.settled(msg, lost)
-            self.check()
+    def _arrived(self, node: int, msg: object) -> bool:
+        """A payload reached ``node``'s core: a lineage message settles
+        here, or is swallowed when a token loss is armed."""
+        if not isinstance(msg, _LINEAGE):
+            return False
+        if self._losses_armed and isinstance(msg, TokenMsg):
+            self._losses_armed -= 1
+            self.injected_token_losses += 1
+            self.settled(msg, lost=True)
+            return True
+        self.settled(msg, lost=False)
+        self.loan_accepted(node, msg)
+        return False
 
-    def _on_transport_drop(self, src: int, dst: int, msg: object,
-                           reason: str) -> None:
-        # Only an *unframed* reliable lineage message dies at the transport
-        # (no channel to retransmit it).  Dropped DataFrames are
-        # non-terminal: the ARQ either recovers them or gives up above.
+    def _given_up(self, src: int, dst: int, msg: object) -> None:
         if isinstance(msg, _LINEAGE):
             self.settled(msg, lost=True)
+        self.check()
+
+    def _on_drop(self, src: int, dst: int, msg: object, reason: str) -> None:
+        # A raw lineage message dies here: its addressee is dead, or (on
+        # the socket transport) it was never framed.  A dropped ARQ frame
+        # is not terminal: the channel retransmits it or gives it up.
+        if isinstance(msg, _LINEAGE):
+            self.settled(msg, lost=True)
+        if reason in ("down", "detached"):
+            self.check()
+
+    def _on_app_event(self, node: int, kind: str, payload: tuple, now: float) -> None:
+        if kind == "token_visit":
+            # payload = (node_id, clock): the canonical visit event.
+            self.visited(node, payload[1])
 
     # -- the four events ------------------------------------------------------
 
@@ -294,16 +284,14 @@ class InvariantOracle:
         """The only place a node's ring projection grows (rule 4)."""
         self._seen[node] = clock
 
-    def loan_accepted(self, node: int, msg: object) -> bool:
+    def loan_accepted(self, node: int, msg: object) -> None:
         """Mirror the borrower's ``H_x`` update before its core runs: the
         loan carries the lender's clock, and accepting it is a ring
         contact — unless the fault-tolerant core's epoch fence discards
-        it first.  Returns False so it can sit in ``on_control`` as an
-        observer that never consumes."""
+        it first."""
         if isinstance(msg, LoanMsg) and msg.requester == node:
             if msg.epoch >= self._core(node).epoch:
                 self._seen[node] = msg.clock
-        return False
 
     def check(self) -> None:
         """Draw the verdict at a quiescent point."""
@@ -317,10 +305,6 @@ class InvariantOracle:
 
     def _history(self, src: int, doing: str) -> int:
         """``src``'s shadow history, which its ``last_visit`` must equal."""
-        if src not in self._seen:
-            # Initial condition: the holder's H starts with visit(clock=0),
-            # everyone else is empty (last_visit convention: -1).
-            self._seen[src] = 0 if self._core(src).has_token else -1
         shadow = self._seen[src]
         impl = self._core(src).last_visit
         if impl != shadow:

@@ -10,9 +10,10 @@ dispatches —
 - ``fast``: the array-compiled :class:`~repro.fastsim.FastCluster`, whose
   whole value is replaying the ``des`` run bit-for-bit;
 - ``aio`` and ``wire``: **one** asyncio coroutine — the supervised runtime
-  (ARQ reliability, phi-accrual supervision, restart) on the in-memory
-  transport under a virtual clock, or on loopback TCP in wall-clock time,
-  there optionally fronted by the lock service and a closed-loop load —
+  (ARQ reliability, liveness read off delivered frames, restart) on the
+  in-memory transport under a virtual clock, or on loopback TCP in
+  wall-clock time, there optionally fronted by the lock service and a
+  closed-loop load —
 
 always with the invariant oracle attached, and always into one
 :class:`FuzzResult`: outcome, violation details (an oracle breach, a dead
@@ -58,6 +59,7 @@ from repro.fuzz.oracle import (
 from repro.fuzz.rng import derive_seed
 from repro.lint import LintViolation
 from repro.lint.rewriter import SanitizedRewriter
+from repro.sim.kernel import Simulator
 
 __all__ = ["FuzzResult", "run_case", "skip_reason", "fuzz_run"]
 
@@ -132,18 +134,26 @@ class _SendDigest:
     """CRC32 over a logical send stream — ``time|[lane|]src|dst|message``
     per send, any field drift changes it — plus the send count."""
 
-    def __init__(self, clock: Callable[[], float], stamp: str) -> None:
-        self.clock = clock
-        self.stamp = stamp          # timestamp format: "%.6f" sim, "%.9f" aio
+    def __init__(self) -> None:
         self.crc = 0
         self.sends = 0
 
-    def hook(self, lane: str = "") -> Callable[[int, int, object], None]:
+    def watch(self, cluster: Cluster, lane: str = "") -> None:
+        """Fold every logical send of ``cluster``'s drivers, present and
+        future, into the digest (``lane`` prefixes a fabric lane's)."""
+        clock = cluster.sim.time
+        # Virtual units on a simulator, seconds on an event loop.
+        stamp = "%.6f" if isinstance(cluster.sim, Simulator) else "%.9f"
+
         def on_send(src: int, dst: int, msg: object) -> None:
             self.sends += 1
-            record = f"{self.stamp % self.clock()}|{lane}{src}|{dst}|{msg!r}"
+            record = f"{stamp % clock()}|{lane}{src}|{dst}|{msg!r}"
             self.crc = zlib.crc32(record.encode("utf-8"), self.crc)
-        return on_send
+
+        cluster.on_driver.append(
+            lambda node, driver: driver.on_send_msg.append(on_send))
+        for driver in cluster.drivers.values():
+            driver.on_send_msg.append(on_send)
 
     @property
     def checksum(self) -> str:
@@ -173,60 +183,37 @@ def _links(fault: Dict) -> List[Tuple[int, int]]:
     return [(fault["a"], fault["b"])]
 
 
-# ---------------------------------------------------------------------------
-# des: impl-level and fabric-level execution
-# ---------------------------------------------------------------------------
-
-class _TokenLossInjector:
-    """Swallows the next in-flight token per armed ``token_loss`` fault."""
-
-    def __init__(self) -> None:
-        self.armed = 0
-
-    def arm(self) -> None:
-        self.armed += 1
-
-    def __call__(self, src: int, dst: int, msg: object) -> bool:
-        if self.armed:
-            self.armed -= 1
-            return True
-        return False
-
-
 #: How a cluster on any clock — a whole run's, or one fabric lane's —
 #: applies each fault op; :data:`~repro.fuzz.case.FAULT_OPS` says which
-#: backend may use which (``reset`` exists on the socket transport only,
-#: ``token_loss`` arms the des oracle's injector).
-_FAULTS: Dict[str, Callable[[Cluster, Optional[_TokenLossInjector], Dict], object]] = {
-    "crash": lambda c, inj, f: c.crash(f["a"]),
-    "recover": lambda c, inj, f: c.drivers[f["a"]].recover(),
-    "token_loss": lambda c, inj, f: inj.arm(),
-    "partition": lambda c, inj, f: [c.network.partition(a, b)
-                                    for a, b in _links(f)],
-    "heal": lambda c, inj, f: c.network.heal(f["a"], f["b"]),
-    "heal_all": lambda c, inj, f: c.network.heal_all(),
-    "reset": lambda c, inj, f: c.network.reset_connections(f.get("a")),
-    "corrupt": lambda c, inj, f: corrupt_core(
+#: backend may use which (``reset`` exists on the socket transport only).
+_FAULTS: Dict[str, Callable[[Cluster, InvariantOracle, Dict], object]] = {
+    "crash": lambda c, o, f: c.crash(f["a"]),
+    "recover": lambda c, o, f: c.drivers[f["a"]].recover(),
+    "token_loss": lambda c, o, f: o.lose_token(),
+    "partition": lambda c, o, f: [c.network.partition(a, b)
+                                  for a, b in _links(f)],
+    "heal": lambda c, o, f: c.network.heal(f["a"], f["b"]),
+    "heal_all": lambda c, o, f: c.network.heal_all(),
+    "reset": lambda c, o, f: c.network.reset_connections(f.get("a")),
+    "corrupt": lambda c, o, f: corrupt_core(
         c.drivers[f["a"]].core, f["what"], f["arg"], c.n),
 }
 
 
-def _sim_fault_applier(cluster: Cluster,
-                       oracle: InvariantOracle) -> Callable[[Dict], None]:
-    """``fire(fault)`` for one simulated cluster.  Under the convergence
+def _apply_fault(cluster: Cluster, oracle: InvariantOracle,
+                 fault: Dict) -> None:
+    """Apply one fault to a cluster on any clock.  Under the convergence
     verdict every fault also opens a stabilization episode — crashes and
     token losses create legitimate transient illegitimacy just like
     corruption does."""
-    injector = _TokenLossInjector()
-    oracle.drop_token = injector
+    _FAULTS[fault["op"]](cluster, oracle, fault)
+    if oracle.verdict.converging:
+        oracle.inject(cluster.sim.time())
 
-    def fire(fault: Dict) -> None:
-        _FAULTS[fault["op"]](cluster, injector, fault)
-        if oracle.verdict.converging:
-            oracle.inject(cluster.sim.now)
 
-    return fire
-
+# ---------------------------------------------------------------------------
+# des: impl-level and fabric-level execution
+# ---------------------------------------------------------------------------
 
 def _run_impl(case: FuzzCase) -> FuzzResult:
     # Imported lazily: the repro.stabilize package init pulls this module
@@ -253,13 +240,13 @@ def _run_impl(case: FuzzCase) -> FuzzResult:
     oracle = InvariantOracle(cluster, protocol=case.protocol, verdict=verdict)
     oracle.attach()
 
-    digest = _SendDigest(lambda: cluster.sim.now, "%.6f")
-    cluster.network.on_send.append(digest.hook())
+    digest = _SendDigest()
+    digest.watch(cluster)
     for time, node in case.requests:
         cluster.sim.schedule_at(time, cluster.request, node)
-    fire = _sim_fault_applier(cluster, oracle)
     for fault in case.faults:
-        cluster.sim.schedule_at(float(fault["t"]), fire, fault)
+        cluster.sim.schedule_at(float(fault["t"]), _apply_fault,
+                                cluster, oracle, fault)
 
     violation: Optional[Dict] = None
     try:
@@ -293,9 +280,9 @@ def _run_fabric(case: FuzzCase) -> FuzzResult:
     fabric = TokenFabric(seed=derive_seed(case.seed, "fabric"),
                          sanitize=True)
     sim = fabric.sim
-    digest = _SendDigest(lambda: sim.now, "%.6f")
+    digest = _SendDigest()
 
-    fire: List[Callable[[Dict], None]] = []
+    lanes: List[Tuple[Cluster, InvariantOracle]] = []
     for i, spec in enumerate(case.keys):
         protocol = spec.get("protocol", "binary_search")
         lane = fabric.add_key(
@@ -309,13 +296,14 @@ def _run_fabric(case: FuzzCase) -> FuzzResult:
         oracle = InvariantOracle(lane, protocol=protocol,
                                  verdict=safety(strict=not case.faults))
         oracle.attach()
-        fire.append(_sim_fault_applier(lane, oracle))
-        lane.network.on_send.append(digest.hook(f"{i}|"))
+        lanes.append((lane, oracle))
+        digest.watch(lane, f"{i}|")
 
     for time, k, node in case.keyed_requests:
         sim.schedule_at(time, fabric.request_id, k, node)
     for fault in case.faults:
-        sim.schedule_at(float(fault["t"]), fire[fault["k"]], fault)
+        lane, oracle = lanes[fault["k"]]
+        sim.schedule_at(float(fault["t"]), _apply_fault, lane, oracle, fault)
 
     violation: Optional[Dict] = None
     try:
@@ -481,11 +469,8 @@ async def _execute(case: FuzzCase) -> FuzzResult:
     oracle.attach()
     supervisor = ClusterSupervisor(cluster)
 
-    digest = _SendDigest(loop.time, "%.9f")
-    on_send = digest.hook()
-    cluster.on_driver.append(lambda node, d: d.on_send_msg.append(on_send))
-    for driver in cluster.drivers.values():
-        driver.on_send_msg.append(on_send)
+    digest = _SendDigest()
+    digest.watch(cluster)
 
     spec = case.closed_loop
     server = LockServiceServer(cluster) if spec is not None else None
@@ -504,10 +489,9 @@ async def _execute(case: FuzzCase) -> FuzzResult:
         nonlocal injected_at
         await asyncio.sleep(float(fault["t"]) * tick)
         reached.append(fault)
-        _FAULTS[fault["op"]](cluster, None, fault)
+        _apply_fault(cluster, oracle, fault)
         if converging:
             injected_at = loop.time()
-            oracle.inject(injected_at)
 
     grants = 0
     waits: List[float] = []

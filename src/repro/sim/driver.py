@@ -21,13 +21,13 @@ The clock sets two things, and nothing else does:
   driver keeps it for :meth:`NodeDriver.failure` and the node handles no
   further message or timer.
 
-The runtime's seams (empty, and so free, on the simulator):
+The seams, the same on every clock:
 
 - an optional :class:`~repro.aio.reliability.ReliableChannel` frames every
   expensive outgoing message and dedups inbound frames, so the core sees
   exactly the at-most-once stream it was designed for;
-- ``on_control`` interceptors consume runtime-internal messages (e.g.
-  supervisor heartbeats) before they can reach — and confuse — the core;
+- ``on_control`` interceptors see every payload before the core does and
+  may consume it (supervisor heartbeats, an injected token loss);
 - ``on_send_msg`` hooks observe every **logical** protocol send (once per
   payload, never per retransmission) and ``on_handled`` hooks fire after a
   delivered payload has been fully processed — together they give the
@@ -83,7 +83,7 @@ class NodeDriver(Port):
         self.channel = channel
         self.crashed = False
         #: ``hook(src, msg) -> bool`` — True consumes the message before
-        #: it reaches the core (supervisor heartbeats, runtime control).
+        #: it reaches the core (supervisor heartbeats, an injected loss).
         self.on_control: List[Callable[[int, object], bool]] = []
         #: ``hook(src, dst, msg)`` — every logical protocol send.
         self.on_send_msg: List[Callable[[int, int, object], None]] = []

@@ -5,8 +5,8 @@
 with its data path moved onto loopback TCP (length-prefixed versioned
 frames, one multiplexed connection per peer, bounded write queues,
 reconnect with jittered backoff), so ARQ
-reliability, phi-accrual supervision, and the invariant oracle attach
-without modification.  On top of it, :class:`LockServiceServer` exposes
+reliability, supervision (liveness read off delivered frames) and the
+invariant oracle attach without modification.  On top of it, :class:`LockServiceServer` exposes
 acquire/release/status as a network API and :class:`LockClient` /
 :class:`LoadGenerator` drive it with open/closed-loop workloads.
 

@@ -15,6 +15,7 @@ from repro.aio.virtualtime import run_virtual
 from repro.analysis.experiments import run_aio_recovery
 from repro.core.config import ProtocolConfig
 from repro.core.messages import HeartbeatMsg, WhoHasMsg
+from repro.fuzz import InvariantOracle
 from repro.wire.smoke import service_config
 
 DELAY = 0.01
@@ -506,6 +507,44 @@ class TestParkedToken:
         # A parked hop costs the pause plus the delay it travels (a full
         # speed token makes 1,001 hops here).
         assert 0 < hops <= 1.0 / 0.001 / (pause + 1) + 1
+
+
+class TestTokenLostInFlight:
+    def test_a_token_lost_in_flight_is_regenerated(self):
+        """The oracle's ``lose_token`` swallows the parked token on its
+        next hop, past the ARQ (acked, never retransmitted): the first
+        acquire waits out the suspect timer and a census, the token is
+        reborn at one epoch everywhere, and nobody is suspected."""
+        async def main():
+            cluster = served_cluster(5, DELAY, 3)
+            oracle = InvariantOracle(cluster, protocol="fault_tolerant")
+            oracle.attach()
+            supervisor = ClusterSupervisor(cluster)
+            await cluster.start()
+            await supervisor.start()
+            loop = asyncio.get_running_loop()
+            await asyncio.sleep(0.5)
+            oracle.lose_token()
+            while not oracle.injected_token_losses:
+                await asyncio.sleep(DELAY)
+            waits = []
+            for node in (1, 3, 4):
+                asked = loop.time()
+                await cluster.acquire(node, timeout=30.0)
+                waits.append(round(loop.time() - asked, 6))
+                cluster.release(node)
+            await asyncio.sleep(0.1)
+            await supervisor.stop()
+            await cluster.stop()
+            return cluster, oracle, supervisor, waits
+
+        cluster, oracle, supervisor, waits = run_virtual(main())
+        assert oracle.injected_token_losses == 1
+        assert oracle.violation is None
+        assert {d.core.epoch for d in cluster.drivers.values()} == {5}
+        # The first wait spans the suspect timer (>= 160 delays) and a census.
+        assert waits == [1.8, 0.12, 0.01]
+        assert supervisor.events == []
 
 
 # -- the recovery table (DESIGN.md §10, "The idle token parks") ---------------

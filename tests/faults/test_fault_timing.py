@@ -45,18 +45,9 @@ class TestTokenLossMidGimmeChain:
                    key=lambda i: cluster.drivers[i].core.last_visit)
         far = (last + 4) % 8  # far requester: a real multi-hop gimme chain
         cluster.sim.schedule_at(35.0, cluster.request, far)
-        armed = {"on": False}
-
-        def drop_next_token(src, dst, msg):
-            if armed["on"]:
-                armed["on"] = False
-                return True
-            return False
-
-        oracle.drop_token = drop_next_token
         # Arm while the gimme chain is in flight: the next token hop
         # vanishes mid-search.
-        cluster.sim.schedule_at(35.5, lambda: armed.update(on=True))
+        cluster.sim.schedule_at(35.5, oracle.lose_token)
         cluster.run(until=2000, max_events=2_000_000)
 
         assert oracle.injected_token_losses == 1
@@ -71,15 +62,7 @@ class TestTokenLossMidGimmeChain:
         cluster, oracle = build_watched(n=6, seed=12)
         cluster.start()
         cluster.run(until=20)
-        armed = {"on": True}
-
-        def drop_next_token(src, dst, msg):
-            if armed["on"]:
-                armed["on"] = False
-                return True
-            return False
-
-        oracle.drop_token = drop_next_token
+        oracle.lose_token()
         cluster.run(until=500, max_events=500_000)
         assert oracle.injected_token_losses == 1
         assert max(live_epochs(cluster)) == 0  # nobody asked, nobody minted

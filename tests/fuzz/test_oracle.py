@@ -178,10 +178,10 @@ class TestSpecDifferential:
 
 class TestStrictConservation:
     def test_swallowed_token_is_caught_on_clean_schedule(self):
-        """A token that silently evaporates in the network — with no
-        declared fault to account for it — violates strict conservation.
-        (Contrast with the oracle's own ``drop_token`` hook, which counts
-        as a declared loss and therefore relaxes the check.)"""
+        """A token that silently evaporates on its way to the core — with
+        no declared fault to account for it — violates strict
+        conservation.  (Contrast with the oracle's own ``lose_token``,
+        which counts as a declared loss and therefore relaxes the check.)"""
         from repro.core.cluster import Cluster
         from repro.core.config import ProtocolConfig
         from repro.fuzz import (InvariantOracle, build_delay, derive_seed,
@@ -196,16 +196,82 @@ class TestStrictConservation:
                                  verdict=safety(strict=True))
         oracle.attach()
         dropped = []
-        orig = oracle._orig_deliver
 
-        def swallowing(src, dst, msg):
+        def swallowing(src, msg):
             if isinstance(msg, TokenMsg) and not dropped:
-                dropped.append((src, dst))
-                return  # silently eaten: an *undeclared* loss
-            orig(src, dst, msg)
+                dropped.append(src)
+                return True  # silently eaten: an *undeclared* loss
+            return False
 
-        oracle._orig_deliver = swallowing
-        with pytest.raises(OracleViolation) as exc:
-            cluster.run(until=60.0, max_events=2000)
-        assert exc.value.invariant == "token-conservation"
+        # Behind the oracle's own hook: it saw the token arrive.
+        for driver in cluster.drivers.values():
+            driver.on_control.append(swallowing)
+        # The ring goes silent once its only token is gone, so the run
+        # ends without a check point: draw the verdict after it.
+        cluster.run(until=60.0, max_events=2000)
         assert dropped
+        with pytest.raises(OracleViolation) as exc:
+            oracle.check()
+        assert exc.value.invariant == "token-conservation"
+
+
+class TestOracleAcrossLifecycle:
+    """A node that restarts or joins is watched from its first event: on
+    either clock (``...OnLoop``), a clean schedule around it raises no
+    alarm.  Wired only at ``attach()``, the oracle kept a reborn node's
+    pre-crash history and saw none of a joiner's visits, and read both as
+    ``shadow-divergence``.  Times are message delays on both clocks."""
+
+    on_loop = False
+
+    def watch(self, clock, protocol):
+        from repro.core.cluster import Cluster
+        from repro.fuzz import InvariantOracle, safety
+
+        cluster = Cluster.build(protocol, 5, seed=3, sim=clock, delay=1.0)
+        oracle = InvariantOracle(cluster, protocol=protocol,
+                                 verdict=safety())
+        oracle.attach()
+        granted = []
+        cluster.on_grant(lambda node, seq, now: granted.append(node))
+        cluster.start()
+        return cluster, oracle, granted
+
+    def requests(self, clock, cluster, nodes):
+        """One request every 7 delays from t=50 on, cycling ``nodes``."""
+        times = range(50, 400, 7)
+        for k, t in enumerate(times):
+            clock.call_later(t - clock.time(), cluster.request,
+                             nodes[k % len(nodes)])
+        return len(times)
+
+    @pytest.mark.parametrize("protocol", ["binary_search", "fault_tolerant"])
+    def test_a_restarted_node_raises_no_alarm(self, clock, protocol):
+        from tests.clocks import run
+
+        cluster, oracle, granted = self.watch(clock, protocol)
+        clock.call_later(20.0, cluster.crash, 2)
+        clock.call_later(21.0, cluster.restart, 2)
+        asked = self.requests(clock, cluster, range(5))
+        run(clock, until=600.0)
+        assert oracle.violation is None
+        assert cluster._incarnations[2] == 1
+        assert len(granted) == asked
+        assert oracle.checks > 0
+
+    @pytest.mark.parametrize("protocol", ["binary_search", "fault_tolerant"])
+    def test_a_joined_node_raises_no_alarm(self, clock, protocol):
+        from tests.clocks import run
+
+        cluster, oracle, granted = self.watch(clock, protocol)
+        clock.call_later(20.0, cluster.join)
+        asked = self.requests(clock, cluster, range(6))
+        run(clock, until=600.0)
+        assert oracle.violation is None
+        assert len(cluster.drivers) == 6
+        assert len(granted) == asked
+        assert 5 in granted
+
+
+class TestOracleAcrossLifecycleOnLoop(TestOracleAcrossLifecycle):
+    on_loop = True

@@ -48,7 +48,7 @@ class TestChaosCorrupt:
         assert result.stabilization["episodes"] >= 1
 
     def test_seeded_non_convergence_is_caught_on_the_runtime(self, monkeypatch):
-        # The convergence verdict on the aio wiring can lose: a correction
+        # The convergence verdict on the runtime can lose: a correction
         # rule that keeps both tokens leaves two units rotating for good.
         monkeypatch.setattr(StabilizingCore, "_absorb", leaky_absorb)
         result = run_case(corrupt_scenario())
