@@ -5,7 +5,9 @@ loss by time-out, runs the who-has census, and a replacement token is
 minted by the elected survivor.  The benchmark sweeps the ring size and
 reports time-to-service, split into the configured detection delay and the
 actual recovery work (census + election + regeneration + service) — the
-latter should stay small and roughly size-independent.
+latter should stay small and roughly size-independent.  The last test
+times the same recovery on the supervised asyncio runtime
+(:func:`~repro.analysis.experiments.run_aio_recovery`).
 """
 
 from conftest import emit
@@ -72,7 +74,8 @@ def test_recovery_time_sweep(results_dir):
 
 
 def test_aio_mttr_under_supervision(results_dir):
-    """MTTR of the *runtime* (asyncio + supervisor + phi detection), the
+    """MTTR of the *runtime* (asyncio + supervisor, whose requesters
+    suspect the token lost at a multiple of their mean grant wait), the
     counterpart of the DES sweep above: recovery within a couple of
     virtual seconds."""
     row = run_aio_recovery(cycles=4)

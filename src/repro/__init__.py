@@ -11,8 +11,8 @@ Three layers:
    (the eight rows of the protocol table over one token machine: ring
    baseline, linear search, the adaptive binary search and its directed /
    push / hybrid / fault-tolerant / stabilizing variants) over a deterministic
-   discrete-event simulator, with :mod:`repro.faults` adding failure
-   detectors, the corruption fault model and dynamic membership.
+   discrete-event simulator, with :mod:`repro.faults` adding the
+   who-has census, the corruption fault model and dynamic membership.
 3. :mod:`repro.apps` + :mod:`repro.aio` — mutual exclusion, totally
    ordered broadcast, and round-robin scheduling, runnable both in
    simulation and on asyncio.

@@ -13,7 +13,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.aio.cluster": ["AioCluster"],
     "repro.aio.reliability": ["ReliabilityConfig", "ReliableChannel"],
-    "repro.aio.supervisor": ["ClusterSupervisor", "RestartPolicy"],
+    "repro.aio.supervisor": ["ClusterSupervisor"],
     "repro.aio.virtualtime": ["VirtualClock", "run_virtual"],
 })
 
@@ -22,7 +22,6 @@ __all__ = [
     "ReliabilityConfig",
     "ReliableChannel",
     "ClusterSupervisor",
-    "RestartPolicy",
     "VirtualClock",
     "run_virtual",
 ]

@@ -4,39 +4,40 @@ automatic restart.
 
 The paper's Section 5 sketch assumes "a time-out based detection is
 available" and leaves the constant to the deployment.
-:class:`ClusterSupervisor` supplies that detection:
+:class:`ClusterSupervisor` supplies that detection, from three module
+constants over the transport delay:
 
 - every frame the network hands to a live node (the ``on_deliver``
   hook: data, acks, duplicates and beacons alike) proves its sender
   alive.  That hook sees nothing a crash or a partition stopped, so
   those silence a node exactly like any other traffic.  A peer is
   suspected once nothing of it has been delivered for ``suspect_after``
-  = ``phi_threshold``·ln 10·``heartbeat_interval`` (92.1 delays at the
-  defaults: the silence a phi-accrual detector tolerates at a steady
-  beat of one per interval);
+  = :data:`SUSPECT_MEANS` beats of ``max(5 delays, 1 ms)`` (92.1 delays:
+  the silence a phi-8 accrual detector tolerates at that steady beat);
 - only a live member whose frames nobody has received for a quarter of
   ``suspect_after`` sends a :class:`~repro.core.messages.HeartbeatMsg`
   beacon to its ring neighbours, so a node whose traffic flows never
   beacons.  "Received", not "sent": a node that keeps sending to a
   crashed or partitioned peer is still unheard, and beacons;
-- a phi-accrual detector per node learns how long that node's own
-  requests wait for their grant, in message delays, and is wired into the
-  fault-tolerant core's ``regen_delay_provider``: a requester suspects the
-  token lost once it has waited ``phi_threshold``·ln 10 times its mean
-  wait (≈ 18.4 at phi 8), never sooner than the configured
-  ``regen_timeout``.  The paper times the requester ("until some other
-  node y needs the token"), and so does this: how slowly an *unwanted*
-  token circulates (``idle_pause``) does not enter it, and a wait that
-  spanned a census or a regeneration times a recovery, not the token,
-  so it is left out;
+- each node's last :data:`WAIT_WINDOW` request-to-grant waits, in
+  message delays, feed the fault-tolerant core's
+  ``regen_delay_provider``: a requester suspects the token lost once it
+  has waited :data:`SUSPECT_MEANS` times its mean wait, never sooner
+  than the configured ``regen_timeout``.  The paper times the requester
+  ("until some other node y needs the token"), and so does this: how
+  slowly an *unwanted* token circulates (``idle_pause``) does not enter
+  it, and a wait that spanned a census or a regeneration times a
+  recovery, not the token, so it is left out;
 - suspected peers are pushed into every live core's ``suspected`` set,
   so rotation and loans route around them (and are cleared again once
   their frames arrive again);
-- a crashed node is restarted after ``restart_delay``, restored from the
-  supervisor's last **snapshot** of its durable state (epoch, visit clock
-  — never ``has_token``: a crashed holder's token is genuinely lost and
-  the census/regeneration machinery recovers it), under a bumped
-  reliability incarnation, up to ``max_restarts`` times.
+- a crashed node is restarted ``max(20 delays, 2 ms)`` after its
+  suspicion, restored from the supervisor's last **snapshot** of its
+  durable state (epoch, visit clock — never ``has_token``: a crashed
+  holder's token is genuinely lost and the census/regeneration machinery
+  recovers it), under a bumped reliability incarnation, up to
+  :data:`MAX_RESTARTS` times; past that budget a ``gave_up`` event is
+  logged once and the node is left down.
 
 The supervisor is one coroutine that wakes every quarter of
 ``suspect_after``, or sooner when a peer's suspicion deadline or a
@@ -48,16 +49,24 @@ from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.core.cluster import Cluster
 from repro.core.messages import HeartbeatMsg
 from repro.core.regeneration import Regeneration
-from repro.faults.detector import PhiAccrualDetector
 from repro.sim.driver import NodeDriver
 
-__all__ = ["RestartPolicy", "ClusterSupervisor"]
+__all__ = ["ClusterSupervisor"]
+
+#: Mean waits (or beats) of silence before suspicion: where an
+#: exponential tail reaches phi 8, i.e. odds of 1 in 10**8 that the
+#: awaited frame or grant is merely late (8 ln 10 = 18.42).
+SUSPECT_MEANS = 8.0 * math.log(10.0)
+#: Restarts one node gets before the supervisor leaves it down.
+MAX_RESTARTS = 5
+#: Grant waits per node the mean is taken over.
+WAIT_WINDOW = 64
 
 #: The supervisor wakes at least once per this fraction of
 #: ``suspect_after``, and a live node beacons once nothing of it was heard
@@ -66,51 +75,30 @@ __all__ = ["RestartPolicy", "ClusterSupervisor"]
 SILENT_FRACTION = 0.25
 
 
-@dataclass
-class RestartPolicy:
-    """Supervision knobs.  Zero-valued timings scale with the transport
-    delay (restart after 20 delays).  ``heartbeat_interval`` (default 5
-    delays) is the unit peer suspicion counts in: a peer unheard for
-    ``phi_threshold``·ln 10 intervals is suspected."""
-
-    restart_delay: float = 0.0
-    max_restarts: int = 5
-    heartbeat_interval: float = 0.0
-    phi_threshold: float = 8.0
-    snapshot_restore: bool = True
-
-
 class ClusterSupervisor:
     """Watches a cluster on an event loop, restarts crashed nodes, and
     feeds adaptive failure detection into the protocol cores."""
 
-    def __init__(self, cluster: Cluster,
-                 policy: Optional[RestartPolicy] = None) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.policy = policy if policy is not None else RestartPolicy()
         delay = cluster.network.delay
-        interval = (self.policy.heartbeat_interval
-                    if self.policy.heartbeat_interval > 0
-                    else max(5.0 * delay, 1e-3))
-        self.restart_delay = (self.policy.restart_delay
-                              if self.policy.restart_delay > 0
-                              else max(20.0 * delay, 2e-3))
+        self.restart_delay = max(20.0 * delay, 2e-3)
         #: Silence after which a peer is suspected.
-        self.suspect_after = (self.policy.phi_threshold * math.log(10.0)
-                              * interval)
+        self.suspect_after = SUSPECT_MEANS * max(5.0 * delay, 1e-3)
         #: Silence after which a live node beacons; the longest sleep.
         self.beacon_after = SILENT_FRACTION * self.suspect_after
         #: When a frame from each node was last delivered to another.
         self.heard: Dict[int, float] = {}
-        #: Grant-wait detectors, one per node, fed with that node's
-        #: request-to-grant waits in delays; wired into
-        #: ``core.regen_delay_provider``.
-        self.wait_detectors: Dict[int, PhiAccrualDetector] = {}
+        #: Each node's latest request-to-grant waits, in delays; their
+        #: mean drives ``core.regen_delay_provider``.
+        self.waits: Dict[int, Deque[float]] = {}
         self.suspected: Set[int] = set()
         self.restarts: Dict[int, int] = {}
         self.events: List[dict] = []
         self._snapshots: Dict[int, dict] = {}
         self._restart_at: Dict[int, float] = {}
+        #: Crashed nodes past their restart budget, ``gave_up`` logged.
+        self._given_up: Set[int] = set()
         self._hb_seq = 0
         self._time = cluster.sim.time
         self._task: Optional[asyncio.Task] = None
@@ -152,9 +140,8 @@ class ClusterSupervisor:
             # Suspicion is the regeneration layer's business: a row
             # without it neither fences nor mints, and is left to behave
             # under a crash exactly as the plain protocol does.
-            detector = self.wait_detectors.setdefault(
-                node, PhiAccrualDetector())
-            core.regen_delay_provider = self._make_delay_provider(detector)
+            waits = self.waits.setdefault(node, deque(maxlen=WAIT_WINDOW))
+            core.regen_delay_provider = self._make_delay_provider(waits)
             core.alive_provider = self._alive_view
 
     def _on_deliver(self, src: int, dst: int, msg: object) -> None:
@@ -166,11 +153,12 @@ class ClusterSupervisor:
         # reaches the core.
         return isinstance(msg, HeartbeatMsg)
 
-    def _make_delay_provider(self, detector: PhiAccrualDetector):
+    @staticmethod
+    def _make_delay_provider(waits: Deque[float]):
         def provider() -> Optional[float]:
-            if detector.samples < 3:
+            if len(waits) < 3:
                 return None  # too little wait history: the config decides
-            return detector.timeout_after(self.policy.phi_threshold)
+            return SUSPECT_MEANS * (sum(waits) / len(waits))
 
         return provider
 
@@ -187,9 +175,9 @@ class ClusterSupervisor:
             core = self.cluster.drivers[node].core
             if isinstance(core, Regeneration) and core.granted_since is not None:
                 # Core timers run in message-delay units: so do the waits.
-                self.wait_detectors[node].record(
-                    (now - core.granted_since)
-                    / max(self.cluster.network.delay, 1e-6))
+                wait = ((now - core.granted_since)
+                        / max(self.cluster.network.delay, 1e-6))
+                self.waits[node].append(max(wait, 1e-6))
         if kind in ("token_visit", "granted", "regenerated"):
             self._snapshot(node)
 
@@ -282,8 +270,9 @@ class ClusterSupervisor:
     def _maybe_restart(self, now: float) -> None:
         for node in sorted(self.suspected):
             driver = self.cluster.drivers.get(node)
-            if driver is None or not driver.crashed:
-                continue  # partitioned, not dead: nothing to restart
+            if (driver is None or not driver.crashed
+                    or node in self._given_up):
+                continue  # partitioned, not dead, or left down
             self._restart_at.setdefault(node, now + self.restart_delay)
         for node, deadline in sorted(self._restart_at.items()):
             driver = self.cluster.drivers.get(node)
@@ -293,13 +282,13 @@ class ClusterSupervisor:
             if now < deadline:
                 continue
             self._restart_at.pop(node, None)
-            if self.restarts.get(node, 0) >= self.policy.max_restarts:
+            if self.restarts.get(node, 0) >= MAX_RESTARTS:
+                self._given_up.add(node)
                 self.events.append(
                     {"t": now, "event": "gave_up", "node": node})
                 continue
             self.restarts[node] = self.restarts.get(node, 0) + 1
-            restore = (self.snapshot_of(node)
-                       if self.policy.snapshot_restore else None)
+            restore = self.snapshot_of(node)
             # The reborn driver is wired (and heard) as it is made.
             self.cluster.restart(node, restore=restore)
             self.events.append(

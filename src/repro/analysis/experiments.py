@@ -378,9 +378,9 @@ def run_aio_recovery(cycles: int = 4) -> Dict[str, float]:
     """Crash supervised nodes in turn and time crash-to-next-grant.
 
     Each cycle crashes one node of a supervised ``fault_tolerant``
-    :class:`~repro.aio.cluster.AioCluster` (ARQ, phi detection, restart
-    policy), acquires two hops downstream, and gives the supervisor a
-    second to repair the victim.  The run is driven by
+    :class:`~repro.aio.cluster.AioCluster` (ARQ, the supervisor's
+    grant-wait detection and restarts), acquires two hops downstream, and
+    gives the supervisor a second to repair the victim.  The run is driven by
     :func:`~repro.aio.virtualtime.run_virtual`, so ``mttr`` and
     ``max_ttr`` are *virtual* seconds, bit-exact across hosts."""
     import asyncio
@@ -404,7 +404,7 @@ def run_aio_recovery(cycles: int = 4) -> Dict[str, float]:
         await cluster.start()
         await supervisor.start()
         loop = asyncio.get_running_loop()
-        await asyncio.sleep(1.0)  # cadence history for the detectors
+        await asyncio.sleep(1.0)  # idle rotation before the first crash
         for cycle in range(cycles):
             victim = cycle % n
             tracker.fault(("crash", cycle), loop.time())

@@ -54,10 +54,6 @@ class ProtocolConfig:
     - ``hold_until_release`` — grants block the token until the application
       explicitly releases (used by the mutex/broadcast apps); the
       simulation experiments use auto-release.
-    - ``advert_every`` — the ``push`` row only: a holder that parks
-      advertises its position when its token-receipt count is a multiple
-      of this.  The ``hybrid`` row advertises from every parking spot and
-      ignores it (``advert_every_gates`` in the protocol table).
     - ``regen_timeout`` / ``census_window`` / ``loan_timeout`` — token-loss
       detection and regeneration (Section 5): a requester waiting longer
       than ``regen_timeout`` runs a who-has census, waits ``census_window``
@@ -77,9 +73,6 @@ class ProtocolConfig:
     - ``stabilize_reset`` — allow the reloading-wave-style full reset of a
       node's volatile bookkeeping (queues, traps, memos) when local repair
       finds it inconsistent; off limits repair to field clamping.
-    - ``stabilize_bound`` — convergence-time bound the oracle's convergence
-      verdict enforces after an injected corruption, in virtual seconds.  0 lets
-      the harness derive a bound from the ring size and timer settings.
     """
 
     n: int = 0
@@ -91,14 +84,12 @@ class ProtocolConfig:
     service_time: float = 0.0
     retry_timeout: float = 0.0
     hold_until_release: bool = False
-    advert_every: int = 1
     regen_timeout: float = 0.0
     census_window: float = 5.0
     loan_timeout: float = 0.0
     regen_quorum: bool = False
     stabilize_watch: float = 0.0
     stabilize_reset: bool = True
-    stabilize_bound: float = 0.0
 
     def validate(self) -> "ProtocolConfig":
         """Check field consistency; return self for chaining."""
@@ -116,8 +107,6 @@ class ProtocolConfig:
             raise ConfigError("service_time must be >= 0")
         if self.retry_timeout < 0:
             raise ConfigError("retry_timeout must be >= 0")
-        if self.advert_every < 1:
-            raise ConfigError("advert_every must be >= 1")
         if self.regen_timeout < 0:
             raise ConfigError("regen_timeout must be >= 0")
         if self.census_window <= 0:
@@ -126,6 +115,4 @@ class ProtocolConfig:
             raise ConfigError("loan_timeout must be >= 0")
         if self.stabilize_watch < 0:
             raise ConfigError("stabilize_watch must be >= 0")
-        if self.stabilize_bound < 0:
-            raise ConfigError("stabilize_bound must be >= 0")
         return self

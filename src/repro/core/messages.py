@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 from repro.core.records import fast_init
 
 __all__ = [
-    "Message",
     "TokenMsg",
     "LoanMsg",
     "LoanReturnMsg",
@@ -39,16 +38,14 @@ __all__ = [
     "WhoHasReplyMsg",
     "RegenerateMsg",
     "HeartbeatMsg",
-    "JoinMsg",
-    "JoinAckMsg",
-    "LeaveMsg",
-    "MembershipMsg",
 ]
 
 
 @dataclass(frozen=True)
 class Message:
-    """Base class; subclasses override ``reliable`` as a class attribute."""
+    """Base class; subclasses override ``reliable`` as a class attribute.
+    Left out of ``__all__``: nothing sends it, so the wire codec does not
+    register it."""
 
     reliable = True
 
@@ -61,7 +58,8 @@ class TokenMsg(Message):
     ``clock`` — visit counter, incremented at every circulation hop;
     ``round_no`` — completed circulations (for round-based trap GC);
     ``served`` — requester id → highest served request seq (rotation GC);
-    ``membership`` — (version, ring tuple) piggyback for dynamic views.
+    ``membership`` — never set (views reach cores in-process); kept
+    because it is in every pinned send digest's ``repr``.
     """
 
     clock: int
@@ -233,44 +231,5 @@ class HeartbeatMsg(Message):
     sender: int
     seq: int
     last_visit: int = -1
-
-    reliable = False
-
-
-@dataclass(frozen=True)
-class JoinMsg(Message):
-    """Membership: a node asks a sponsor to insert it into the ring."""
-
-    joiner: int
-
-    reliable = True
-
-
-@dataclass(frozen=True)
-class JoinAckMsg(Message):
-    """Membership: the sponsor's reply carrying the agreed ring view."""
-
-    version: int
-    ring: Tuple[int, ...]
-
-    reliable = True
-
-
-@dataclass(frozen=True)
-class LeaveMsg(Message):
-    """Membership: a node announces its departure to its sponsor."""
-
-    leaver: int
-
-    reliable = True
-
-
-@dataclass(frozen=True)
-class MembershipMsg(Message):
-    """Membership: a view update pushed to members (cheap — the token
-    piggybacks the authoritative view)."""
-
-    version: int
-    ring: Tuple[int, ...]
 
     reliable = False

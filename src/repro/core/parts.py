@@ -402,8 +402,7 @@ class Advertise:
     rotating token), so the ring's fairness and O(N) fallback are
     preserved; under load the token never parks and no adverts flow — the
     "fluid" virtual-root behaviour the conclusion describes.  Reads the row
-    attributes ``knows_initial_holder``, ``receipt_refreshes_holder`` and
-    ``advert_every_gates``.
+    attributes ``knows_initial_holder`` and ``receipt_refreshes_holder``.
     """
 
     def __init__(self, node_id: int, config: ProtocolConfig,
@@ -412,7 +411,6 @@ class Advertise:
         self.known_holder: Optional[int] = (
             initial_holder if self.knows_initial_holder else None)
         self.known_holder_clock = -1
-        self._receipts = 0
         self._advertised_clock = -1
 
     def _advance(self, now: float) -> None:
@@ -420,9 +418,7 @@ class Advertise:
         if self.has_token and self._parked:
             # We just parked: become the virtual root.  Advertise once per
             # parking spot (re-parking at the same clock stays silent).
-            if self._advertised_clock != self.clock and (
-                    not self.advert_every_gates
-                    or self._receipts % self.config.advert_every == 0):
+            if self._advertised_clock != self.clock:
                 self._advertised_clock = self.clock
                 advert_fanout(self.out, self.hop, self.node_id, self.clock,
                               self.ring_size())
@@ -438,7 +434,6 @@ class Advertise:
             super().on_timer(key, now)
 
     def _on_token(self, msg: TokenMsg, now: float) -> None:
-        self._receipts += 1
         if self.receipt_refreshes_holder:
             self.known_holder = self.node_id
             self.known_holder_clock = msg.clock

@@ -101,8 +101,6 @@ ROWS: Dict[str, Row] = {
         "first_request_tracked": True,
         # The token in hand is the freshest knowledge of the holder there is.
         "receipt_refreshes_holder": True,
-        # Adverts are the only traffic push can shed (``advert_every``).
-        "advert_every_gates": True,
     }),
     "hybrid": Row(search=(DirectSearch, DelegatedSearch), advertise=Advertise,
                   traits={
@@ -114,8 +112,6 @@ ROWS: Dict[str, Row] = {
         "first_request_tracked": False,
         # Needs none: a sighting of our own already outdates every older advert.
         "receipt_refreshes_holder": False,
-        # Adverts flow only from a parked token, already the rare case.
-        "advert_every_gates": False,
     }),
     "fault_tolerant": Row(search=(DelegatedSearch,), layers=(Regeneration,)),
     # Its runs start from states where no history is legal, so the hop

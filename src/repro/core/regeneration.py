@@ -61,8 +61,8 @@ class Regeneration:
         #: the baseline for the progress check (see _on_census_deadline).
         self._fleet_max: Optional[int] = None
         #: Optional adaptive detection hook (the asyncio supervisor wires a
-        #: phi-accrual estimate over this node's grant waits here): returns
-        #: the suspect-timer delay in message-delay units, or None.  The
+        #: multiple of this node's mean grant wait here): returns the
+        #: suspect-timer delay in message-delay units, or None.  The
         #: configured ``regen_timeout`` is its floor.
         self.regen_delay_provider: Optional[Callable[[], Optional[float]]] = None
         #: (time, census count, epoch) when the pending request was made.

@@ -48,7 +48,6 @@ class TokenFabric:
         self,
         seed: int = 0,
         sanitize: bool = True,
-        track_fairness: bool = False,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)  # fabric-level draws (keyed workloads)
@@ -60,7 +59,6 @@ class TokenFabric:
         self.post = self.scheduler.post
         self.metrics = KeyedMetricsRegistry()
         self._sanitize = sanitize
-        self._track_fairness = track_fairness
         self._ids: Dict[str, int] = {}
         self._keys: List[str] = []
         self._lanes: List[Cluster] = []
@@ -106,7 +104,7 @@ class TokenFabric:
         lane = Cluster.build(
             protocol, n, seed=seed, config=config, delay=delay,
             loss_rate=loss_rate, dup_rate=dup_rate,
-            sanitize=self._sanitize, track_fairness=self._track_fairness,
+            sanitize=self._sanitize,
             sim=self.sim,
         )
         kid = self.metrics.add_key(key)

@@ -37,14 +37,9 @@ class FastCluster:
         loss_rate: float = 0.0,
         dup_rate: float = 0.0,
         digest: bool = False,
-        sanitize: bool = True,  # accepted for drop-in calls; the fast
-        track_fairness: bool = False,  # path has neither subsystem
     ) -> None:
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
-        if track_fairness:
-            raise FastSimUnsupportedError(
-                "fairness auditing is not wired into the fast path")
         self.config = config if config is not None else ProtocolConfig()
         self.config.n = n
         self.config.validate()

@@ -1,8 +1,7 @@
 """Failure handling and dynamic membership (paper Section 5).
 
 - :mod:`repro.faults.detector` — who-has census bookkeeping (used by the
-  regeneration layer, :mod:`repro.core.regeneration`) and the phi-accrual
-  detector;
+  regeneration layer, :mod:`repro.core.regeneration`);
 - :mod:`repro.faults.membership` — versioned ring views and the
   authoritative membership service for asynchronous join/leave.
 """

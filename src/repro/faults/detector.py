@@ -11,80 +11,16 @@ gathers from the ring and decides (a) whether the token is still alive,
 should mint the replacement — the paper elects the failed holder's
 neighbours; operationally that is the first *responder* after the node
 with the freshest token sighting, i.e. the successor that would have
-received the token next.
-
-:class:`PhiAccrualDetector` turns a history of request-to-grant waits
-per requester into a timeout — the "time-out based detection" the quote
-assumes.
+received the token next.  The time-out the quote assumes is the
+supervisor's (:mod:`repro.aio.supervisor`): a multiple of each
+requester's mean grant wait.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["Census", "PhiAccrualDetector"]
-
-_LN10 = math.log(10.0)
-
-
-class PhiAccrualDetector:
-    """Adaptive accrual timeout (Hayashibara et al. 2004), fed with waits.
-
-    An accrual detector keeps a continuous suspicion level phi over a
-    history of intervals.  We use the exponential-tail form deployed by
-    Cassandra and Akka: with mean interval ``m``, the probability of
-    waiting ``t`` without the awaited event is ``exp(-t/m)``, so
-
-        ``phi(t) = -log10 P = t / (m * ln 10)``.
-
-    phi = 1 means "90 % sure it's lost", phi = 8 "99.999999 %".  The
-    closed form inverts cleanly: phi crosses a threshold exactly
-    ``threshold * m * ln 10`` into a wait, which is what the
-    fault-tolerant runtime uses as its **adaptive detection timeout** —
-    fast rings suspect in milliseconds, slow rings wait proportionally,
-    with no hand-tuned constant in sight.
-
-    The runtime feeds one detector per node with the **grant waits** of
-    its own requests (:meth:`record`), so a requester suspects the token
-    lost once it has waited far longer than its requests usually do — the
-    paper's demand-driven detection, timed where Section 5 times it.
-
-    Deterministic, windowed, stdlib-only.
-    """
-
-    def __init__(self, window: int = 64,
-                 min_interval: float = 1e-6) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self.min_interval = min_interval
-        self._intervals: Deque[float] = deque(maxlen=window)
-
-    def record(self, interval: float) -> None:
-        """Record one interval (a grant wait)."""
-        self._intervals.append(max(interval, self.min_interval))
-
-    @property
-    def samples(self) -> int:
-        """Recorded intervals."""
-        return len(self._intervals)
-
-    def mean_interval(self) -> Optional[float]:
-        """Windowed mean interval (None with < 1 sample)."""
-        if not self._intervals:
-            return None
-        return sum(self._intervals) / len(self._intervals)
-
-    def timeout_after(self, threshold: float) -> Optional[float]:
-        """Wait at which phi crosses ``threshold`` — the adaptive stand-in
-        for a fixed timeout.  None while there is no history to adapt
-        to."""
-        mean = self.mean_interval()
-        if mean is None:
-            return None
-        return threshold * mean * _LN10
+__all__ = ["Census"]
 
 
 class Census:

@@ -12,9 +12,9 @@ an *approximate* view only degrades search performance, never safety,
 because traps, loans and grants are keyed by node id.
 
 :class:`MembershipService` is the authoritative registry: joins and leaves
-bump the version and the new view is disseminated to members (in the
-asyncio runtime, via cheap :class:`~repro.core.messages.MembershipMsg`
-updates; cores adopt any view with a newer version).
+bump the version and hand the new view to its subscribers in-process
+(the cluster sets it on every core at once; no membership message
+crosses the network).
 """
 
 from __future__ import annotations

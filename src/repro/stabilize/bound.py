@@ -45,10 +45,8 @@ def delay_ceiling(delay_spec: dict) -> float:
 def convergence_bound(config: ProtocolConfig, n: int,
                       delay_max: float) -> float:
     """Virtual-time budget within which every injected state must have
-    converged back to the single-token predicate.  An explicit
-    ``config.stabilize_bound`` wins; otherwise derive from the timers."""
-    if config.stabilize_bound > 0:
-        return config.stabilize_bound
+    converged back to the single-token predicate, derived from the ring
+    size and the timers."""
     watch = config.stabilize_watch or 25.0
     census = config.census_window
     laps = (4 * n + 8) * delay_max

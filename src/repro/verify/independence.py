@@ -29,7 +29,7 @@ footprint is the whole story.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.trs.engine import Rewriter
 from repro.trs.rules import RuleContext, RuleSet
@@ -406,10 +406,3 @@ def validate_relation(
                     })
     return violations, checks
 
-
-def iter_conditional_pairs(
-        relation: IndependenceRelation) -> Iterator[Tuple[str, str, str]]:
-    """``(rule_a, rule_b, reason)`` for every conditional pair, sorted."""
-    for (a, b), verdict in sorted(relation.pairs.items()):
-        if verdict["status"] == CONDITIONAL:
-            yield a, b, verdict["reason"]

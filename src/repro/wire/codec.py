@@ -4,7 +4,7 @@ Every message that crosses a TCP connection — protocol traffic between
 nodes, ARQ frames, lock-service requests and replies — is one *frame*:
 
     +----------------+-------------+-----+-----+-----------------------+
-    | length (4B !I) | version = 2 | src | dst | message               |
+    | length (4B !I) | version = 3 | src | dst | message               |
     +----------------+-------------+-----+-----+-----------------------+
 
 ``length`` counts everything after the prefix (version byte included).
@@ -28,14 +28,15 @@ Values nest (a token's ``served`` pairs, the ARQ
 most :data:`MAX_DEPTH` levels.
 
 A **type id** is the class's position in registration order.  Importing
-this module registers the built-ins first and always in the same order —
-every dataclass in :mod:`repro.core.messages` in ``__all__`` order, then
-``DataFrame``, ``AckFrame``, then the lock-service messages of
-:mod:`repro.wire.service` in file order — so their ids are the same in
-every process; classes an application registers afterwards follow, and
-both peers must register them in the same order.  Adding, removing or
-reordering a built-in (or a field) is a wire protocol change: bump
-:data:`WIRE_VERSION`.
+this module registers the 21 built-ins first and always in the same
+order — the 13 protocol messages in :mod:`repro.core.messages`
+``__all__`` order (``TokenMsg`` .. ``HeartbeatMsg``; the field-less
+``Message`` base is not among them), then ``DataFrame``, ``AckFrame``,
+then the six lock-service messages of :mod:`repro.wire.service` in file
+order — so their ids are the same in every process; classes an
+application registers afterwards follow, and both peers must register
+them in the same order.  Adding, removing or reordering a built-in (or a
+field) is a wire protocol change: bump :data:`WIRE_VERSION`.
 
 Deliberately not pickle: the decoder can only ever construct message
 classes that were explicitly registered, and checks each field against
@@ -84,7 +85,7 @@ __all__ = [
     "FrameReader",
 ]
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Default ceiling on the post-prefix frame size.  Protocol messages are
 #: tens to hundreds of bytes; anything near this bound is an attack or a

@@ -1,6 +1,6 @@
 """Supervisor tests: traffic-driven suspicion and beacons, snapshot
-restart, restart budget, adaptive detection wiring, and the recovery
-table."""
+restart, restart budget, the grant-wait provider and its wiring, and the
+recovery table."""
 
 import asyncio
 import collections
@@ -10,7 +10,12 @@ import pytest
 
 from repro.aio.cluster import AioCluster
 from repro.aio.reliability import ReliabilityConfig
-from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
+from repro.aio.supervisor import (
+    MAX_RESTARTS,
+    SUSPECT_MEANS,
+    WAIT_WINDOW,
+    ClusterSupervisor,
+)
 from repro.aio.virtualtime import run_virtual
 from repro.analysis.experiments import run_aio_recovery
 from repro.core.config import ProtocolConfig
@@ -34,18 +39,11 @@ def make_cluster(n=4, **kw):
                       delay=DELAY, reliability=ReliabilityConfig(), **kw)
 
 
-def policy(**overrides) -> RestartPolicy:
-    base = dict(restart_delay=20 * DELAY, heartbeat_interval=5 * DELAY,
-                phi_threshold=8.0)
-    base.update(overrides)
-    return RestartPolicy(**base)
-
-
 class TestSupervision:
     def test_crash_suspect_restart_clear(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)  # learn the heartbeat cadence
@@ -69,7 +67,7 @@ class TestSupervision:
     def test_suspicion_pushed_into_cores_and_cleared(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
@@ -92,7 +90,7 @@ class TestSupervision:
     def test_restart_restores_snapshot_but_never_the_token(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             # Pin the token on node 0 (the configured initial holder) so
@@ -114,27 +112,28 @@ class TestSupervision:
         run_virtual(main())
 
     def test_max_restarts_gives_up(self):
-        async def main():
-            cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy(max_restarts=0))
-            await cluster.start()
-            await sup.start()
-            await asyncio.sleep(1.0)
-            cluster.crash(1)
-            await asyncio.sleep(2.0)
-            await sup.stop()
-            await cluster.stop()
-            kinds = [(e["event"], e["node"]) for e in sup.events]
-            assert ("gave_up", 1) in kinds
-            assert ("restart", 1) not in kinds
-            assert cluster.drivers[1].crashed
+        sup, events, status = crash_past_the_budget(linger=0.0)
+        kinds = [e["event"] for e in events if e["node"] == 1]
+        assert kinds.count("restart") == MAX_RESTARTS == 5
+        assert kinds.count("gave_up") == 1
+        assert kinds[-1] == "gave_up"
+        assert status["restarts"] == MAX_RESTARTS
+        assert status["crashed"] and status["suspected"]
 
-        run_virtual(main())
+    def test_a_node_past_its_budget_is_reported_once(self):
+        """Past its restart budget a crashed node is reported once, and
+        the supervisor schedules nothing more for it, however long it
+        stays down."""
+        sup, events, status = crash_past_the_budget(linger=60.0)
+        assert sup.events == events
+        assert [e["event"] for e in events].count("gave_up") == 1
+        assert sup._restart_at == {}
+        assert status["restarts"] == MAX_RESTARTS
 
     def test_adaptive_provider_wired_into_cores(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             loop = asyncio.get_running_loop()
@@ -157,9 +156,9 @@ class TestSupervision:
             assert idle is None
             assert not hasattr(sup, "token_detectors")
             # Each grant wait enters the window in delays; the provider
-            # is the phi threshold's multiple of their mean ...
-            assert sup.wait_detectors[1].samples == 4
-            expected = 8.0 * math.log(10.0) * sum(waits) / len(waits)
+            # is SUSPECT_MEANS times their mean ...
+            assert len(sup.waits[1]) == 4
+            expected = SUSPECT_MEANS * sum(waits) / len(waits)
             assert abs(adaptive - expected) < 1e-6
             # ... floored at the configured regen_timeout.
             assert suspect_delay == max(30.0, adaptive)
@@ -169,14 +168,14 @@ class TestSupervision:
     def test_a_wait_that_spans_a_recovery_is_left_out(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
             for _ in range(3):
                 await cluster.acquire(1, timeout=20.0)
                 cluster.release(1)
-            before = sup.wait_detectors[1].mean_interval()
+            before = list(sup.waits[1])
             # Crash the token's holder red-handed: node 1 waits through a
             # census and a regeneration.
             await cluster.acquire(2, timeout=20.0)
@@ -188,15 +187,15 @@ class TestSupervision:
             await cluster.stop()
             assert epoch > 0  # the grant came from a regenerated token
             assert spanned is None
-            assert sup.wait_detectors[1].samples == 3
-            assert sup.wait_detectors[1].mean_interval() == before
+            assert list(sup.waits[1]) == before
+            assert len(before) == 3
 
         run_virtual(main())
 
     def test_status_reports_per_node(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
@@ -211,6 +210,90 @@ class TestSupervision:
             await cluster.stop()
 
         run_virtual(main())
+
+
+def crash_past_the_budget(linger: float):
+    """Crash node 1 once more than ``MAX_RESTARTS`` times, 2 s apart, then
+    leave it down ``linger`` more virtual seconds.  Returns the
+    supervisor, its events as of the last crash + 2 s, and node 1's
+    status at the end."""
+    async def main():
+        cluster = make_cluster()
+        sup = ClusterSupervisor(cluster)
+        await cluster.start()
+        await sup.start()
+        await asyncio.sleep(1.0)
+        for _ in range(MAX_RESTARTS + 1):
+            cluster.crash(1)
+            await asyncio.sleep(2.0)
+        events = list(sup.events)
+        await asyncio.sleep(linger)
+        status = sup.status()[1]
+        await sup.stop()
+        await cluster.stop()
+        return sup, events, status
+
+    return run_virtual(main())
+
+
+def fed(*waits):
+    """Node 1's provider and wait window after grants that waited
+    ``waits`` (in delays) each, fed as the grants would feed them."""
+    async def main():
+        cluster = make_cluster()
+        sup = ClusterSupervisor(cluster)
+        await sup.start()
+        core = cluster.drivers[1].core
+        for wait in waits:
+            core.granted_since = 0.0
+            sup._on_app_event(1, "granted", (), wait * DELAY)
+        await sup.stop()
+        return core.regen_delay_provider, list(sup.waits[1])
+
+    return run_virtual(main())
+
+
+class TestGrantWaitProvider:
+    """The provider behind ``regen_delay_provider``: SUSPECT_MEANS times
+    the mean of the node's last WAIT_WINDOW grant waits."""
+
+    def test_no_value_below_three_waits(self):
+        for count in range(3):
+            provider, waits = fed(*[1.0] * count)
+            assert len(waits) == count
+            assert provider() is None
+        provider, _ = fed(1.0, 1.0, 1.0)
+        assert provider() is not None
+
+    def test_the_mean_of_a_regular_cadence(self):
+        provider, waits = fed(1.0, 1.0, 1.0, 1.0)
+        assert waits == pytest.approx([1.0] * 4)
+        assert provider() / SUSPECT_MEANS == pytest.approx(1.0)
+
+    def test_a_multiple_of_the_mean_wait(self):
+        # phi(t) = t / (mean * ln 10) crosses 8 at 8 * mean * ln 10.
+        provider, waits = fed(0.5, 1.0, 1.5, 1.0)
+        assert waits == pytest.approx([0.5, 1.0, 1.5, 1.0])
+        assert SUSPECT_MEANS == pytest.approx(8.0 * math.log(10.0))
+        assert provider() == pytest.approx(SUSPECT_MEANS * 1.0)
+
+    def test_adapts_to_the_wait_cadence(self):
+        # A slow ring waits proportionally longer before suspecting.
+        fast, _ = fed(0.01, 0.01, 0.01)
+        slow, _ = fed(10.0, 10.0, 10.0)
+        assert fast() < slow()
+        assert slow() / fast() == pytest.approx(1000.0)
+
+    def test_the_oldest_wait_leaves_after_the_window(self):
+        assert WAIT_WINDOW == 64
+        provider, waits = fed(100.0, *[1.0] * WAIT_WINDOW)
+        assert waits == pytest.approx([1.0] * WAIT_WINDOW)
+        assert provider() == pytest.approx(SUSPECT_MEANS)
+
+    def test_a_zero_wait_is_floored(self):
+        provider, waits = fed(0.0, 0.0, 0.0)
+        assert waits == [1e-6] * 3
+        assert provider() == pytest.approx(SUSPECT_MEANS * 1e-6)
 
 
 def beacons_sent(cluster) -> collections.Counter:
@@ -232,16 +315,17 @@ class TestLiveness:
     beacons, and a silent peer is suspected at a deadline."""
 
     def test_suspect_after_keeps_the_phi_silence(self):
-        sup = ClusterSupervisor(make_cluster(), policy())
+        sup = ClusterSupervisor(make_cluster())
         # phi 8 at one beat per 5-delay interval: 92.1 delays.
         assert sup.suspect_after == pytest.approx(
             8.0 * math.log(10.0) * 5 * DELAY)
+        assert sup.restart_delay == pytest.approx(20 * DELAY)
         assert sup.beacon_after == pytest.approx(sup.suspect_after / 4)
 
     def test_an_idle_ring_beacons_every_other_quarter(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             sent = beacons_sent(cluster)
             await cluster.start()
             await sup.start()
@@ -263,7 +347,7 @@ class TestLiveness:
     def test_a_node_whose_frames_arrive_sends_no_beacon(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             sent = beacons_sent(cluster)
             await cluster.start()
             await sup.start()
@@ -284,7 +368,7 @@ class TestLiveness:
     def test_a_crashed_peer_is_suspected_at_the_deadline(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)
@@ -308,7 +392,7 @@ class TestLiveness:
         # is heard, so it beacons to node 3 and stays unsuspected.
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await cluster.acquire(0, timeout=20.0)  # held: nothing flows
@@ -329,7 +413,7 @@ class TestLiveness:
     def test_a_partitioned_node_is_suspected_and_cleared_on_heal(self):
         async def main():
             cluster = make_cluster()
-            sup = ClusterSupervisor(cluster, policy())
+            sup = ClusterSupervisor(cluster)
             await cluster.start()
             await sup.start()
             await asyncio.sleep(1.0)

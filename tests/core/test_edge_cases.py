@@ -77,10 +77,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ProtocolConfig(n=4, census_window=0.0).validate()
 
-    def test_advert_every_minimum(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(n=4, advert_every=0).validate()
-
     def test_valid_config_chains(self):
         config = ProtocolConfig(n=4)
         assert config.validate() is config

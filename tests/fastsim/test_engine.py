@@ -95,8 +95,6 @@ def test_unsupported_configurations_raise():
     with pytest.raises(FastSimUnsupportedError):
         FastCluster.build("binary_search", 8,
                           config=ProtocolConfig(hold_until_release=True))
-    with pytest.raises(FastSimUnsupportedError):
-        FastCluster.build("ring", 8, track_fairness=True)
     assert unsupported_reason("push", ProtocolConfig()) is not None
     assert unsupported_reason("ring", ProtocolConfig()) is None
     with pytest.raises(ConfigError):

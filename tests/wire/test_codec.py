@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aio.reliability import AckFrame, DataFrame
-from repro.core.messages import GimmeMsg, LeaveMsg, TokenMsg
+from repro.core.messages import GimmeMsg, TokenMsg
 from repro.errors import CodecError, FrameError
 from repro.wire.codec import (
     MAX_DEPTH,
@@ -32,7 +32,7 @@ from repro.wire.codec import (
     register_message,
     registered_messages,
 )
-from repro.wire.service import AcquireReply, StatusReply
+from repro.wire.service import AcquireReply, StatusReply, StatusRequest
 
 # -- strategies derived from the registry ------------------------------------------
 
@@ -166,11 +166,12 @@ def _frame_with_body(body: bytes) -> bytes:
 
 
 def _body(*parts: bytes) -> bytes:
-    """A version-2 frame (prefix included) around hand-assembled values."""
+    """A current-version frame (prefix included) around hand-assembled
+    values."""
     return _frame_with_body(bytes((WIRE_VERSION,)) + b"".join(parts))
 
 
-# Hand-assembled values of the v2 body (see the codec module docstring).
+# Hand-assembled values of the body (see the codec module docstring).
 ZERO, ONE = bytes((16,)), bytes((17,))       # small ints are the byte - 16
 NONE, TRUE, INT64, FLOAT64, STR, TUPLE, MSG = (
     bytes((tag,)) for tag in (0xF0, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7))
@@ -182,7 +183,7 @@ def _type_id(cls) -> bytes:
     return frame[8:9]
 
 
-LEAVE = MSG + _type_id(LeaveMsg)             # LeaveMsg(leaver: int)
+STATUS = MSG + _type_id(StatusRequest)   # StatusRequest(req_id: int)
 
 
 class TestAdversarialFrames:
@@ -209,17 +210,17 @@ class TestAdversarialFrames:
             _read_all(bad)
 
     def test_version_1_json_frame_is_refused_by_version(self):
-        body = b'\x01{"s":0,"d":1,"m":{"t":"LeaveMsg","f":{"leaver":0}}}'
+        body = b'\x01{"s":0,"d":1,"m":{"t":"StatusRequest","f":{"req_id":0}}}'
         with pytest.raises(FrameError, match="unsupported wire version 1 "):
             _read_all(_frame_with_body(body))
 
     def test_truncated_value(self):
         # The body ends inside a value: after the endpoints, inside an
         # 8-byte int, inside a message's fields, inside a long length.
-        for parts in ((ZERO,), (ZERO, ONE), (ZERO, ONE, LEAVE),
-                      (ZERO, ONE, LEAVE + INT64 + b"\x00\x00\x00"),
-                      (ZERO, ONE, LEAVE + FLOAT64),
-                      (ZERO, ONE, LEAVE + TUPLE + b"\xff\x00"),
+        for parts in ((ZERO,), (ZERO, ONE), (ZERO, ONE, STATUS),
+                      (ZERO, ONE, STATUS + INT64 + b"\x00\x00\x00"),
+                      (ZERO, ONE, STATUS + FLOAT64),
+                      (ZERO, ONE, STATUS + TUPLE + b"\xff\x00"),
                       (ZERO, ONE, MSG)):
             with pytest.raises(CodecError, match="truncated"):
                 _read_all(_body(*parts))
@@ -227,7 +228,7 @@ class TestAdversarialFrames:
     def test_unknown_value_tag(self):
         for tag in range(0xF8, 0x100):
             with pytest.raises(CodecError, match="unknown value tag"):
-                _read_all(_body(ZERO, ONE, LEAVE + bytes((tag,))))
+                _read_all(_body(ZERO, ONE, STATUS + bytes((tag,))))
 
     def test_unknown_type_tag(self):
         unassigned = bytes((len(registered_messages()),))
@@ -240,13 +241,13 @@ class TestAdversarialFrames:
         # trailing bytes, and a value of the wrong type is refused before
         # the class is constructed.
         with pytest.raises(CodecError, match="truncated"):
-            _read_all(_body(ZERO, ONE, LEAVE))
+            _read_all(_body(ZERO, ONE, STATUS))
         with pytest.raises(CodecError, match="trailing"):
-            _read_all(_body(ZERO, ONE, LEAVE + ZERO + ZERO))
+            _read_all(_body(ZERO, ONE, STATUS + ZERO + ZERO))
         for wrong in (NONE, TRUE, FLOAT64 + bytes(8), STR + b"\x01a",
-                      TUPLE + b"\x00", LEAVE + ZERO):
-            with pytest.raises(CodecError, match="bad fields for 'LeaveMsg'"):
-                _read_all(_body(ZERO, ONE, LEAVE + wrong))
+                      TUPLE + b"\x00", STATUS + ZERO):
+            with pytest.raises(CodecError, match="bad fields for 'StatusRequest'"):
+                _read_all(_body(ZERO, ONE, STATUS + wrong))
 
     def test_bool_is_not_an_int_on_the_wire(self):
         frame = encode_frame(0, 1, AcquireReply(req_id=1, ok=True, node=1))
@@ -259,50 +260,50 @@ class TestAdversarialFrames:
 
     def test_ints_cover_64_bits_and_no_more(self):
         for value in (-(2**63), -17, -16, 223, 224, 2**63 - 1):
-            frame = encode_frame(0, 1, LeaveMsg(value))
-            assert decode_body(frame[4:])[2] == LeaveMsg(value)
+            frame = encode_frame(0, 1, StatusRequest(value))
+            assert decode_body(frame[4:])[2] == StatusRequest(value)
         with pytest.raises(CodecError, match="64 bits"):
-            encode_frame(0, 1, LeaveMsg(2**63))
+            encode_frame(0, 1, StatusRequest(2**63))
 
     def test_trailing_bytes_after_the_message(self):
-        good = encode_frame(0, 1, LeaveMsg(0))
+        good = encode_frame(0, 1, StatusRequest(0))
         with pytest.raises(CodecError, match="1 trailing bytes"):
             _read_all(_frame_with_body(good[4:] + ZERO))
 
     def test_non_int_endpoints(self):
         for bad in (STR + b"\x04zero", TRUE, NONE, FLOAT64 + bytes(8)):
             with pytest.raises(CodecError, match="endpoints"):
-                _read_all(_body(bad, ONE, LEAVE + ZERO))
+                _read_all(_body(bad, ONE, STATUS + ZERO))
             with pytest.raises(CodecError, match="endpoints"):
-                _read_all(_body(ZERO, bad, LEAVE + ZERO))
+                _read_all(_body(ZERO, bad, STATUS + ZERO))
 
     def test_top_level_value_is_not_a_message(self):
-        for value in (ZERO, NONE, TUPLE + b"\x01" + LEAVE + ZERO,
+        for value in (ZERO, NONE, TUPLE + b"\x01" + STATUS + ZERO,
                       STR + b"\x00"):
             with pytest.raises(CodecError, match="registered message"):
                 _read_all(_body(ZERO, ONE, value))
 
     def test_length_running_past_the_body(self):
         with pytest.raises(CodecError, match="string of 5 bytes runs past"):
-            _read_all(_body(ZERO, ONE, LEAVE + STR + b"\x05abc"))
+            _read_all(_body(ZERO, ONE, STATUS + STR + b"\x05abc"))
         with pytest.raises(CodecError, match="tuple of 9 items runs past"):
-            _read_all(_body(ZERO, ONE, LEAVE + TUPLE + b"\x09" + ZERO))
+            _read_all(_body(ZERO, ONE, STATUS + TUPLE + b"\x09" + ZERO))
         # A 4 GiB length claim fails on the claim, not on an allocation.
         huge = b"\xff" + struct.pack("!I", 2**32 - 1)
         for tag in (STR, TUPLE):
             with pytest.raises(CodecError, match="runs past"):
-                _read_all(_body(ZERO, ONE, LEAVE + tag + huge))
+                _read_all(_body(ZERO, ONE, STATUS + tag + huge))
 
     def test_invalid_utf8(self):
         with pytest.raises(CodecError, match="malformed"):
-            _read_all(_body(ZERO, ONE, LEAVE + STR + b"\x02\xff\xfe"))
+            _read_all(_body(ZERO, ONE, STATUS + STR + b"\x02\xff\xfe"))
 
     def test_nesting_bomb(self):
         # Thousands of one-item tuples (or DataFrames) inside each other:
         # the depth cap answers, not the interpreter's recursion limit.
         data_frame = MSG + _type_id(DataFrame) + ZERO + ZERO
         for layer in (TUPLE + b"\x01", data_frame):
-            bomb = _body(ZERO, ONE, LEAVE + layer * 5000 + ZERO)
+            bomb = _body(ZERO, ONE, STATUS + layer * 5000 + ZERO)
             with pytest.raises(CodecError, match=f"deeper than {MAX_DEPTH}"):
                 _read_all(bomb)
 
@@ -311,11 +312,11 @@ class TestAdversarialFrames:
         for _ in range(MAX_DEPTH + 1):
             value = (value,)
         with pytest.raises(CodecError, match="deeper than"):
-            encode_frame(0, 1, LeaveMsg(value))
+            encode_frame(0, 1, StatusRequest(value))
 
     def test_unencodable_field_value(self):
         with pytest.raises(CodecError, match="unregistered"):
-            encode_frame(0, 1, LeaveMsg([1, 2]))
+            encode_frame(0, 1, StatusRequest([1, 2]))
 
     def test_oversized_encode_refused(self):
         msg = GimmeMsg(1, 2, 3, 4, tuple(range(400_000)))
@@ -351,13 +352,13 @@ class TestFrameReader:
         assert got == frames
 
     def test_frames_before_a_bad_one_come_out_first(self):
-        good = encode_frame(0, 1, LeaveMsg(3))
+        good = encode_frame(0, 1, StatusRequest(3))
         reader = FrameReader(max_frame=64)
         got = []
         with pytest.raises(FrameError, match="exceeds max 64"):
             for frame in reader.feed(good + good + struct.pack("!I", 65)):
                 got.append(frame)
-        assert got == [(0, 1, LeaveMsg(3))] * 2
+        assert got == [(0, 1, StatusRequest(3))] * 2
 
     def test_a_bad_prefix_fails_before_its_body(self):
         for prefix, match in ((0, "zero-length"), (MAX_FRAME + 1, "exceeds")):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.aio.cluster import AioCluster
 from repro.aio.reliability import ReliabilityConfig, ReliableChannel
-from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
+from repro.aio.supervisor import ClusterSupervisor
 from repro.aio.virtualtime import RUNNING_LOOP
 from repro.fuzz import InvariantOracle
 from repro.metrics.counters import ReliabilityCounters
@@ -195,8 +195,7 @@ class TestClusterConformance:
             cluster = self._make_cluster(kind)
             oracle = InvariantOracle(cluster, protocol=cluster.protocol)
             oracle.attach()
-            supervisor = ClusterSupervisor(cluster, RestartPolicy(
-                restart_delay=0.05, heartbeat_interval=0.01))
+            supervisor = ClusterSupervisor(cluster)
             await cluster.start()
             await supervisor.start()
             try:
